@@ -8,12 +8,20 @@ cache-filtered spec-like traces (end-to-end material).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.traces import synthetic
 from repro.traces.filter import filtered_spec_like_trace
 from repro.traces.trace import AddressTrace
+
+# ``HYPOTHESIS_PROFILE=ci`` makes every property test draw the same examples
+# on every run and print a reproduction blob for any failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,17 @@
 """Property-based proof of the integrity layer's headline guarantee.
 
-The acceptance bar for the format-v2 digests is absolute: *any* single-bit
-flip, truncation, or chunk splice anywhere in *any* golden container must
-surface as :class:`~repro.errors.IntegrityError` on decode — never a wrong
-answer, never a silent success.  Hypothesis draws the damage (which
-container, which file, which bit/length/chunk); the properties assert
-detection.  A deterministic sibling suite (``test_fsck.py``) covers
-localisation and repair; this file is only about *detection*.
+The acceptance bar for the format-v2 digests is absolute: damage anywhere
+in *any* golden container must never decode to a wrong answer.  A
+truncation or chunk splice always surfaces as
+:class:`~repro.errors.IntegrityError` on decode; a single-bit flip either
+does, or decodes to exactly the pristine container's addresses.  (The INFO
+footer hashes the *decompressed* INFO body, and some bits of a compressed
+INFO stream carry no meaning: flipping bit 5924 of
+``golden/lossy_gz/INFO.zlib`` inflates to the identical body.)  Hypothesis
+draws the damage (which container, which file, which bit/length/chunk); the
+properties assert detection.  A deterministic sibling suite
+(``test_fsck.py``) covers localisation and repair; this file is only about
+*detection*.
 
 The fault primitives come from :mod:`repro.testing.faults` — the same ones
 the CI chaos lane drives out-of-process — so the property suite and the
@@ -20,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.atc import AtcDecoder
@@ -55,22 +60,38 @@ def _container_files(directory: Path):
     return sorted(path for path in directory.iterdir() if path.is_file())
 
 
+@st.composite
+def _single_bit_flips(draw):
+    """``(container, file name, bit offset)`` of one flip in a golden file."""
+    source = draw(st.sampled_from(_CONTAINERS))
+    target = draw(st.sampled_from(_container_files(source)))
+    bit = draw(st.integers(min_value=0, max_value=8 * target.stat().st_size - 1))
+    return source, target.name, bit
+
+
 class TestEveryBitIsLoadBearing:
-    """Drawn corruption of committed fixtures is always detected."""
+    """Drawn corruption of committed fixtures is never decoded wrongly."""
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_any_single_bit_flip_is_detected(self, data, tmp_path_factory):
-        source = data.draw(st.sampled_from(_CONTAINERS), label="container")
+    @given(flip=_single_bit_flips())
+    @example(flip=(golden_directory("lossy", "gz"), "INFO.zlib", 5924))
+    def test_any_single_bit_flip_is_detected(self, flip, tmp_path_factory):
+        """A flip raises IntegrityError or decodes to the pristine addresses.
+
+        Chunk digests cover the stored bytes, but the INFO footer covers the
+        decompressed body, so a flip in a compressed INFO stream may be
+        harmless; the pinned example is one.
+        """
+        source, name, bit = flip
         work = _copy_container(source, tmp_path_factory.mktemp("flip") / source.name)
-        target = data.draw(st.sampled_from(_container_files(work)), label="file")
-        size = target.stat().st_size
-        bit = data.draw(
-            st.integers(min_value=0, max_value=8 * size - 1), label="bit_offset"
-        )
-        flip_bit(target, bit)
-        with pytest.raises(IntegrityError):
-            _decode_all(work)
+        flip_bit(work / name, bit)
+        try:
+            damaged = _decode_all(work)
+        except IntegrityError:
+            return
+        pristine = _decode_all(source)
+        assert damaged.dtype == pristine.dtype
+        assert np.array_equal(damaged, pristine), f"bit {bit} of {name} decoded wrongly"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
