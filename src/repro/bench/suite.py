@@ -164,7 +164,7 @@ def _bench_filter_assoc(ctx: _SuiteContext) -> Tuple[int, Optional[int], Optiona
     config = CacheConfig.from_capacity(
         64 * 1024, associativity=8, policy="lru", name="L1-8way"
     )
-    cache_filter = CacheFilter(config, config, workers=ctx.workers, executor=ctx.executor)
+    cache_filter = CacheFilter(config, config)
     result = cache_filter.filter(ctx.require_stream())
     return int(result.trace.addresses.size), None, None
 

@@ -16,7 +16,6 @@ ablation benches can vary the policy.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -40,15 +39,16 @@ __all__ = ["CacheConfig", "CacheStats", "SetAssociativeCache", "access_batches"]
 
 _POLICIES = ("lru", "fifo", "random")
 
-#: Slice length (in blocks) of the exact serial fallback taken by
-#: :meth:`SetAssociativeCache.access_batch` for RANDOM replacement and
-#: dirty caches: big enough that per-slice overhead is negligible, small
-#: enough that a huge batch never materialises one giant Python list.
+#: Slice length (in blocks) of the exact serial loop taken by
+#: :meth:`SetAssociativeCache.access_batch` for RANDOM replacement, dirty
+#: caches and short batches: big enough that per-slice overhead is
+#: negligible, small enough that a huge batch never materialises one giant
+#: Python list.
 SERIAL_FALLBACK_BLOCKS = 65536
 
 #: Batches shorter than this skip the array kernel: below a few hundred
-#: references the kernel's sort/pack setup costs more than the grouped
-#: per-reference replay it replaces.
+#: references the kernel's sort/pack setup costs more than the serial
+#: per-reference loop it replaces.
 KERNEL_MIN_BATCH = 192
 
 #: Kernel batches are simulated in slices of this many blocks (state
@@ -279,34 +279,38 @@ class SetAssociativeCache:
           an access equal to the previous access of the same set);
         * LRU and FIFO set-associative caches run on the set-parallel
           stack kernel (:mod:`repro.core.kernels`), which advances every
-          set's recency stack with whole-array operations; very small
-          batches instead replay each set's subsequence against an
-          :class:`~collections.OrderedDict` (:meth:`_access_batch_grouped`,
-          the pre-kernel path, kept as the grouped reference
-          implementation);
+          set's recency stack with whole-array operations;
         * RANDOM replacement (whose RNG draws depend on global access
-          order) and caches holding dirty blocks (whose evictions must
-          count write-backs) fall back to the exact serial loop.
+          order), caches holding dirty blocks (whose evictions must count
+          write-backs) and batches shorter than :data:`KERNEL_MIN_BATCH`
+          run the exact serial loop.
         """
         array = _as_block_array(blocks)
         count = int(array.size)
         if count == 0:
             return np.zeros(0, dtype=bool)
         if self.config.policy == "random" or self._dirty_block_count:
-            # Exact serial fallback; convert to Python ints in bounded
-            # slices so a huge batch does not materialise one giant list.
-            hits = np.empty(count, dtype=bool)
-            access_block = self.access_block
-            for start in range(0, count, SERIAL_FALLBACK_BLOCKS):
-                chunk = array[start : start + SERIAL_FALLBACK_BLOCKS].tolist()
-                for offset, block in enumerate(chunk):
-                    hits[start + offset] = access_block(block)
-            return hits
+            return self._access_batch_serial(array)
         if self.config.associativity == 1:
             return self._access_batch_direct(array)
         if count < KERNEL_MIN_BATCH:
-            return self._access_batch_grouped(array)
+            return self._access_batch_serial(array)
         return self._access_batch_kernel(array)
+
+    def _access_batch_serial(self, array: np.ndarray) -> np.ndarray:
+        """The serial per-reference loop over a batch: the semantics oracle.
+
+        Converts to Python ints in bounded slices so a huge batch does not
+        materialise one giant list.
+        """
+        count = int(array.size)
+        hits = np.empty(count, dtype=bool)
+        access_block = self.access_block
+        for start in range(0, count, SERIAL_FALLBACK_BLOCKS):
+            chunk = array[start : start + SERIAL_FALLBACK_BLOCKS].tolist()
+            for offset, block in enumerate(chunk):
+                hits[start + offset] = access_block(block)
+        return hits
 
     def _access_batch_direct(self, array: np.ndarray) -> np.ndarray:
         """Vectorised batch access for direct-mapped caches.
@@ -362,61 +366,6 @@ class SetAssociativeCache:
         self._clock += count
         hits = np.empty(count, dtype=bool)
         hits[order] = hits_sorted
-        return hits
-
-    def _access_batch_grouped(self, array: np.ndarray) -> np.ndarray:
-        """Grouped batch access for LRU/FIFO set-associative caches.
-
-        Accesses to different sets never interact, so the batch is sorted
-        by set index (stable, preserving per-set order) and each set's
-        subsequence is replayed against an OrderedDict kept in recency
-        (LRU) or fill (FIFO) order; the victim is always the first entry.
-        Stamps are reconstructed from each access's global position, which
-        makes the final state bit-identical to the serial loop.
-        """
-        count = int(array.size)
-        set_index = (array & np.uint64(self._set_mask)).astype(np.int64)
-        order = np.argsort(set_index, kind="stable")
-        sorted_sets = set_index[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_sets[1:] != sorted_sets[:-1]))
-        )
-        group_bounds = np.append(group_starts, count)
-        clock_start = self._clock
-        ways = self.config.associativity
-        is_lru = self.config.policy == "lru"
-        hits = np.empty(count, dtype=bool)
-        hit_count = 0
-        eviction_count = 0
-        for group in range(group_starts.size):
-            start = int(group_starts[group])
-            end = int(group_bounds[group + 1])
-            cache_set = self._sets[int(sorted_sets[start])]
-            # Existing stamps are unique clock values, so sorting by stamp
-            # recovers the recency/fill order the serial loop maintains.
-            entries = OrderedDict(sorted(cache_set.items(), key=lambda item: item[1]))
-            group_blocks = array[order[start:end]].tolist()
-            group_positions = order[start:end].tolist()
-            for block, position in zip(group_blocks, group_positions):
-                if block in entries:
-                    hits[position] = True
-                    hit_count += 1
-                    if is_lru:
-                        entries[block] = clock_start + position + 1
-                        entries.move_to_end(block)
-                else:
-                    hits[position] = False
-                    if len(entries) >= ways:
-                        entries.popitem(last=False)
-                        eviction_count += 1
-                    entries[block] = clock_start + position + 1
-            cache_set.clear()
-            cache_set.update(entries)
-        self.stats.accesses += count
-        self.stats.hits += hit_count
-        self.stats.misses += count - hit_count
-        self.stats.evictions += eviction_count
-        self._clock += count
         return hits
 
     def _access_batch_kernel(self, array: np.ndarray) -> np.ndarray:
@@ -538,7 +487,7 @@ class SetAssociativeCache:
         self.stats = CacheStats()
 
 
-def access_batches(caches, block_batches, workers: int = 1, executor=None) -> List[np.ndarray]:
+def access_batches(caches, block_batches) -> List[np.ndarray]:
     """Batch-access several *independent* caches in one fused kernel call.
 
     The set-parallel kernel amortises its per-time-step cost over every
@@ -550,20 +499,10 @@ def access_batches(caches, block_batches, workers: int = 1, executor=None) -> Li
     cache is ineligible for the kernel: RANDOM replacement, dirty blocks,
     direct-mapped or single-set geometry, or a tiny total batch).
 
-    With ``workers > 1`` (or an explicit ``executor``) each fused slice is
-    additionally sharded across executor workers by row index —
-    :func:`repro.core.kernels.simulate_batch_sharded` — which on the
-    process executor puts the simulation on real cores.  Results stay
-    bit-identical to the serial call for every strategy.
-
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
         block_batches: One block-address iterable per cache, in the same
             order.
-        workers: Kernel shard count (``0``/``None`` = one per CPU) for
-            executors created here; ``1`` keeps the serial inline path.
-        executor: Strategy name, live executor to borrow, or ``None`` for
-            the environment/auto default.
 
     Returns:
         One boolean hit mask per cache, aligned with its input order.
@@ -616,34 +555,18 @@ def access_batches(caches, block_batches, workers: int = 1, executor=None) -> Li
     # march in bounded joint slices: each cache's replacement state carries
     # from one slice to the next, so the result is identical to one shot
     # while the kernel's scratch matrices stay slice-sized
-    from contextlib import nullcontext
-
-    from repro.core.executors import executor_kind, executor_scope, resolve_workers
-
-    inline = (
-        executor is None and resolve_workers(workers) <= 1 and executor_kind(None) == "auto"
-    )
-    # resolve the executor once so every slice shares one pool instead of
-    # paying a pool start-up per KERNEL_SLICE_BLOCKS slice
-    scope = nullcontext(None) if inline else executor_scope(executor, workers)
     masks = [np.empty(int(array.size), dtype=bool) for array in arrays]
-    with scope as engine:
-        for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
-            pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
-            slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine)
-            for mask, piece_hits in zip(masks, slice_hits):
-                mask[start : start + piece_hits.size] = piece_hits
+    for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
+        pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
+        slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask)
+        for mask, piece_hits in zip(masks, slice_hits):
+            mask[start : start + piece_hits.size] = piece_hits
     return masks
 
 
-def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine=None) -> List[np.ndarray]:
-    """One fused kernel pass over aligned per-cache batch slices.
-
-    With a live ``engine`` the slice is sharded across its workers by row
-    index (:func:`repro.core.kernels.simulate_batch_sharded`); without one
-    the plain single-process kernel runs — both produce identical results.
-    """
-    from repro.core.kernels import simulate_batch, simulate_batch_sharded
+def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
+    """One fused kernel pass over aligned per-cache batch slices."""
+    from repro.core.kernels import simulate_batch
 
     offsets: List[int] = []
     offset = 0
@@ -665,12 +588,7 @@ def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask, engine=None) 
     for cache, set_index, row_base in zip(caches, set_indices, row_bases):
         for index, stack in cache._kernel_seed_stacks(set_index).items():
             initial[index + row_base] = stack
-    if engine is None:
-        result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
-    else:
-        result = simulate_batch_sharded(
-            blocks, rows, set_mask, ways, "lru", initial, executor=engine
-        )
+    result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
     # one pass over the touched rows, routed to their owning lane
     from bisect import bisect_right
 

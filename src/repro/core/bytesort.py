@@ -31,7 +31,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.kernel_backends import compiled_bytesort
 from repro.errors import CodecError
 from repro.traces.trace import ADDRESS_BYTES, as_address_array
 
@@ -76,10 +75,6 @@ def bytesort_window(addresses) -> bytes:
     # one preallocated output matrix, one row per emitted block: a single
     # final tobytes() replaces eight intermediate byte strings plus a join
     out = np.empty((ADDRESS_BYTES, count), dtype=np.uint8)
-    compiled = compiled_bytesort()
-    if compiled is not None:
-        compiled[0](np.ascontiguousarray(columns), out)
-        return out.tobytes()
     order = np.arange(count)
     for block_index in range(ADDRESS_BYTES):
         position = ADDRESS_BYTES - 1 - block_index
@@ -107,10 +102,6 @@ def bytesort_inverse_window(payload: bytes) -> np.ndarray:
         return np.empty(0, dtype=np.uint64)
     blocks = np.frombuffer(payload, dtype=np.uint8).reshape(ADDRESS_BYTES, count)
     columns = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
-    compiled = compiled_bytesort()
-    if compiled is not None:
-        compiled[1](np.ascontiguousarray(blocks), columns)
-        return columns.view("<u8").reshape(count).copy()
     order = np.arange(count)
     for block_index in range(ADDRESS_BYTES):
         position = ADDRESS_BYTES - 1 - block_index  # byte order j, MSB first

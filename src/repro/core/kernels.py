@@ -50,12 +50,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["KernelBatchResult", "simulate_batch", "simulate_batch_sharded"]
-
-#: Batches shorter than this run unsharded even when a parallel executor
-#: is offered: below it the pool submission and shared-memory transport
-#: cost more than the simulation they spread out.
-SHARD_MIN_REFS = 8192
+__all__ = ["KernelBatchResult", "simulate_batch"]
 
 #: Rows with fewer references than this never take the replay path.
 REPLAY_MIN_ROW_REFS = 64
@@ -370,143 +365,6 @@ def simulate_batch(
         per_ref_ways = ways[rows]
         hits = (depths >= 1) & (depths <= per_ref_ways)
     return KernelBatchResult(hits, depths if want_depths else None, final_stacks)
-
-
-def _simulate_shard(
-    blocks: np.ndarray,
-    rows: np.ndarray,
-    set_mask: int,
-    ways,
-    policy: str,
-    initial_items,
-    want_depths: bool,
-    track_stamps: bool,
-):
-    """Picklable per-shard cell: one :func:`simulate_batch` on a row subset.
-
-    Runs in an executor worker (the process executor ships the block and
-    row arrays through shared memory).  The result is returned as a plain
-    ``(hits, depths, final_stack_items)`` tuple so the bulk hit/depth
-    arrays ride shared memory back while the small per-row stacks travel
-    the pickle pipe.  Stamp indices in the returned stacks are positions
-    within *this shard's* sub-batch; the caller remaps them.
-    """
-    result = simulate_batch(
-        blocks,
-        rows,
-        set_mask,
-        ways,
-        policy,
-        dict(initial_items) if initial_items else None,
-        want_depths,
-        track_stamps,
-    )
-    return result.hits, result.depths, list(result.final_stacks.items())
-
-
-def simulate_batch_sharded(
-    blocks: np.ndarray,
-    rows: np.ndarray,
-    set_mask: int,
-    ways: Union[int, np.ndarray],
-    policy: str = "lru",
-    initial_stacks: Optional[Mapping[int, Sequence[int]]] = None,
-    want_depths: bool = False,
-    track_stamps: bool = True,
-    workers: Optional[int] = 1,
-    executor=None,
-) -> KernelBatchResult:
-    """:func:`simulate_batch`, sharded across executor workers by row.
-
-    Rows (``(lane, set)`` pairs) never interact, so the batch partitions
-    cleanly: references are routed to ``workers`` shards by ``row %
-    shards``, each shard simulates its row subset with an ordinary
-    :func:`simulate_batch` call (on the process executor the sub-arrays
-    move through the shared-memory transport), and the per-shard hit
-    masks, depths and final stacks are scattered back into batch order.
-    Because every row's reference subsequence is preserved and rows are
-    disjoint across shards, the result is *bit-identical* to the
-    unsharded call — the NumPy single-process kernel stays the oracle.
-
-    Falls back to the plain kernel whenever sharding cannot pay for
-    itself: a serial executor, a single worker, or a batch shorter than
-    ``SHARD_MIN_REFS``.
-
-    Args:
-        blocks: ``uint64`` block addresses, in access order.
-        rows: Row index per reference (see :func:`simulate_batch`).
-        set_mask: The per-lane set-index mask.
-        ways: Associativity (scalar, or per-row array for fused lanes).
-        policy: ``"lru"`` or ``"fifo"``.
-        initial_stacks: Replacement state carried in from earlier batches.
-        want_depths: Also return per-reference stack depths (LRU only).
-        track_stamps: Record batch indices behind surviving stamps.
-        workers: Shard count (``0``/``None`` = one per CPU) when an
-            executor is created here.
-        executor: Strategy name, live :class:`~repro.core.executors.Executor`
-            to borrow, or ``None`` for the environment/auto default.
-
-    Example:
-        >>> import numpy as np
-        >>> blocks = np.arange(64, dtype=np.uint64)
-        >>> rows = (blocks & np.uint64(7)).astype(np.int64)
-        >>> sharded = simulate_batch_sharded(blocks, rows, 7, 2, executor="serial")
-        >>> plain = simulate_batch(blocks, rows, 7, 2)
-        >>> bool(np.array_equal(sharded.hits, plain.hits))
-        True
-    """
-    from repro.core.executors import executor_scope
-
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-    row_ids = np.ascontiguousarray(rows, dtype=np.int64)
-    count = int(blocks.size)
-    with executor_scope(executor, workers) as engine:
-        shards = int(engine.workers) if engine.is_async else 1
-        if shards > 1 and count >= SHARD_MIN_REFS:
-            shards = min(shards, max(1, count // (SHARD_MIN_REFS // 2)))
-        if shards <= 1 or count < SHARD_MIN_REFS:
-            return simulate_batch(
-                blocks, rows, set_mask, ways, policy, initial_stacks, want_depths, track_stamps
-            )
-        initial_stacks = initial_stacks or {}
-        shard_of = row_ids % shards
-        pending = []
-        for shard in range(shards):
-            positions = np.flatnonzero(shard_of == shard)
-            if positions.size == 0:
-                continue
-            seeds = [
-                (rid, tuple(stack))
-                for rid, stack in initial_stacks.items()
-                if rid % shards == shard
-            ]
-            handle = engine.submit(
-                _simulate_shard,
-                blocks[positions],
-                row_ids[positions],
-                set_mask,
-                ways,
-                policy,
-                seeds,
-                want_depths,
-                track_stamps,
-            )
-            pending.append((positions, handle))
-        hits = np.empty(count, dtype=bool)
-        depths = np.empty(count, dtype=np.int64) if want_depths else None
-        final_stacks: Dict[int, List[Tuple[int, int]]] = {}
-        for positions, handle in pending:
-            shard_hits, shard_depths, stack_items = handle.result()
-            hits[positions] = shard_hits
-            if depths is not None:
-                depths[positions] = shard_depths
-            # remap shard-local stamp indices to input-batch positions
-            for rid, stack in stack_items:
-                final_stacks[rid] = [
-                    (block, int(positions[last]) if last >= 0 else -1)
-                    for block, last in stack
-                ]
-        return KernelBatchResult(hits, depths, final_stacks)
 
 
 def _march_light_rows(

@@ -70,22 +70,12 @@ class FilterResult:
 
 
 class CacheFilter:
-    """L1I + L1D filter producing cache-filtered block-address traces.
-
-    ``workers``/``executor`` select the kernel execution strategy for the
-    fused simulation (see :func:`~repro.cache.cache.access_batches`): the
-    default ``workers=1`` keeps the serial inline path, while e.g.
-    ``workers=4, executor="process"`` shards the set-parallel kernel
-    across a process pool by row index.  Output is bit-identical for
-    every strategy.
-    """
+    """L1I + L1D filter producing cache-filtered block-address traces."""
 
     def __init__(
         self,
         instruction_config: CacheConfig = PAPER_L1_CONFIG,
         data_config: CacheConfig = PAPER_L1_CONFIG,
-        workers: int = 1,
-        executor=None,
     ) -> None:
         if instruction_config.block_bytes != data_config.block_bytes:
             raise ConfigurationError("instruction and data caches must share the block size")
@@ -93,8 +83,6 @@ class CacheFilter:
         self.data_cache = SetAssociativeCache(data_config)
         self.block_bytes = data_config.block_bytes
         self._block_shift = self.block_bytes.bit_length() - 1
-        self.workers = workers
-        self.executor = executor
 
     def miss_blocks(self, stream: ReferenceStream) -> np.ndarray:
         """Filter one reference stream and return its miss-block array.
@@ -121,8 +109,6 @@ class CacheFilter:
         instruction_hits, data_hits = access_batches(
             (self.instruction_cache, self.data_cache),
             (blocks[instruction_positions], blocks[data_positions]),
-            workers=self.workers,
-            executor=self.executor,
         )
         miss_mask[instruction_positions] = ~instruction_hits
         miss_mask[data_positions] = ~data_hits
@@ -208,12 +194,8 @@ class StreamingCacheFilter:
         self,
         instruction_config: CacheConfig = PAPER_L1_CONFIG,
         data_config: CacheConfig = PAPER_L1_CONFIG,
-        workers: int = 1,
-        executor=None,
     ) -> None:
-        self.cache_filter = CacheFilter(
-            instruction_config, data_config, workers=workers, executor=executor
-        )
+        self.cache_filter = CacheFilter(instruction_config, data_config)
 
     def filter_chunk(self, chunk: ReferenceStream) -> np.ndarray:
         """Filter one chunk, carrying cache state from previous chunks."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, CacheStats, SetAssociativeCache
 from repro.errors import ConfigurationError
 
 
@@ -163,15 +163,18 @@ def _serial_hits(cache: SetAssociativeCache, blocks: np.ndarray) -> np.ndarray:
 class TestAccessBatchEquivalence:
     """The vectorised batch paths must be bit-identical to the serial loop."""
 
+    # both sides of the kernel cut-off, at the default thresholds
+    @pytest.mark.parametrize("batch_size", [1, KERNEL_MIN_BATCH - 1, KERNEL_MIN_BATCH, 800])
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("associativity", [1, 2, 4])
-    def test_hits_stats_and_state_match_serial(self, policy, associativity):
+    def test_hits_stats_and_state_match_serial(self, policy, associativity, batch_size):
         rng = np.random.default_rng(2009)
         config = CacheConfig(num_sets=16, associativity=associativity, policy=policy)
         batched = SetAssociativeCache(config, seed=5)
         serial = SetAssociativeCache(config, seed=5)
-        for _ in range(3):
-            blocks = rng.integers(0, 150, size=800, dtype=np.uint64)
+        trace = rng.integers(0, 150, size=2400, dtype=np.uint64)
+        for start in range(0, trace.size, batch_size):
+            blocks = trace[start : start + batch_size]
             assert np.array_equal(batched.access_batch(blocks), _serial_hits(serial, blocks))
             assert batched.stats == serial.stats
             assert batched._sets == serial._sets

@@ -4,9 +4,8 @@ The kernel layer (:mod:`repro.core.kernels`) must be *bit-identical* to the
 serial per-reference simulators it replaces: same hit masks, same
 :class:`~repro.cache.cache.CacheStats` counters, same resident blocks and
 replacement stamps, for any trace, chunking and policy.  This suite drives
-random traces through three implementations — the serial loop (the
-semantics oracle), the pre-kernel grouped OrderedDict replay, and the
-kernel — and asserts exact agreement, including the dirty/write-back and
+random traces through the serial loop (the semantics oracle) and the
+kernel and asserts exact agreement, including the dirty/write-back and
 RANDOM-replacement traces that must take the serial fallback, and chunked
 streaming at chunk sizes 1/7/4096.
 """
@@ -71,7 +70,7 @@ def _build_trace(values, repeats) -> np.ndarray:
 
 
 class TestKernelEquivalence:
-    """Serial loop vs grouped replay vs kernel, across the policy grid."""
+    """Serial loop vs kernel, across the policy grid."""
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("ways", [1, 2, 4, 8])
@@ -85,21 +84,6 @@ class TestKernelEquivalence:
         for chunk in np.array_split(trace, 3):
             assert np.array_equal(batched.access_batch(chunk), _serial_hits(serial, chunk))
         _assert_same_state(batched, serial)
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    @pytest.mark.parametrize("ways", [2, 4, 8])
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(values=_blocks, repeats=_repeats)
-    def test_kernel_matches_grouped_replay(self, policy, ways, values, repeats):
-        """The pre-kernel grouped path and the kernel agree exactly."""
-        trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=16, associativity=ways, policy=policy)
-        kernel = SetAssociativeCache(config)
-        grouped = SetAssociativeCache(config)
-        kernel_hits = kernel._access_batch_kernel(trace)
-        grouped_hits = grouped._access_batch_grouped(trace)
-        assert np.array_equal(kernel_hits, grouped_hits)
-        _assert_same_state(kernel, grouped)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
     @pytest.mark.parametrize("policy", ["lru", "fifo"])

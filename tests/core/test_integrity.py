@@ -34,6 +34,7 @@ from repro.errors import IntegrityError, ReproError
 from repro.testing.faults import TransientEIO, flip_bit, torn_write, truncate_file
 
 from test_golden_containers import (
+    GOLDEN_ROOT,
     GOLDEN_VARIANTS,
     golden_addresses,
     golden_directory,
@@ -92,6 +93,35 @@ class TestEveryBitIsLoadBearing:
         pristine = _decode_all(source)
         assert damaged.dtype == pristine.dtype
         assert np.array_equal(damaged, pristine), f"bit {bit} of {name} decoded wrongly"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "source",
+        _CONTAINERS + (GOLDEN_ROOT / "lossless_k6",),
+        ids=lambda path: path.name,
+    )
+    def test_every_info_bit_flip_is_detected(self, source, tmp_path):
+        """The drawn property above, exhausted over every bit of every INFO file.
+
+        Same contract: each flip raises IntegrityError or decodes to the
+        pristine addresses.  Each flip is undone before the next, so one
+        working copy serves the whole enumeration.
+        """
+        pristine = _decode_all(source)
+        work = _copy_container(source, tmp_path / source.name)
+        (info,) = (path for path in _container_files(work) if path.name.startswith("INFO."))
+        wrong = []
+        for bit in range(8 * info.stat().st_size):
+            flip_bit(info, bit)
+            try:
+                damaged = _decode_all(work)
+            except IntegrityError:
+                continue
+            finally:
+                flip_bit(info, bit)
+            if damaged.dtype != pristine.dtype or not np.array_equal(damaged, pristine):
+                wrong.append(bit)
+        assert not wrong, f"{info.name} bits {wrong[:10]} decoded to wrong addresses"
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,14 @@ import repro
 class TestPublicApi:
     def test_version_is_exposed(self):
         assert repro.__version__
+
+    def test_version_matches_pyproject(self):
+        """``repro.__version__`` and ``pyproject.toml`` name one release."""
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = pyproject.read_text(encoding="utf-8").split("[project]", 1)[1]
+        match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+        assert match is not None, "no version in pyproject.toml [project]"
+        assert repro.__version__ == match.group(1)
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
