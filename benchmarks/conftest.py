@@ -24,26 +24,8 @@ from repro.traces.trace import AddressTrace
 BENCH_REFERENCES = int(os.environ.get("REPRO_BENCH_REFS", "30000"))
 
 #: Workloads generated+filtered concurrently for the suite fixture
-#: (``REPRO_BENCH_JOBS=0`` = one per CPU; executor via ``--executor`` /
-#: ``REPRO_EXECUTOR``).
+#: (``REPRO_BENCH_JOBS=0`` = one per CPU; more than one runs on threads).
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-
-
-def pytest_addoption(parser) -> None:
-    parser.addoption(
-        "--executor",
-        default=None,
-        choices=("auto", "serial", "thread", "process"),
-        help="executor strategy the parallel benchmarks run with "
-        "(default: REPRO_EXECUTOR environment variable, else auto)",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_executor(request):
-    """The resolved ``--executor`` selection (None = environment/auto)."""
-    value = request.config.getoption("--executor")
-    return None if value in (None, "auto") else value
 
 #: Bytesort buffer sizes standing in for the paper's 1 M / 10 M buffers.
 SMALL_BUFFER = 4_000
@@ -76,8 +58,8 @@ FIGURE3_SET_COUNTS = (64, 256, 1024, 4096)
 
 def _generate_suite(names) -> Dict[str, AddressTrace]:
     # The suite fixture is the harness's biggest fixed cost; the batch
-    # fan-out spreads workloads over BENCH_JOBS workers on the selected
-    # executor, byte-identically to the serial loop.
+    # fan-out spreads workloads over BENCH_JOBS worker threads,
+    # byte-identically to the serial loop.
     return filter_spec_like_traces(names, BENCH_REFERENCES, seed=0, workers=BENCH_JOBS)
 
 

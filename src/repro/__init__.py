@@ -52,19 +52,12 @@ from repro.core.bytesort import (
 )
 from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decompress
 from repro.core.lossy import LossyCodec, LossyCompressed, LossyConfig, lossy_compress, lossy_decompress
-from repro.core.parallel import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
+from repro.core.parallel import Executor, SerialExecutor, ThreadExecutor, resolve_executor
 from repro.errors import (
     CodecError,
     ConfigurationError,
     ContainerError,
     IntegrityError,
-    ParallelExecutionError,
     ReproError,
     TraceFormatError,
 )
@@ -77,7 +70,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.
@@ -128,7 +121,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "resolve_executor",
     # experiments
     "SweepSpec",
@@ -145,5 +137,4 @@ __all__ = [
     "IntegrityError",
     "CodecError",
     "ConfigurationError",
-    "ParallelExecutionError",
 ]

@@ -6,7 +6,7 @@ speed a *guarded* quantity instead of a measured-and-forgotten one:
 * :mod:`repro.bench.suite` — the operational benchmark suite (trace
   generation + cache filtering, lossless/lossy encode, decode), executed
   programmatically at a reproducible :class:`~repro.bench.suite.BenchScale`
-  with a selectable executor;
+  at a selectable worker count;
 * :mod:`repro.bench.report` — the normalized machine-readable report
   format (``BENCH_*.json``), with a dependency-free schema validator;
 * :mod:`repro.bench.compare` — the regression gate's decision logic:

@@ -20,7 +20,7 @@ and metric:
   as a second aggregate guard.
 * **bits per address** — fails on *any* drift beyond float round-off
   (default tolerance ``1e-9`` relative).  The synthetic workloads are
-  seeded and the containers byte-identical across executors, so for a
+  seeded and the containers byte-identical across worker counts, so for a
   fixed scale this metric is exact; a change means the on-disk format or a
   codec decision changed, which must never ride in under a perf PR.
 * **coverage** — a benchmark present in the baseline but missing from the

@@ -11,7 +11,7 @@ gate catches both performance regressions and fidelity drift.
 
 Determinism contract: for a fixed :class:`BenchScale` the synthetic
 workload, the filtered trace and every container byte are identical on
-every run, platform and executor — wall time and memory are the only
+every run, platform and worker count — wall time and memory are the only
 quantities allowed to vary, which is what makes the bytes-per-address
 comparison an exact drift detector.
 """
@@ -108,7 +108,6 @@ class _SuiteContext:
     """Mutable state threaded through the suite's cases, in order."""
 
     scale: BenchScale
-    executor: Optional[str]
     workers: int
     root: Path
     stream: Optional[object] = None
@@ -123,7 +122,6 @@ class _SuiteContext:
             chunk_buffer_addresses=self.scale.buffer_addresses,
             backend=self.scale.backend,
             workers=self.workers,
-            executor=self.executor,
         )
 
     def require_trace(self) -> np.ndarray:
@@ -208,7 +206,7 @@ def _bench_decode(ctx: _SuiteContext, label: str):
     directory = ctx.containers.get(label)
     if directory is None:
         raise BenchmarkError(f"benchmark ordering bug: encode_{label} must run before decode_{label}")
-    decoder = AtcDecoder(directory, workers=ctx.workers, executor=ctx.executor)
+    decoder = AtcDecoder(directory, workers=ctx.workers)
     decoded = decoder.read_all()
     return int(decoded.size), int(decoder.compressed_bytes()), float(decoder.bits_per_address())
 
@@ -350,7 +348,6 @@ def _bench_serve_roundtrip(ctx: _SuiteContext):
         port=0,
         max_connections=4,
         workers=ctx.workers,
-        executor=ctx.executor,
         request_timeout=600.0,
         cache_dir=None,  # fresh private cache: every repetition sees miss -> hit
     )
@@ -408,21 +405,20 @@ SUITE_BENCHES: Tuple[Tuple[str, Callable[[_SuiteContext], Tuple[int, Optional[in
 SUITE_BENCHES_NAMES: Tuple[str, ...] = tuple(name for name, _ in SUITE_BENCHES)
 
 
-def resolved_executor_name(executor, workers: int) -> str:
-    """The concrete strategy a spec resolves to at a given worker count.
+def resolved_executor_name(workers: int) -> str:
+    """The strategy that runs at ``workers``: ``"serial"`` for one, ``"thread"`` beyond.
 
-    Reports must record what actually ran, so this delegates to
-    :func:`repro.core.executors.resolved_kind` — the single home of the
-    ``auto`` rule — instead of re-implementing it.
+    Example:
+        >>> resolved_executor_name(1), resolved_executor_name(4)
+        ('serial', 'thread')
     """
-    from repro.core.executors import resolved_kind
+    from repro.core.parallel import resolve_workers
 
-    return resolved_kind(executor, workers)
+    return "serial" if resolve_workers(workers) <= 1 else "thread"
 
 
 def run_suite(
     scale: BenchScale = BenchScale(),
-    executor: Optional[str] = None,
     workers: int = 1,
     names=None,
     work_dir=None,
@@ -432,9 +428,7 @@ def run_suite(
 
     Args:
         scale: The run's reproducible scale knobs.
-        executor: Execution strategy for the parallel cases (name or live
-            executor; ``None`` = ``REPRO_EXECUTOR``/auto).
-        workers: Pool size for the parallel cases.
+        workers: Pool size for the parallel cases (threads beyond one).
         names: Optional subset of case names to run; dependencies must be
             included (``decode_*`` needs its ``encode_*``, everything needs
             ``filter``), which is validated by the ordering checks.
@@ -454,7 +448,7 @@ def run_suite(
     """
     import tempfile
 
-    from repro.core.executors import resolve_workers
+    from repro.core.parallel import resolve_workers
 
     selected = set(SUITE_BENCHES_NAMES if names is None else names)
     unknown = selected - set(SUITE_BENCHES_NAMES)
@@ -474,15 +468,15 @@ def run_suite(
         # pure-Python cases) and repeatedly, keeping the per-case minimum;
         # the *memory* pass then re-runs once under tracemalloc in a fresh
         # directory.
-        timed = _execute_cases(scale, executor, count, selected, Path(work_dir) / "t0", False)
+        timed = _execute_cases(scale, count, selected, Path(work_dir) / "t0", False)
         for rep in range(1, repetitions):
             again = _execute_cases(
-                scale, executor, count, selected, Path(work_dir) / f"t{rep}", False
+                scale, count, selected, Path(work_dir) / f"t{rep}", False
             )
             for name, measurement in again.items():
                 if measurement[0] < timed[name][0]:
                     timed[name] = measurement
-        traced = _execute_cases(scale, executor, count, selected, Path(work_dir) / "m", True)
+        traced = _execute_cases(scale, count, selected, Path(work_dir) / "m", True)
         results: List[BenchResult] = []
         for name, _ in SUITE_BENCHES:
             if name not in selected:
@@ -508,7 +502,6 @@ def run_suite(
 
 def run_profile(
     scale: BenchScale = BenchScale(),
-    executor: Optional[str] = None,
     workers: int = 1,
     names=None,
     work_dir=None,
@@ -535,7 +528,7 @@ def run_profile(
     import pstats
     import tempfile
 
-    from repro.core.executors import resolve_workers
+    from repro.core.parallel import resolve_workers
 
     selected = set(SUITE_BENCHES_NAMES if names is None else names)
     unknown = selected - set(SUITE_BENCHES_NAMES)
@@ -550,7 +543,6 @@ def run_profile(
     try:
         ctx = _SuiteContext(
             scale=scale,
-            executor=executor,
             workers=resolve_workers(workers),
             root=Path(work_dir) / "profile",
         )
@@ -574,7 +566,6 @@ def run_profile(
 
 def _execute_cases(
     scale: BenchScale,
-    executor: Optional[str],
     workers: int,
     selected,
     root: Path,
@@ -586,7 +577,7 @@ def _execute_cases(
     peak is meaningful (wall time is not, and vice versa) — see
     :func:`run_suite` for why the two are measured in separate passes.
     """
-    ctx = _SuiteContext(scale=scale, executor=executor, workers=workers, root=root)
+    ctx = _SuiteContext(scale=scale, workers=workers, root=root)
     measurements: Dict[str, Tuple[float, int, Optional[int], Optional[float], int]] = {}
     for name, case in SUITE_BENCHES:
         if name not in selected:

@@ -144,7 +144,7 @@ class CacheHierarchy:
 
 
 def _miss_stream_task(task) -> np.ndarray:
-    """Picklable per-trace hierarchy-filter cell (fresh levels per trace)."""
+    """Per-trace hierarchy-filter cell (fresh levels per trace)."""
     configs, blocks = task
     return CacheHierarchy(configs).miss_stream(blocks)
 
@@ -153,27 +153,23 @@ def miss_streams(
     traces,
     configs: Sequence[CacheConfig],
     workers: int = 1,
-    executor=None,
 ) -> List[np.ndarray]:
     """Filter several independent block traces through the same geometry.
 
     Each trace gets its own fresh hierarchy (independent workloads must not
-    share cache state), so the cells fan out on the executor engine; with
-    the process executor the block arrays travel through shared memory and
-    the per-access simulation uses real cores.  Results are in input order
+    share cache state), so the cells fan out on
+    :func:`~repro.core.parallel.map_ordered`.  Results are in input order
     and identical to ``[CacheHierarchy(configs).miss_stream(t) for t in
-    traces]`` for every strategy.
+    traces]`` for every worker count.
 
     Args:
         traces: Iterable of block-address arrays (one per workload).
         configs: The hierarchy geometry applied to every trace.
         workers: Concurrent traces (``0``/``None`` = one per CPU).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
     """
     from repro.core.parallel import map_ordered
     from repro.traces.trace import as_address_array
 
     configs = tuple(configs)
     tasks = [(configs, as_address_array(trace)) for trace in traces]
-    return map_ordered(_miss_stream_task, tasks, workers=workers, executor=executor)
+    return map_ordered(_miss_stream_task, tasks, workers=workers)

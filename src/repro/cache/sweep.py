@@ -78,7 +78,7 @@ class MissRatioSurface:
 
 
 def _sweep_pass_task(task) -> MissRatioCurve:
-    """Picklable single-set-count simulation pass (any executor worker)."""
+    """Single-set-count simulation pass."""
     blocks, num_sets, max_associativity = task
     simulator = LruStackSimulator(num_sets, max_associativity=max_associativity)
     simulator.access_trace(blocks)
@@ -91,18 +91,13 @@ def miss_ratio_sweep(
     max_associativity: int = 32,
     trace_name: str = "",
     workers: int = 1,
-    executor=None,
 ) -> MissRatioSurface:
     """Simulate a trace once per set count and return the full surface.
 
-    The per-set-count passes are independent, so with ``workers > 1`` (or
-    an explicit ``executor``) they run concurrently on the executor engine
-    (:func:`repro.core.parallel.map_ordered`) — the same worker layer the
-    chunk-compression pipeline and the sweep runner use.  The stack-
-    distance simulator is a pure-Python hot loop, which makes this the
-    textbook process-executor fan-out: each pass ships the block array
-    through shared memory and runs on its own core.  The returned surface
-    is identical for every strategy and worker count.
+    The per-set-count passes are independent, so with ``workers > 1`` they
+    run concurrently on :func:`repro.core.parallel.map_ordered` — the same
+    worker layer the chunk-compression pipeline and the sweep runner use.
+    The returned surface is identical for every worker count.
 
     Args:
         blocks: Block-address trace (any iterable of ints, consumed fully).
@@ -111,8 +106,6 @@ def miss_ratio_sweep(
         trace_name: Label stored in the returned surface.
         workers: Number of set-count passes simulated concurrently
             (``0``/``None`` = one per CPU, like the rest of the pipeline).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
 
     Example:
         >>> surface = miss_ratio_sweep(range(4096), set_counts=(64, 128))
@@ -121,36 +114,16 @@ def miss_ratio_sweep(
         >>> surface.miss_ratio(64, 4)        # a pure streaming trace always misses
         1.0
     """
-    from repro.core.parallel import executor_kind, map_ordered, resolve_workers
+    from repro.core.parallel import map_ordered
     from repro.traces.trace import as_address_array
 
     # Normalise to the kernel's native ``uint64`` layout up front: every
-    # per-set-count pass then hands the stack kernel (and, for the process
-    # executor, the shared-memory exporter) one contiguous address array.
+    # per-set-count pass then hands the stack kernel one contiguous array.
     materialised = as_address_array(
         blocks if isinstance(blocks, np.ndarray) else list(blocks)
     )
     set_counts = list(set_counts)
-    workers = resolve_workers(workers)
-    shared_blocks = materialised
-    segments: list = []
-    if len(set_counts) > 1 and executor_kind(executor) == "process":
-        # Every pass reads the same immutable trace: export it into ONE
-        # shared-memory segment up front and ship the handle per task,
-        # instead of letting each submission copy the whole array into its
-        # own segment.  Workers resolve the handle transparently (the
-        # process trampoline imports packed arguments without unlinking);
-        # the single segment is reclaimed here once the map returns.
-        from repro.core import shmem
-
-        shared_blocks = shmem.export_value(materialised, segments)
-    try:
-        tasks = [(shared_blocks, num_sets, max_associativity) for num_sets in set_counts]
-        passes = map_ordered(_sweep_pass_task, tasks, workers=workers, executor=executor)
-    finally:
-        if segments:
-            from repro.core import shmem
-
-            shmem.release_segments(segments)
+    tasks = [(materialised, num_sets, max_associativity) for num_sets in set_counts]
+    passes = map_ordered(_sweep_pass_task, tasks, workers=workers)
     curves: Dict[int, MissRatioCurve] = dict(zip(set_counts, passes))
     return MissRatioSurface(trace_name=trace_name, curves=curves)

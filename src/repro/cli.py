@@ -21,9 +21,8 @@ declarative experiment-orchestration subsystem as ``repro sweep``
 ``docs/experiments.md`` — and the continuous-benchmarking runner as
 ``repro bench`` (normalized ``BENCH_*.json`` reports plus the baseline
 comparison the CI regression gate runs) — see :mod:`repro.bench` and
-``docs/performance.md``.  Every parallel subcommand takes ``--executor
-{serial,thread,process}`` (default: the ``REPRO_EXECUTOR`` environment
-variable, else auto), selecting the engine behind ``--jobs``.
+``docs/performance.md``.  Every parallel subcommand takes ``--jobs``:
+one job runs inline, more run a thread pool of that size.
 """
 
 from __future__ import annotations
@@ -107,25 +106,6 @@ def _exit_quietly_on_broken_pipe(entry):
     return wrapper
 
 
-def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--executor`` strategy knob to a subcommand parser."""
-    parser.add_argument(
-        "--executor",
-        default=None,
-        choices=("auto", "serial", "thread", "process"),
-        help="execution strategy for parallel work: serial (inline), thread "
-        "(GIL-releasing codecs), process (true multi-core with shared-memory "
-        "chunk transport); default: the REPRO_EXECUTOR environment variable, "
-        "else auto (serial for 1 job, threads otherwise)",
-    )
-
-
-def _executor_spec(args) -> Optional[str]:
-    """Map the parsed ``--executor`` value to the library's spec form."""
-    value = getattr(args, "executor", None)
-    return None if value in (None, "auto") else value
-
-
 def _build_bin2atc_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bin2atc",
@@ -173,7 +153,6 @@ def _build_bin2atc_parser() -> argparse.ArgumentParser:
         help="compress up to N chunks concurrently (0 = one per CPU; default: 1, serial; "
         "output is byte-identical for any value)",
     )
-    _add_executor_argument(parser)
     parser.add_argument("--input", default=None, help="read raw trace from this file instead of stdin")
     return parser
 
@@ -190,7 +169,6 @@ def bin2atc_main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             enable_translation=not args.no_translation,
             workers=args.jobs,
-            executor=_executor_spec(args),
         )
     except ReproError as error:
         print(f"bin2atc: error: {error}", file=sys.stderr)
@@ -239,7 +217,6 @@ def _build_atc2bin_parser() -> argparse.ArgumentParser:
         default=1,
         help="prefetch and decompress up to N chunks concurrently (0 = one per CPU; default: 1)",
     )
-    _add_executor_argument(parser)
     return parser
 
 
@@ -253,7 +230,7 @@ def atc2bin_main(argv: Optional[List[str]] = None) -> int:
     """
     args = _build_atc2bin_parser().parse_args(argv)
     try:
-        decoder = AtcDecoder(args.directory, workers=args.jobs, executor=_executor_spec(args))
+        decoder = AtcDecoder(args.directory, workers=args.jobs)
     except ContainerError as error:
         print(f"atc2bin: error: {error}", file=sys.stderr)
         return 2
@@ -565,7 +542,6 @@ def _build_convert_parser() -> argparse.ArgumentParser:
         default=1,
         help="compress/decompress up to N chunks concurrently (0 = one per CPU; default: 1)",
     )
-    _add_executor_argument(parser)
     return parser
 
 
@@ -607,7 +583,6 @@ def convert_main(argv: Optional[List[str]] = None) -> int:
                 chunk_addresses=args.chunk_records,
                 cycle_gap=args.cycle_gap,
                 workers=args.jobs,
-                executor=_executor_spec(args),
                 **options(fmt.name if fmt else args.to_format or _detected(args.destination)),
             )
             print(
@@ -622,7 +597,6 @@ def convert_main(argv: Optional[List[str]] = None) -> int:
             chunk_buffer_addresses=args.buffer_addresses,
             backend=args.backend,
             workers=args.jobs,
-            executor=_executor_spec(args),
         )
         mode = MODE_LOSSY if args.lossy else MODE_LOSSLESS
         from_format = args.from_format or _detected(args.source)
@@ -739,7 +713,6 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         default=1,
         help="evaluate up to N (workload, filter) groups concurrently (0 = one per CPU)",
     )
-    _add_executor_argument(run)
     run.add_argument(
         "--format",
         "-f",
@@ -858,7 +831,6 @@ def _sweep_run_distributed(args, spec, cache_dir: str) -> int:
         lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
         owner=args.owner,
         workers=getattr(args, "jobs", 1),
-        executor=_executor_spec(args),
     )
     report = runner.run_worker()
     shard = f"{report.shard[0]}/{report.shard[1]}" if report.shard else "none"
@@ -953,7 +925,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
             spec,
             cache_dir=cache_dir,
             workers=getattr(args, "jobs", 1),
-            executor=_executor_spec(args),
         )
         if args.action == "status":
             status = runner.status()
@@ -1019,7 +990,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker count for the parallel benchmark cases (0 = one per CPU; default: 1)",
     )
-    _add_executor_argument(parser)
     parser.add_argument(
         "--json",
         action="store_true",
@@ -1076,12 +1046,11 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     )
     from repro.core.parallel import resolve_workers
 
-    spec = _executor_spec(args)
     try:
         workers = resolve_workers(args.jobs)
         scale = BenchScale(references=args.refs, workload=args.workload)
-        results = run_suite(scale, executor=spec, workers=workers)
-        report = build_report(results, scale, resolved_executor_name(spec, workers), workers)
+        results = run_suite(scale, workers=workers)
+        report = build_report(results, scale, resolved_executor_name(workers), workers)
         if args.output is not None:
             save_report(report, args.output)
             print(f"benchmark report written to {args.output}", file=sys.stderr)
@@ -1093,7 +1062,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
             from repro.bench import run_profile
 
             # stderr, like the gate verdicts: --json owns stdout
-            tables = run_profile(scale, executor=spec, workers=workers, top=args.profile)
+            tables = run_profile(scale, workers=workers, top=args.profile)
             for name, table in tables.items():
                 print(
                     f"\n=== profile: {name} (top {args.profile} by cumulative time) ===",
@@ -1138,9 +1107,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker count for the shared codec executor (default: 1)",
+        help="codec worker count: 1 runs inline, more a thread pool (default: 1)",
     )
-    _add_executor_argument(parser)
     parser.add_argument(
         "--request-timeout",
         type=float,
@@ -1176,7 +1144,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             port=args.port,
             max_connections=args.max_connections,
             workers=args.workers,
-            executor=_executor_spec(args),
             request_timeout=args.request_timeout if args.request_timeout > 0 else None,
             max_body_bytes=args.max_body_bytes,
             cache_dir=args.cache_dir,

@@ -31,10 +31,8 @@ from repro.core.histograms import (
 from repro.core.intervals import ChunkTable, IntervalRecord
 from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decompress
 from repro.core.parallel import (
-    EXECUTOR_NAMES,
     Executor,
     OrderedChunkWriter,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     executor_scope,
@@ -88,11 +86,9 @@ __all__ = [
     "CompressionBackend",
     "get_backend",
     "available_backends",
-    "EXECUTOR_NAMES",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "OrderedChunkWriter",
     "executor_scope",
     "map_ordered",

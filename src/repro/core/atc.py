@@ -68,11 +68,10 @@ class AtcEncoder:
             In lossless mode only ``chunk_buffer_addresses`` and ``backend``
             are used (each bytesort buffer becomes a chunk).
         suffix: Chunk file suffix; defaults to the back-end name.
-        executor: Execution strategy for the chunk pipeline — a name
-            (``"serial"``/``"thread"``/``"process"``) or a live
-            :class:`~repro.core.executors.Executor` to share across
-            encoders; overrides ``config.executor``.  Containers are
-            byte-identical for every strategy.
+        executor: A live :class:`~repro.core.parallel.Executor` to share
+            across encoders (the service passes its codec executor);
+            ``None`` creates one from ``config.workers``.  Containers are
+            byte-identical for every executor and worker count.
         format_version: Container format to write — ``2`` (the default)
             records a digest per chunk plus an INFO footer digest so every
             decode path verifies the bytes it reads; ``1`` reproduces the
@@ -86,7 +85,7 @@ class AtcEncoder:
         mode: str = MODE_LOSSY,
         config: Optional[LossyConfig] = None,
         suffix: Optional[str] = None,
-        executor=None,
+        executor: Optional[Executor] = None,
         format_version: int = FORMAT_VERSION,
     ) -> None:
         if mode not in (MODE_LOSSY, MODE_LOSSLESS):
@@ -120,16 +119,13 @@ class AtcEncoder:
         self._buffer = np.empty(self._flush_threshold, dtype=np.uint64)
         self._buffered = 0
         # Ordered parallel chunk pipeline: chunk payloads are compressed on
-        # the selected executor (threads, or processes with shared-memory
-        # chunk transport) and written back to the container in submission
+        # a thread pool and written back to the container in submission
         # order; on the serial default it runs inline.  The write callback
-        # runs on the caller's thread regardless of executor, so digest
-        # collection here is race-free.
+        # runs on the caller's thread either way, so digest collection here
+        # is race-free.
         self._chunk_digests: Dict[int, str] = {}
         self._pipeline = OrderedChunkWriter(
-            self._write_chunk,
-            workers=self.config.workers,
-            executor=executor if executor is not None else self.config.executor,
+            self._write_chunk, workers=self.config.workers, executor=executor
         )
 
     def _write_chunk(self, chunk_id: int, payload: bytes):
@@ -235,15 +231,11 @@ class AtcEncoder:
             self._records.append(
                 IntervalRecord(kind="chunk", chunk_id=chunk_id, length=int(interval.size))
             )
-        if not self._pipeline.decouples_at_submit(interval.nbytes):
-            # Thread pools (and sub-threshold process submissions) hold a
-            # reference to the caller's memory past submit; the serial path
-            # and large shared-memory exports are decoupled synchronously,
-            # so only the paths that need an owned copy pay for one.
+        if self._pipeline.is_async:
+            # A thread pool holds a reference to the caller's memory past
+            # submit; the serial path runs inline, so only the thread path
+            # pays for an owned copy.
             interval = np.array(interval, dtype=np.uint64, copy=True)
-        # Submitted as (fn, array) rather than a closure so the process
-        # executor can pickle the codec's bound method and park the interval
-        # array in shared memory.
         self._pipeline.submit(chunk_id, self._chunk_codec.compress, interval)
 
     def close(self) -> None:
@@ -278,92 +270,6 @@ class AtcEncoder:
         return self._total
 
 
-#: Per-process memo of (container handle, codec) pairs for chunk loading.
-#: A process worker receives a freshly unpickled :class:`_ChunkLoader` per
-#: task, so instance-level caching would rebuild the container every call;
-#: this module-level cache (one per worker interpreter) makes the rebuild
-#: once-per-worker.  Bounded so a long-lived worker touching many
-#: containers cannot grow it without limit.
-_CHUNK_LOADER_STATE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_CHUNK_LOADER_STATE_MAX = 8
-
-
-def _chunk_loader_state(directory: str, backend: str, suffix, buffer_addresses: int) -> tuple:
-    key = (directory, backend, suffix, buffer_addresses)
-    state = _CHUNK_LOADER_STATE.get(key)
-    if state is None:
-        state = (
-            AtcContainer(directory, backend=backend, suffix=suffix),
-            LosslessCodec(buffer_addresses=buffer_addresses, backend=backend),
-        )
-        _CHUNK_LOADER_STATE[key] = state
-        while len(_CHUNK_LOADER_STATE) > _CHUNK_LOADER_STATE_MAX:
-            _CHUNK_LOADER_STATE.popitem(last=False)
-    else:
-        _CHUNK_LOADER_STATE.move_to_end(key)
-    return state
-
-
-def _load_verified_chunk(
-    container: AtcContainer,
-    codec: LosslessCodec,
-    chunk_id: int,
-    expected_digest: Optional[str],
-) -> np.ndarray:
-    """Read, digest-check and decompress one chunk.
-
-    The single funnel for every decode path (LRU cache, prefetch, bulk
-    ``read_all``, process workers): the raw bytes are checked against the
-    recorded digest first, and a chunk that then still fails to decompress
-    is reported as :class:`~repro.errors.IntegrityError` naming the file
-    and chunk rather than leaking a codec exception.
-    """
-    payload = container.read_chunk(chunk_id, expected_digest=expected_digest)
-    try:
-        return codec.decompress(payload)
-    except CodecError as exc:
-        target = container.path / f"{chunk_id + 1}.{container.suffix}"
-        raise IntegrityError(
-            f"{target}: chunk {chunk_id + 1} is corrupt: {exc}",
-            path=target,
-            chunk_id=chunk_id,
-        ) from exc
-
-
-class _ChunkLoader:
-    """Picklable read+verify+decompress task for one container's chunks.
-
-    The decoder's prefetch fan-out ships this tiny object (directory,
-    back-end name, suffix, bytesort buffer size, chunk-digest table)
-    to its executor instead of the decoder itself; in a process worker the
-    container handle and codec are memoised per interpreter
-    (:func:`_chunk_loader_state`), and the decoded ``uint64`` arrays travel
-    back through shared memory.  Digest verification rides along, so the
-    parallel prefetch path checks exactly what the serial path checks.
-    """
-
-    def __init__(
-        self,
-        directory,
-        backend: str,
-        suffix: Optional[str],
-        buffer_addresses: int,
-        digests: Optional[Dict[int, str]] = None,
-    ) -> None:
-        self.directory = str(directory)
-        self.backend = backend
-        self.suffix = suffix
-        self.buffer_addresses = int(buffer_addresses)
-        self.digests = dict(digests) if digests else {}
-
-    def __call__(self, chunk_id: int) -> np.ndarray:
-        """Read, verify and decompress one chunk (pure; safe in any worker)."""
-        container, codec = _chunk_loader_state(
-            self.directory, self.backend, self.suffix, self.buffer_addresses
-        )
-        return _load_verified_chunk(container, codec, chunk_id, self.digests.get(chunk_id))
-
-
 class AtcDecoder:
     """Decoder for ATC container directories (lossy or lossless).
 
@@ -380,10 +286,9 @@ class AtcDecoder:
             containers reference the same chunk from many imitation
             records, so a small bounded cache replaces re-decoding without
             the unbounded memory growth a plain dict would have.
-        executor: Execution strategy for the prefetch/bulk-decode fan-out —
-            a name or a live :class:`~repro.core.executors.Executor`;
-            ``None`` falls back to ``REPRO_EXECUTOR``/auto.  The decoded
-            output never depends on the strategy.
+        executor: A live :class:`~repro.core.parallel.Executor` to share
+            for the prefetch/bulk-decode fan-out; ``None`` creates one from
+            ``workers``.  The decoded output never depends on either.
     """
 
     #: Default capacity of the decoded-chunk LRU cache.
@@ -396,7 +301,7 @@ class AtcDecoder:
         suffix: Optional[str] = None,
         workers: int = 1,
         cache_chunks: int = DEFAULT_CACHE_CHUNKS,
-        executor=None,
+        executor: Optional[Executor] = None,
     ) -> None:
         # The chunk-file suffix names the back-end on disk (INFO.bz2,
         # INFO.zlib, ...), so an unspecified back-end is detected from it.
@@ -418,14 +323,7 @@ class AtcDecoder:
         )
         self._chunk_digests = parse_chunk_digests(metadata)
         self._workers = resolve_workers(workers)
-        self._executor_spec = executor
-        self._loader = _ChunkLoader(
-            self.container.path,
-            self.container.backend.name,
-            self.container.suffix,
-            int(metadata.get("chunk_buffer_addresses", 1_000_000)),
-            digests=self._chunk_digests,
-        )
+        self._executor = executor
         if cache_chunks < 1:
             raise ConfigurationError("cache_chunks must be >= 1")
         # The prefetch lookahead must fit in the cache, or a prefetched
@@ -436,10 +334,25 @@ class AtcDecoder:
 
     # -- decoding ---------------------------------------------------------------------------
     def _load_chunk(self, chunk_id: int) -> np.ndarray:
-        """Read, verify and decompress one chunk (pure; safe off-thread)."""
-        return _load_verified_chunk(
-            self.container, self._chunk_codec, chunk_id, self._chunk_digests.get(chunk_id)
-        )
+        """Read, digest-check and decompress one chunk (pure; safe off-thread).
+
+        The single funnel for every decode path (LRU cache, prefetch, bulk
+        ``read_all``): the raw bytes are checked against the recorded digest
+        first, and a chunk that then still fails to decompress is reported
+        as :class:`~repro.errors.IntegrityError` naming the file and chunk
+        rather than leaking a codec exception.
+        """
+        container = self.container
+        payload = container.read_chunk(chunk_id, expected_digest=self._chunk_digests.get(chunk_id))
+        try:
+            return self._chunk_codec.decompress(payload)
+        except CodecError as exc:
+            target = container.path / f"{chunk_id + 1}.{container.suffix}"
+            raise IntegrityError(
+                f"{target}: chunk {chunk_id + 1} is corrupt: {exc}",
+                path=target,
+                chunk_id=chunk_id,
+            ) from exc
 
     def _store_chunk(self, chunk_id: int, decoded: np.ndarray) -> None:
         cache = self._chunk_cache
@@ -461,36 +374,19 @@ class AtcDecoder:
         return materialize_interval(record, source)
 
     def _prefetch_wanted(self) -> bool:
-        """True when iteration should prefetch chunks on an executor.
-
-        ``executor_kind`` consults ``REPRO_EXECUTOR`` for a ``None`` spec,
-        so the environment knob enables prefetch here exactly like it does
-        at every other fan-out site.
-        """
+        """True when iteration should prefetch chunks on a thread pool."""
         if len(self.records) <= 1:
             return False
-        if self._workers > 1:
-            return True
-        from repro.core.parallel import executor_kind
-
-        return executor_kind(self._executor_spec) in ("thread", "process")
-
-    def _load_task(self, engine: "Executor"):
-        """The chunk-load callable to ship to ``engine``.
-
-        Thread and serial engines reuse this decoder's container handle and
-        codec directly; the process engine gets the slim picklable
-        :class:`_ChunkLoader` instead (the decoder itself holds an
-        unbounded cache and open state that must not cross the pipe).
-        """
-        return self._loader if engine.name == "process" else self._load_chunk
+        if self._executor is not None:
+            return self._executor.is_async
+        return self._workers > 1
 
     def iter_intervals(self) -> Iterator[np.ndarray]:
         """Yield the decoded address array of every interval, in order.
 
-        With ``workers > 1`` (or a parallel ``executor``) the chunks of
+        With ``workers > 1`` (or a shared thread executor) the chunks of
         upcoming intervals are prefetched — read and decompressed — on the
-        selected executor while earlier intervals are being consumed; the
+        thread pool while earlier intervals are being consumed; the
         yielded sequence is identical to the serial one.
         """
         if self._prefetch_wanted():
@@ -500,15 +396,14 @@ class AtcDecoder:
             yield self._interval_piece(record, self._chunk_addresses(record.chunk_id))
 
     def _iter_intervals_prefetch(self) -> Iterator[np.ndarray]:
-        with executor_scope(self._executor_spec, self._workers) as engine:
-            load = self._load_task(engine)
+        with executor_scope(self._executor, self._workers) as engine:
             handles = {}
             try:
                 for index, record in enumerate(self.records):
                     for upcoming in self.records[index : index + self._lookahead]:
                         chunk_id = upcoming.chunk_id
                         if chunk_id not in handles and chunk_id not in self._chunk_cache:
-                            handles[chunk_id] = engine.submit(load, chunk_id)
+                            handles[chunk_id] = engine.submit(self._load_chunk, chunk_id)
                     handle = handles.pop(record.chunk_id, None)
                     if handle is not None:
                         self._store_chunk(record.chunk_id, handle.result())
@@ -563,8 +458,8 @@ class AtcDecoder:
         }
         missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
         if missing:
-            with executor_scope(self._executor_spec, self._workers) as engine:
-                loaded = engine.map_ordered(self._load_task(engine), missing)
+            with executor_scope(self._executor, self._workers) as engine:
+                loaded = engine.map_ordered(self._load_chunk, missing)
             decoded.update(zip(missing, loaded))
         return [self._interval_piece(record, decoded[record.chunk_id]) for record in self.records]
 
@@ -629,7 +524,6 @@ def atc_open(
     config: Optional[LossyConfig] = None,
     suffix: Optional[str] = None,
     workers: int = 1,
-    executor=None,
 ) -> Union[AtcEncoder, AtcDecoder]:
     """Open an ATC container, mirroring the paper's ``atc_open`` entry point.
 
@@ -641,13 +535,11 @@ def atc_open(
             ``workers`` field controls encoder parallelism).
         suffix: Chunk file suffix override.
         workers: Chunk-prefetch parallelism for decode mode.
-        executor: Execution strategy (name or instance) for either mode's
-            fan-out; ``None`` = config / environment default.
     """
     if mode == MODE_DECODE:
-        return AtcDecoder(directory, suffix=suffix, workers=workers, executor=executor)
+        return AtcDecoder(directory, suffix=suffix, workers=workers)
     if mode in (MODE_LOSSY, MODE_LOSSLESS):
-        return AtcEncoder(directory, mode=mode, config=config, suffix=suffix, executor=executor)
+        return AtcEncoder(directory, mode=mode, config=config, suffix=suffix)
     raise ConfigurationError(f"atc_open mode must be 'k', 'c' or 'd', got {mode!r}")
 
 
@@ -678,12 +570,12 @@ def compress_trace(
     config = config if config is not None else LossyConfig()
     with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.code_many(values)
-    return AtcDecoder(directory, workers=config.workers, executor=config.executor)
+    return AtcDecoder(directory, workers=config.workers)
 
 
-def decompress_trace(directory, workers: int = 1, executor=None) -> np.ndarray:
+def decompress_trace(directory, workers: int = 1) -> np.ndarray:
     """Decode an ATC container directory into an address array."""
-    return AtcDecoder(directory, workers=workers, executor=executor).read_all()
+    return AtcDecoder(directory, workers=workers).read_all()
 
 
 def compress_stream(
@@ -702,11 +594,11 @@ def compress_stream(
     config = config if config is not None else LossyConfig()
     with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.encode_stream(chunks)
-    return AtcDecoder(directory, workers=config.workers, executor=config.executor)
+    return AtcDecoder(directory, workers=config.workers)
 
 
 def decompress_stream(
-    directory, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES, workers: int = 1, executor=None
+    directory, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES, workers: int = 1
 ) -> Iterator[np.ndarray]:
     """Decode an ATC container as a bounded-memory address-chunk stream.
 
@@ -714,4 +606,4 @@ def decompress_stream(
     chunks equal ``decompress_trace(directory)`` exactly, but peak memory
     is bounded by the chunk size plus one decoded interval.
     """
-    return AtcDecoder(directory, workers=workers, executor=executor).iter_chunks(chunk_addresses)
+    return AtcDecoder(directory, workers=workers).iter_chunks(chunk_addresses)

@@ -39,7 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.executors import Executor, SerialExecutor, ThreadExecutor
+from repro.core.parallel import Executor, SerialExecutor, ThreadExecutor
 from repro.errors import CodecError, ConfigurationError
 
 __all__ = [

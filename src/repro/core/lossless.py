@@ -56,30 +56,28 @@ class LosslessCodec:
         header = _HEADER.pack(_MAGIC, 1, int(values.size), int(self.buffer_addresses))
         return header + payload
 
-    def compress_many(self, intervals, workers: int = 1, executor=None) -> list:
+    def compress_many(self, intervals, workers: int = 1) -> list:
         """Compress several address sequences, preserving input order.
 
         The bulk entry point of the parallel chunk pipeline: with
-        ``workers > 1`` (or an explicit ``executor``) the intervals are
-        compressed concurrently — on threads (the stdlib byte-level codecs
-        release the GIL) or, with the process executor, on other cores with
-        the interval arrays and compressed payloads moved through shared
-        memory.  ``intervals`` may be any iterable, including a lazy
+        ``workers > 1`` the intervals are compressed concurrently on threads
+        (the stdlib byte-level codecs release the GIL).  ``intervals`` may
+        be any iterable, including a lazy
         generator: it is consumed through a bounded submission window
         (``2 * workers`` tasks in flight), never materialised up front, so
         the streaming pipeline's bounded-memory guarantee holds for
         arbitrarily long interval streams.  The result is byte-identical
-        to ``[self.compress(i) for i in intervals]`` for every strategy.
+        to ``[self.compress(i) for i in intervals]`` for every worker count.
         """
         from repro.core.parallel import imap_ordered
 
-        return list(imap_ordered(self.compress, intervals, workers=workers, executor=executor))
+        return list(imap_ordered(self.compress, intervals, workers=workers))
 
-    def decompress_many(self, payloads, workers: int = 1, executor=None) -> list:
+    def decompress_many(self, payloads, workers: int = 1) -> list:
         """Decompress several payloads, preserving input order (see above)."""
         from repro.core.parallel import imap_ordered
 
-        return list(imap_ordered(self.decompress, payloads, workers=workers, executor=executor))
+        return list(imap_ordered(self.decompress, payloads, workers=workers))
 
     def decompress(self, payload: bytes) -> np.ndarray:
         """Invert :meth:`compress`."""

@@ -79,18 +79,13 @@ class LossyConfig:
             the paper; False reproduces the Figure 4 ablation).
         workers: Number of chunks compressed concurrently by the streaming
             encoder (and prefetched by the decoder).  ``1`` is fully serial;
-            ``0``/``None`` means one worker per CPU.  Output is
+            more runs a thread pool of that size (the stdlib codecs release
+            the GIL, overlapping chunk compression with trace consumption
+            the way the paper's external ``bzip2 -c`` process overlaps with
+            the tracer); ``0``/``None`` means one worker per CPU.  Output is
             byte-identical for every worker count; the knob only changes
             wall-clock time and peak memory (bounded at roughly
             ``2 * workers`` in-flight chunks).
-        executor: Execution strategy for the chunk pipeline: ``"serial"``,
-            ``"thread"`` (the stdlib codecs release the GIL, overlapping
-            chunk compression with trace consumption the same way the
-            paper's external ``bzip2 -c`` process overlaps with the
-            tracer), ``"process"`` (true multi-core with shared-memory
-            chunk transport), or ``None`` for the ``REPRO_EXECUTOR``
-            environment variable / auto default.  Containers are
-            byte-identical across strategies by construction.
     """
 
     interval_length: int = 20_000
@@ -100,10 +95,9 @@ class LossyConfig:
     backend: object = "bz2"
     enable_translation: bool = True
     workers: int = 1
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.core.parallel import executor_kind, resolve_workers
+        from repro.core.parallel import resolve_workers
 
         if self.interval_length <= 0:
             raise ConfigurationError("interval_length must be positive")
@@ -113,8 +107,6 @@ class LossyConfig:
             raise ConfigurationError("chunk_buffer_addresses must be positive")
         # Normalise 0/None to the CPU count once, at construction time.
         object.__setattr__(self, "workers", resolve_workers(self.workers))
-        if self.executor is not None:
-            executor_kind(self.executor)  # validate the name eagerly
         get_backend(self.backend)
 
     @classmethod
@@ -271,9 +263,7 @@ class LossyCodec:
             if needs_payload:
                 chunk_intervals.append(interval)
             records.append(record)
-        chunks = encoder.chunk_codec.compress_many(
-            chunk_intervals, workers=config.workers, executor=config.executor
-        )
+        chunks = encoder.chunk_codec.compress_many(chunk_intervals, workers=config.workers)
         return LossyCompressed(
             config=config, chunks=chunks, records=records, original_length=int(values.size)
         )
@@ -293,7 +283,6 @@ class LossyCodec:
         decoded = self._chunk_codec.decompress_many(
             [compressed.chunks[chunk_id] for chunk_id in needed],
             workers=self.config.workers,
-            executor=self.config.executor,
         )
         decoded_chunks: Dict[int, np.ndarray] = dict(zip(needed, decoded))
 

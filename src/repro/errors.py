@@ -20,11 +20,6 @@ class ContainerError(ReproError):
     """An on-disk ATC container (chunk directory) is invalid or corrupt."""
 
 
-def _rebuild_integrity_error(message, path, chunk_id, offset):
-    """Unpickle helper: restore an :class:`IntegrityError` with its fields."""
-    return IntegrityError(message, path=path, chunk_id=chunk_id, offset=offset)
-
-
 class IntegrityError(ContainerError):
     """Stored bytes failed an integrity check (digest mismatch, truncation).
 
@@ -49,14 +44,6 @@ class IntegrityError(ContainerError):
         self.chunk_id = chunk_id
         self.offset = offset
 
-    def __reduce__(self):
-        # Keep path/chunk_id/offset across pickling: process-executor
-        # workers ship exceptions back through a pipe.
-        return (
-            _rebuild_integrity_error,
-            (str(self), self.path, self.chunk_id, self.offset),
-        )
-
 
 class CodecError(ReproError):
     """A compressor or decompressor was used incorrectly or hit bad data."""
@@ -73,15 +60,6 @@ class BenchmarkError(ReproError):
     when two reports cannot be compared (e.g. they were run at different
     scales).  A *regression* is not an error — the comparator reports it as
     a failed check so callers can render every verdict before exiting.
-    """
-
-
-class ParallelExecutionError(ReproError):
-    """A parallel worker died unexpectedly (crash, kill or broken pipe).
-
-    Raised by the executor engine (:mod:`repro.core.executors`) in place of
-    the raw pool-internal errors, after the pool has been shut down and its
-    children reaped, so callers see one clear failure instead of a cascade.
     """
 
 

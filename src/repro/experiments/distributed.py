@@ -65,11 +65,11 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.parallel import executor_kind, map_ordered
+from repro.core.parallel import map_ordered
 from repro.errors import ConfigurationError
 from repro.experiments.plan import ExperimentUnit, default_code_version, expand_sweep
 from repro.experiments.results import SweepResult
@@ -473,10 +473,8 @@ class DistributedSweepRunner(SweepRunner):
         clock: Injectable lease clock (tests drive expiry with it).
         on_unit: Optional ``(unit, entry) -> None`` callback after each
             evaluated unit is stored (the in-process evaluation spy).
-        workers, executor, code_version, trace_provider: As in
-            :class:`~repro.experiments.runner.SweepRunner`.  The group
-            fan-out is capped at threads — lease state and counters live
-            in this process.
+        workers, code_version, trace_provider: As in
+            :class:`~repro.experiments.runner.SweepRunner`.
     """
 
     def __init__(
@@ -489,7 +487,6 @@ class DistributedSweepRunner(SweepRunner):
         owner: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
         workers: int = 1,
-        executor=None,
         code_version: Optional[str] = None,
         trace_provider=None,
         on_unit=None,
@@ -503,7 +500,6 @@ class DistributedSweepRunner(SweepRunner):
             spec,
             cache_dir=cache_dir,
             workers=workers,
-            executor=executor,
             code_version=code_version,
             trace_provider=trace_provider,
         )
@@ -517,18 +513,6 @@ class DistributedSweepRunner(SweepRunner):
         fault_after = os.environ.get(FAULT_EXIT_ENV, "").strip()
         self._fault_after: Optional[int] = int(fault_after) if fault_after else None
         self._eval_log = os.environ.get(EVAL_LOG_ENV, "").strip() or None
-
-    def _effective_executor(self):
-        """Thread-cap the group fan-out: leases and counters are in-process.
-
-        Multi-*process* execution is the point of the distributed runner —
-        it comes from launching more worker processes (``repro sweep run
-        --shard``), each with its own lease identity, not from shipping
-        this worker's lease state across a process pool.
-        """
-        if executor_kind(self.executor) == "process":
-            return "thread"
-        return super()._effective_executor()
 
     # -- the work loop ----------------------------------------------------------------
     def run_worker(self) -> WorkerReport:
@@ -592,7 +576,6 @@ class DistributedSweepRunner(SweepRunner):
             lambda group: self._run_group_leased(group, stolen, report),
             groups,
             workers=self.workers,
-            executor=self._effective_executor(),
         )
 
     def _run_group_leased(self, group, stolen: bool, report: WorkerReport) -> None:

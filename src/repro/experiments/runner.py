@@ -7,10 +7,9 @@
 2. units group by (workload, filter) so the cache-filtered trace — the
    expensive part of a cell — is generated **once per group**, and only for
    groups with at least one uncached cell;
-3. groups run concurrently on the executor engine via
-   :func:`repro.core.parallel.map_ordered` — threads by default (trace
-   generation and the byte-level codecs release the GIL), or worker
-   processes for true multi-core execution of the pure-Python cells;
+3. groups run concurrently on threads via
+   :func:`repro.core.parallel.map_ordered` (trace generation and the
+   byte-level codecs release the GIL);
 4. each finished cell is written to the :class:`~repro.experiments.store.
    ResultStore`, so an interrupted sweep resumes from the completed cells
    and a repeated run completes near-instantly from cache;
@@ -43,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.parallel import executor_kind, map_ordered, resolve_workers
+from repro.core.parallel import map_ordered, resolve_workers
 from repro.experiments.codecs import evaluate_codec, resolve_lossy_config
 from repro.experiments.plan import ExperimentPlan, ExperimentUnit, default_code_version, expand_sweep
 from repro.experiments.results import SweepResult, UnitResult
@@ -117,14 +116,8 @@ class SweepRunner:
         cache_dir: Result-store directory; ``None`` disables caching (every
             run recomputes every cell).
         workers: Number of (workload, filter) groups evaluated concurrently;
-            ``0``/``None`` means one per CPU.
-        executor: Execution strategy for the group fan-out: ``"serial"``,
-            ``"thread"``, ``"process"`` (true multi-core; the spec, store
-            path and group cells are shipped to worker interpreters), or
-            ``None`` for the ``REPRO_EXECUTOR``/auto default.  A sweep with
-            an in-process ``trace_provider`` closure cannot cross the
-            process boundary, so process execution downgrades to threads in
-            that case.  Results are identical for every strategy.
+            ``0``/``None`` means one per CPU.  Results are identical for
+            every worker count.
         code_version: Version string mixed into unit hashes; defaults to the
             package version, so upgrading the package invalidates the cache.
         trace_provider: Optional ``(workload, filter) -> array or None``
@@ -142,7 +135,6 @@ class SweepRunner:
         spec: SweepSpec,
         cache_dir=None,
         workers: int = 1,
-        executor=None,
         code_version: Optional[str] = None,
         trace_provider=None,
     ) -> None:
@@ -150,21 +142,8 @@ class SweepRunner:
         self.plan: ExperimentPlan = expand_sweep(spec)
         self.store: Optional[ResultStore] = ResultStore(cache_dir) if cache_dir is not None else None
         self.workers = resolve_workers(workers)
-        self.executor = executor
         self.code_version = code_version if code_version is not None else default_code_version()
         self.trace_provider = trace_provider
-
-    def _effective_executor(self):
-        """The group-level executor, downgraded when state cannot cross.
-
-        A ``trace_provider`` is an in-process cache hook (often a closure
-        over a harness); shipping it to another interpreter is impossible,
-        so an explicit process selection falls back to threads — same
-        results, shared address space.
-        """
-        if self.trace_provider is not None and executor_kind(self.executor) == "process":
-            return "thread"
-        return self.executor
 
     # -- traces -----------------------------------------------------------------------
     def _filtered_trace(self, workload: WorkloadSpec, filter_spec: FilterSpec) -> np.ndarray:
@@ -246,9 +225,7 @@ class SweepRunner:
         regardless of scheduling.
         """
         groups = self.plan.groups()
-        per_group = map_ordered(
-            self._run_group, groups, workers=self.workers, executor=self._effective_executor()
-        )
+        per_group = map_ordered(self._run_group, groups, workers=self.workers)
         by_label = {row_unit.label: row
                     for group_rows, (_, units) in zip(per_group, groups)
                     for row, row_unit in zip(group_rows, units)}
@@ -271,6 +248,6 @@ class SweepRunner:
         )
 
 
-def run_sweep(spec: SweepSpec, cache_dir=None, workers: int = 1, executor=None) -> SweepResult:
+def run_sweep(spec: SweepSpec, cache_dir=None, workers: int = 1) -> SweepResult:
     """One-shot convenience: run a sweep spec and return its result."""
-    return SweepRunner(spec, cache_dir=cache_dir, workers=workers, executor=executor).run()
+    return SweepRunner(spec, cache_dir=cache_dir, workers=workers).run()

@@ -19,8 +19,8 @@ Endpoints (see ``docs/service.md`` for the full contract):
 Three invariants hold everywhere:
 
 1. **The event loop never computes.**  Encoding/decoding runs on worker
-   threads (which in turn drive the shared executor engine's thread or
-   process pool); the loop only shuttles socket bytes and spools bodies.
+   threads (which in turn drive the shared codec executor); the loop only
+   shuttles socket bytes and spools bodies.
 2. **Memory per connection is bounded.**  Request bodies stream to a
    per-request spool file chunk by chunk; decoded traces stream back the
    same way.  No payload is ever held in memory whole (packed containers
@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import AsyncIterator, Callable, Dict, Optional, Tuple
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
-from repro.core.executors import resolve_executor
+from repro.core.parallel import resolve_executor
 from repro.core.lossy import LossyConfig
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.service.cache import CONTAINER_MEDIA_TYPE, ContainerCache, pack_container, unpack_container
@@ -85,9 +85,8 @@ class ServiceConfig:
             anything else — the service itself does no authentication).
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
-        workers: Worker count handed to the shared codec executor.
-        executor: Executor spec (``serial``/``thread``/``process``/``None``
-            for the ``REPRO_EXECUTOR``/auto default) shared by every job.
+        workers: Worker count of the codec executor every job shares:
+            inline for one, a thread pool beyond.
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.
@@ -101,7 +100,6 @@ class ServiceConfig:
     port: int = 8742
     max_connections: int = 8
     workers: int = 1
-    executor: Optional[str] = None
     request_timeout: Optional[float] = 300.0
     max_body_bytes: int = 1 << 30
     cache_dir: Optional[str] = None
@@ -178,7 +176,7 @@ class AtcService:
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 self._loop.add_signal_handler(signum, self.shutdown)
-        self._executor = resolve_executor(self.config.executor, self.config.workers)
+        self._executor = resolve_executor(self.config.workers)
         server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -464,12 +462,7 @@ class AtcService:
 
         def run():
             token.raise_if_cancelled()
-            result = run_sweep(
-                spec,
-                cache_dir=cache_dir,
-                workers=self.config.workers,
-                executor=self.config.executor,
-            )
+            result = run_sweep(spec, cache_dir=cache_dir, workers=self.config.workers)
             return json.loads(result.render("json"))
 
         return _json_response(await self._run_job(run, token))

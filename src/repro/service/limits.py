@@ -11,7 +11,7 @@ overload behaviour (see ``docs/service.md`` for the operator view):
   ends for *any* reason, including a client disconnecting mid-stream.
 * :class:`CancelToken` — cooperative cancellation for executor jobs.  The
   event loop cannot interrupt a compression job running on a worker
-  thread or process pool, so jobs check the token at chunk boundaries and
+  thread, so jobs check the token at chunk boundaries and
   abort with :class:`JobCancelled`; a timed-out request therefore stops
   consuming CPU at the next boundary instead of running to completion.
 * :class:`DrainController` — graceful-shutdown state.  ``SIGTERM`` flips

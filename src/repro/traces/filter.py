@@ -237,7 +237,7 @@ def filter_reference_stream(
 
 
 def _filter_stream_task(task) -> FilterResult:
-    """Picklable per-stream batch-filter cell (runs in any executor worker)."""
+    """Per-stream batch-filter cell."""
     stream, instruction_config, data_config = task
     return filter_reference_stream(stream, instruction_config, data_config)
 
@@ -247,25 +247,21 @@ def filter_reference_streams(
     instruction_config: CacheConfig = PAPER_L1_CONFIG,
     data_config: CacheConfig = PAPER_L1_CONFIG,
     workers: int = 1,
-    executor=None,
 ):
     """Batch-filter several independent reference streams, in input order.
 
     Each stream is filtered through its own fresh L1I/L1D pair (streams are
     independent workloads, exactly the paper's per-benchmark setup), so the
-    cells can fan out on the executor engine — including the process
-    executor, where cache simulation is a pure-Python/numpy hot loop that
-    otherwise serialises on the GIL.  The per-stream results are identical
-    to ``[filter_reference_stream(s, ...) for s in streams]`` for every
-    strategy.
+    cells can fan out on :func:`~repro.core.parallel.map_ordered`.  The
+    per-stream results are identical to
+    ``[filter_reference_stream(s, ...) for s in streams]`` for every worker
+    count.
 
     Args:
         streams: Iterable of :class:`~repro.traces.synthetic.ReferenceStream`.
         instruction_config: L1I geometry applied to every stream.
         data_config: L1D geometry applied to every stream.
         workers: Concurrent cells (``0``/``None`` = one per CPU).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
 
     Returns:
         ``List[FilterResult]`` in the order the streams were given.
@@ -273,7 +269,7 @@ def filter_reference_streams(
     from repro.core.parallel import map_ordered
 
     tasks = [(stream, instruction_config, data_config) for stream in streams]
-    return map_ordered(_filter_stream_task, tasks, workers=workers, executor=executor)
+    return map_ordered(_filter_stream_task, tasks, workers=workers)
 
 
 def filter_reference_streams_fused(
@@ -284,8 +280,7 @@ def filter_reference_streams_fused(
     """Filter several independent streams in one fused kernel pass.
 
     Where :func:`filter_reference_streams` fans the per-stream cells out
-    across executor workers (real cores, process pools), this is the
-    *single-core* batch form: every stream gets its own fresh L1I/L1D pair
+    across worker threads, this is the *single-core* batch form: every stream gets its own fresh L1I/L1D pair
     (the paper's per-benchmark filters, or per-core filters in a multicore
     trace collection), and all those caches march together in one
     :func:`~repro.cache.cache.access_batches` row space.  The set-parallel
@@ -371,12 +366,7 @@ def filtered_spec_like_trace(
 
 
 def _spec_like_trace_task(task):
-    """Picklable generate+filter cell: returns ``(name, miss_blocks)``.
-
-    The bulk payload is returned as a bare ``uint64`` array so the process
-    executor ships it back through shared memory; the caller re-wraps it
-    into an :class:`~repro.traces.trace.AddressTrace`.
-    """
+    """Generate+filter cell: returns ``(name, miss_addresses)``."""
     name, reference_count, seed, instruction_config, data_config = task
     trace = filtered_spec_like_trace(
         name,
@@ -395,17 +385,14 @@ def filter_spec_like_traces(
     instruction_config: CacheConfig = PAPER_L1_CONFIG,
     data_config: CacheConfig = PAPER_L1_CONFIG,
     workers: int = 1,
-    executor=None,
 ):
     """Generate and cache-filter several spec-like workloads concurrently.
 
     The batch form of :func:`filtered_spec_like_trace` — the whole-suite
     fan-out the benchmark harness and sweep runner pay for up front.  Each
     workload is generated and filtered independently (fresh caches per
-    workload), so cells parallelise perfectly; on the process executor the
-    generation + simulation hot loops finally use real cores, and each
-    filtered trace rides shared memory back to the caller.  Results are
-    identical to the serial loop for every strategy.
+    workload), so cells parallelise perfectly.  Results are identical to
+    the serial loop for every worker count.
 
     Args:
         names: Workload names, e.g. ``["429.mcf", "462.libquantum"]``.
@@ -415,8 +402,6 @@ def filter_spec_like_traces(
         instruction_config: L1I geometry (paper default).
         data_config: L1D geometry (paper default).
         workers: Concurrent workloads (``0``/``None`` = one per CPU).
-        executor: Strategy name, live executor, or ``None`` for the
-            environment/auto default.
 
     Returns:
         ``Dict[str, AddressTrace]`` keyed by workload name, in input order.
@@ -427,7 +412,7 @@ def filter_spec_like_traces(
         (str(name), int(reference_count), int(seed), instruction_config, data_config)
         for name in names
     ]
-    results = map_ordered(_spec_like_trace_task, tasks, workers=workers, executor=executor)
+    results = map_ordered(_spec_like_trace_task, tasks, workers=workers)
     return {name: AddressTrace(addresses, name=name) for name, addresses in results}
 
 

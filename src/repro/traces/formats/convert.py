@@ -117,7 +117,6 @@ def export_from_atc(
     chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES,
     cycle_gap: int = 1,
     workers: int = 1,
-    executor=None,
     **writer_options,
 ) -> Dict:
     """Export an ATC container back out as a trace file, one streaming pass.
@@ -133,7 +132,6 @@ def export_from_atc(
         chunk_addresses: Decoder re-chunk size (bounds peak memory).
         cycle_gap: Cycle spacing used when no sidecar is present.
         workers: Decoder prefetch/decompress concurrency.
-        executor: Executor strategy for the decoder (name or instance).
         **writer_options: Extra adapter knobs (e.g. ``layout=`` for ``bin``).
 
     Returns:
@@ -147,7 +145,7 @@ def export_from_atc(
     # chunk of a lossless container.  The effective capacity still grows to
     # the prefetch lookahead, which keeps repeated imitations of a recent
     # chunk cached on the lossy path.
-    decoder = AtcDecoder(directory, workers=workers, executor=executor, cache_chunks=1)
+    decoder = AtcDecoder(directory, workers=workers, cache_chunks=1)
     sidecar = (
         SidecarReader(sidecar_path(directory))
         if has_sidecar(directory)

@@ -1,21 +1,24 @@
-"""Cross-executor equivalence: serial vs thread vs process, byte for byte.
+"""Cross-executor equivalence: serial vs thread, byte for byte.
 
-The pipeline's hard invariant is that the executor strategy is invisible in
-the output: for every mode (lossless, lossy), every chunk/interval size and
-every strategy, the ``.atc`` container bytes are identical.  This module
-pins that invariant three ways:
+The pipeline's hard invariant is that the worker count is invisible in the
+output: for every mode (lossless, lossy), every chunk/interval size and
+every worker count, the ``.atc`` container bytes are identical.  This
+module pins that invariant three ways:
 
-* a serial/thread/process matrix over chunk sizes {1, 7, 4096} for both
-  modes, asserting container digests equal;
-* the process executor reproducing the *committed golden fixtures* byte
-  for byte (the strongest anchor: not just self-consistency, but the
-  on-disk format as committed);
-* a hypothesis property run under a shared process executor.
+* a matrix over chunk sizes {1, 7, 4096} and workers {1, 2, 4} for both
+  modes (one worker runs serially, more on a thread pool), asserting
+  container digests equal;
+* the thread encoder reproducing the *committed golden fixtures* byte for
+  byte (the strongest anchor: not just self-consistency, but the on-disk
+  format as committed);
+* a hypothesis property run under a shared thread executor, the way the
+  service shares one across requests.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
 from repro.core.lossy import LossyConfig
-from repro.core.parallel import ProcessExecutor
+from repro.core.parallel import ThreadExecutor
 
 from test_golden_containers import (
     GOLDEN_VARIANTS,
@@ -34,18 +37,12 @@ from test_golden_containers import (
     golden_directory,
 )
 
-EXECUTORS = ("serial", "thread", "process")
+#: Worker counts of the matrix: 1 is the serial reference, the rest threads.
+WORKERS = (1, 2, 4)
 
 #: (chunk size, trace length): tiny chunks get shorter traces so the
 #: lossless matrix cell stays at hundreds — not thousands — of chunk tasks.
 CHUNK_MATRIX = ((1, 120), (7, 700), (4096, 3000))
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    """One process pool shared by every matrix cell (startup amortised)."""
-    with ProcessExecutor(2) as executor:
-        yield executor
 
 
 def _digest(directory: Path) -> str:
@@ -56,15 +53,15 @@ def _digest(directory: Path) -> str:
     return digest.hexdigest()
 
 
-def _encode(trace, directory, mode, chunk, executor) -> str:
+def _encode(trace, directory, mode, chunk, workers) -> str:
     config = LossyConfig(
         interval_length=chunk,
         threshold=0.5,
         chunk_buffer_addresses=chunk,
         backend="zlib",
-        workers=2,
+        workers=workers,
     )
-    with AtcEncoder(directory, mode=mode, config=config, executor=executor) as encoder:
+    with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.code_many(trace)
     return _digest(directory)
 
@@ -72,53 +69,51 @@ def _encode(trace, directory, mode, chunk, executor) -> str:
 class TestCrossExecutorMatrix:
     @pytest.mark.parametrize("mode", [MODE_LOSSLESS, MODE_LOSSY])
     @pytest.mark.parametrize("chunk,length", CHUNK_MATRIX)
-    def test_containers_byte_identical_across_executors(
-        self, tmp_path, process_executor, mode, chunk, length
-    ):
+    def test_containers_byte_identical_across_executors(self, tmp_path, mode, chunk, length):
         trace = golden_addresses()[:length]
-        digests = {}
-        for name in EXECUTORS:
-            directory = tmp_path / f"{mode}-{chunk}-{name}"
-            executor = process_executor if name == "process" else name
-            digests[name] = _encode(trace, directory, mode, chunk, executor)
-        assert digests["thread"] == digests["serial"], (mode, chunk)
-        assert digests["process"] == digests["serial"], (mode, chunk)
+        digests = {
+            workers: _encode(trace, tmp_path / f"{mode}-{chunk}-{workers}", mode, chunk, workers)
+            for workers in WORKERS
+        }
+        for workers in WORKERS:
+            assert digests[workers] == digests[1], (mode, chunk, workers)
 
     @pytest.mark.parametrize("mode", [MODE_LOSSLESS, MODE_LOSSY])
     @pytest.mark.parametrize("chunk,length", CHUNK_MATRIX)
-    def test_decode_identical_across_executors(
-        self, tmp_path, process_executor, mode, chunk, length
-    ):
+    def test_decode_identical_across_executors(self, tmp_path, mode, chunk, length):
         trace = golden_addresses()[:length]
         directory = tmp_path / "container"
-        _encode(trace, directory, mode, chunk, "serial")
+        _encode(trace, directory, mode, chunk, 1)
         reference = AtcDecoder(directory, workers=1).read_all()
-        for name in EXECUTORS:
-            executor = process_executor if name == "process" else name
-            decoded = AtcDecoder(directory, workers=2, executor=executor).read_all()
-            assert np.array_equal(decoded, reference), (mode, chunk, name)
+        for workers in WORKERS:
+            decoder = AtcDecoder(directory, workers=workers)
+            assert np.array_equal(decoder.read_all(), reference), (mode, chunk, workers)
+            streamed = np.concatenate(list(AtcDecoder(directory, workers=workers).iter_chunks()))
+            assert np.array_equal(streamed, reference), (mode, chunk, workers)
         if mode == MODE_LOSSLESS:
             assert np.array_equal(reference, trace)
 
 
-class TestProcessExecutorMatchesGoldenFixtures:
-    def test_process_encoder_reproduces_committed_containers(self, tmp_path, process_executor):
-        """The strongest anchor: the process pipeline must reproduce the
+class TestThreadExecutorMatchesGoldenFixtures:
+    def test_thread_encoder_reproduces_committed_containers(self, tmp_path):
+        """The strongest anchor: the thread pipeline must reproduce the
         committed on-disk golden bytes, not merely agree with itself."""
         for mode_name, mode, backend in GOLDEN_VARIANTS:
             committed = golden_directory(mode_name, backend)
             fresh = tmp_path / f"{mode_name}_{backend}"
-            config = golden_config(backend)
-            with AtcEncoder(fresh, mode=mode, config=config, executor=process_executor) as encoder:
+            config = replace(golden_config(backend), workers=2)
+            with AtcEncoder(fresh, mode=mode, config=config) as encoder:
                 encoder.code_many(golden_addresses())
             expected = {entry.name: entry.read_bytes() for entry in sorted(committed.iterdir())}
             actual = {entry.name: entry.read_bytes() for entry in sorted(fresh.iterdir())}
-            assert actual == expected, f"{mode_name}_{backend} drifted under the process executor"
+            assert actual == expected, f"{mode_name}_{backend} drifted under the thread executor"
+            decoded = AtcDecoder(committed, workers=2).read_all()
+            assert np.array_equal(decoded, AtcDecoder(committed, workers=1).read_all())
 
 
 @pytest.fixture(scope="module")
 def property_executor():
-    with ProcessExecutor(2) as executor:
+    with ThreadExecutor(2) as executor:
         yield executor
 
 
@@ -127,8 +122,8 @@ def property_executor():
     addresses=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=120),
     interval_length=st.integers(min_value=1, max_value=31),
 )
-def test_process_roundtrip_property(tmp_path_factory, property_executor, addresses, interval_length):
-    """Lossless process-executor encode/decode is exact for arbitrary traces."""
+def test_thread_roundtrip_property(tmp_path_factory, property_executor, addresses, interval_length):
+    """Lossless encode/decode on a shared thread executor is exact for arbitrary traces."""
     config = LossyConfig(
         interval_length=interval_length,
         chunk_buffer_addresses=interval_length,

@@ -1,38 +1,30 @@
-"""Tests of the executor engine: selection, ordering, transport, shutdown.
+"""Tests of the executor engine: selection, ordering, errors, shutdown.
 
-The shutdown cases are the regression suite for the "clean worker-pool
-teardown" contract: a crashing worker, an abandoned pipeline or an aborted
-context must propagate one clear error, reap every child process and leave
-no shared-memory segment behind.
+The worker count alone picks the strategy — serial for one worker, a
+thread pool beyond — and a live executor can be shared through
+``executor_scope`` and ``OrderedChunkWriter`` without being closed by them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
-import sys
+import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.executors import (
-    EXECUTOR_NAMES,
+from repro.core.parallel import (
     Executor,
-    ProcessExecutor,
+    OrderedChunkWriter,
     SerialExecutor,
     ThreadExecutor,
-    executor_kind,
     executor_scope,
+    map_ordered,
     resolve_executor,
 )
-from repro.core.parallel import OrderedChunkWriter, map_ordered
-from repro.core import shmem
-from repro.errors import ConfigurationError, ParallelExecutionError
+from repro.errors import ConfigurationError
 
-_SHM_DIR = Path("/dev/shm")
+STRATEGY_WORKERS = {"serial": 1, "thread": 2}
 
 
 def _double(value):
@@ -43,238 +35,114 @@ def _boom(_value):
     raise ValueError("task failure")
 
 
-def _kill_self(_value):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _slow_identity(value):
     time.sleep(0.05)
     return value
 
 
-def _array_total(array):
-    return int(array.sum())
-
-
-def _echo_array(array):
-    return array
-
-
-def _shm_segment_names():
-    if not _SHM_DIR.is_dir():
-        return set()
-    return {entry.name for entry in _SHM_DIR.iterdir()}
-
-
-@pytest.fixture()
-def shm_snapshot():
-    """Assert that a test leaves no new /dev/shm segments behind."""
-    if not _SHM_DIR.is_dir():
-        pytest.skip("/dev/shm not available on this platform")
-    before = _shm_segment_names()
-    yield
-    leaked = _shm_segment_names() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
 class TestResolveExecutor:
-    def test_names_resolve_to_matching_strategies(self):
-        for name in EXECUTOR_NAMES:
-            executor = resolve_executor(name, workers=2)
-            try:
-                assert executor.name == name
-            finally:
-                executor.close()
-
     def test_auto_is_serial_for_one_worker_and_threads_beyond(self):
-        assert resolve_executor("auto", workers=1).name == "serial"
-        executor = resolve_executor("auto", workers=3)
+        assert resolve_executor(1).name == "serial"
+        executor = resolve_executor(3)
         try:
             assert executor.name == "thread"
             assert executor.workers == 3
         finally:
             executor.close()
 
-    def test_default_consults_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        executor = resolve_executor(None, workers=2)
-        try:
-            assert executor.name == "process"
-        finally:
-            executor.close()
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert resolve_executor(None, workers=1).name == "serial"
-
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor("fibers", workers=2)
-        with pytest.raises(ConfigurationError):
-            executor_kind("fibers")
+        """Strategy names are gone: only a live Executor instance is accepted."""
+        with pytest.raises(ConfigurationError, match="Executor instance"):
+            with executor_scope("thread", workers=2):
+                pass
+        with pytest.raises(ConfigurationError, match="Executor instance"):
+            OrderedChunkWriter(lambda cid, payload: None, workers=2, executor="process")
 
     def test_instance_passes_through_and_scope_borrows_it(self):
         with ThreadExecutor(2) as executor:
-            assert resolve_executor(executor) is executor
             with executor_scope(executor, workers=8) as scoped:
                 assert scoped is executor
             # Borrowed: the scope must not have closed it.
             assert executor.map_ordered(_double, [1, 2]) == [2, 4]
 
     def test_scope_closes_executors_it_created(self):
-        with executor_scope("thread", workers=2) as executor:
+        with executor_scope(None, workers=2) as executor:
             assert executor.map_ordered(_double, [3]) == [6]
         with pytest.raises(ConfigurationError):
             executor.submit(_double, 1)
 
 
 class TestOrderingAndErrors:
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
     def test_map_ordered_preserves_input_order(self, name):
-        with resolve_executor(name, workers=2) as executor:
+        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
+            assert executor.name == name
             items = list(range(24))
             assert executor.map_ordered(_double, items) == [value * 2 for value in items]
 
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
     def test_imap_ordered_streams_in_order(self, name):
-        with resolve_executor(name, workers=2) as executor:
+        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
             items = list(range(15))
             assert list(executor.imap_ordered(_double, items, lookahead=3)) == [
                 value * 2 for value in items
             ]
 
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
     def test_task_exceptions_propagate_unchanged(self, name):
-        with resolve_executor(name, workers=2) as executor:
-            if executor.name == "serial":
-                with pytest.raises(ValueError, match="task failure"):
-                    executor.map_ordered(_boom, [1, 2])
-            else:
-                with pytest.raises(ValueError, match="task failure"):
-                    executor.map_ordered(_boom, [1, 2])
+        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
+            with pytest.raises(ValueError, match="task failure"):
+                executor.map_ordered(_boom, [1, 2])
+            with pytest.raises(ValueError, match="task failure"):
+                executor.submit(_boom, 1).result()
 
     def test_serial_submit_runs_inline(self):
         executor = SerialExecutor()
         ran = []
-        executor.submit(ran.append, "now")
+        future = executor.submit(ran.append, "now")
         assert ran == ["now"]  # before result() was ever called
+        assert future.done() and not future.cancel()  # finished: nothing to cancel
         assert executor.is_async is False
 
-    def test_map_ordered_helper_routes_through_named_executor(self):
-        assert map_ordered(_double, [1, 2, 3], workers=2, executor="process") == [2, 4, 6]
+    def test_only_the_thread_path_is_async(self):
+        assert SerialExecutor().is_async is False
+        with ThreadExecutor(2) as threads:
+            assert threads.is_async is True
+
+    def test_map_ordered_helper_uses_threads_beyond_one_worker(self):
+        caller = threading.get_ident()
+        idents = map_ordered(lambda _: threading.get_ident(), range(8), workers=2)
+        assert caller not in idents
 
     def test_map_ordered_helper_stays_inline_for_one_worker(self):
         calls = []
 
-        def local_closure(value):  # unpicklable on purpose
-            calls.append(value)
+        def local_closure(value):
+            calls.append(threading.get_ident())
             return value
 
         assert map_ordered(local_closure, [1, 2], workers=1) == [1, 2]
-        assert calls == [1, 2]
-
-
-class TestProcessTransport:
-    def test_large_arrays_round_trip_through_shared_memory(self, shm_snapshot, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")  # force every payload through shm
-        arrays = [np.full(20_000, i, dtype=np.uint64) for i in range(6)]
-        with ProcessExecutor(2) as executor:
-            totals = executor.map_ordered(_array_total, arrays)
-        assert totals == [i * 20_000 for i in range(6)]
-
-    def test_result_arrays_are_owned_copies(self):
-        array = np.arange(50_000, dtype=np.uint64)
-        with ProcessExecutor(1) as executor:
-            echoed = executor.submit(_echo_array, array).result()
-        assert np.array_equal(echoed, array)
-        echoed[0] = 7  # owned memory: writable without touching the source
-        assert array[0] == 0
-
-    def test_export_import_round_trip_nested_containers(self, shm_snapshot):
-        value = {"chunks": [np.arange(10_000, dtype=np.uint64), b"x" * 70_000], "n": 3}
-        segments = []
-        packed = shmem.export_value(value, segments, threshold=0)
-        assert segments, "large payloads must be lifted into segments"
-        restored = shmem.import_value(packed, unlink=True)
-        assert restored["n"] == 3
-        assert np.array_equal(restored["chunks"][0], value["chunks"][0])
-        assert restored["chunks"][1] == value["chunks"][1]
-
-    def test_small_payloads_skip_shared_memory(self):
-        segments = []
-        packed = shmem.export_value((np.arange(4, dtype=np.uint64), b"tiny"), segments)
-        assert segments == []
-        assert isinstance(packed[0], np.ndarray) and packed[1] == b"tiny"
-
-    def test_decoupling_contract_follows_the_shm_threshold(self):
-        serial = SerialExecutor()
-        assert serial.decouples_at_submit(8)  # inline: nothing outlives submit
-        with ThreadExecutor(2) as threads:
-            assert not threads.decouples_at_submit(1 << 30)  # shares the buffer
-        executor = ProcessExecutor(1)
-        try:
-            assert executor.decouples_at_submit(shmem.shm_min_bytes())  # shm copy at submit
-            assert not executor.decouples_at_submit(shmem.shm_min_bytes() - 1)  # pickled later
-        finally:
-            executor.close()
+        assert calls == [threading.get_ident()] * 2
 
 
 class TestCleanShutdown:
-    """Regression tests: crash/cancel paths reap children and segments."""
-
-    def test_worker_crash_raises_one_clear_error(self):
-        with ProcessExecutor(2) as executor:
-            with pytest.raises(ParallelExecutionError, match="worker process died"):
-                executor.map_ordered(_kill_self, [1, 2, 3])
-        assert multiprocessing.active_children() == []
-
-    def test_crash_inside_pipeline_surfaces_and_cleans_up(self, tmp_path, shm_snapshot):
-        writer = OrderedChunkWriter(lambda cid, payload: None, workers=2, executor="process")
-        writer.submit(0, _kill_self, 1)
-        with pytest.raises(ParallelExecutionError):
-            writer.close()
-        assert multiprocessing.active_children() == []
-
-    def test_cancelled_pipeline_discards_results_without_leaks(self, shm_snapshot, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        executor = ProcessExecutor(2)
-        handles = [executor.submit(_echo_array, np.arange(30_000, dtype=np.uint64)) for _ in range(4)]
-        # Let at least one task finish so a packed result is in flight,
-        # then abandon everything: close() must unlink the parked results.
-        handles[0].result()
-        executor.close(cancel=True)
-        assert multiprocessing.active_children() == []
-
-    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self, shm_snapshot, monkeypatch):
-        """Abandoning finished work must not hold segments until close():
-        a borrowed long-lived executor would otherwise accumulate them."""
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        with ProcessExecutor(1) as executor:
-            handles = [
-                executor.submit(_echo_array, np.arange(20_000, dtype=np.uint64)) for _ in range(3)
-            ]
-            executor.submit(_double, 1).result()  # barrier: all echoes finished
-            for handle in handles:
-                handle.cancel()
-            # Segments must be gone NOW, while the pool is still open.
-            leaked = [n for n in _shm_segment_names() if n.startswith("psm_")]
-            assert not leaked, f"cancel left parked result segments: {leaked}"
-            assert executor.submit(_double, 21).result() == 42  # pool still usable
-
-    def test_aborted_encoder_context_reaps_process_pool(self, tmp_path, shm_snapshot):
+    def test_aborted_encoder_context_closes_its_thread_pool(self, tmp_path):
         from repro.core.atc import MODE_LOSSLESS, AtcEncoder
         from repro.core.lossy import LossyConfig
 
+        before = threading.active_count()
         config = LossyConfig(
-            interval_length=5_000, chunk_buffer_addresses=5_000, workers=2, executor="process"
+            interval_length=5_000, chunk_buffer_addresses=5_000, backend="zlib", workers=2
         )
         encoder = AtcEncoder(tmp_path / "container", mode=MODE_LOSSLESS, config=config)
         with pytest.raises(RuntimeError):
             with encoder:
                 encoder.code_many(np.arange(20_000, dtype=np.uint64))
                 raise RuntimeError("abort")
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() <= before
 
     def test_close_is_idempotent_and_rejects_new_work(self):
-        executor = ProcessExecutor(1)
+        executor = ThreadExecutor(1)
         assert executor.submit(_double, 4).result() == 8
         executor.close()
         executor.close()
@@ -282,7 +150,7 @@ class TestCleanShutdown:
             executor.submit(_double, 1)
 
     def test_slow_queue_cancel_returns_promptly(self):
-        executor = ProcessExecutor(1)
+        executor = ThreadExecutor(1)
         started = time.perf_counter()
         for value in range(40):
             executor.submit(_slow_identity, value)
@@ -290,24 +158,104 @@ class TestCleanShutdown:
         # 40 tasks x 50 ms would be 2 s serially; cancellation must drop
         # the unstarted tail instead of draining it.
         assert time.perf_counter() - started < 1.5
-        assert multiprocessing.active_children() == []
+
+    def test_crash_inside_pipeline_surfaces_and_cleans_up(self):
+        before = threading.active_count()
+        written = []
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2)
+        writer.submit(0, _double, 1)
+        writer.submit(1, _boom, 2)
+        writer.submit(2, _double, 3)
+        with pytest.raises(ValueError, match="task failure"):
+            writer.close()
+        assert written == [0]  # nothing after the failed chunk is written
+        assert threading.active_count() <= before
+
+    def test_writer_callback_failure_propagates_and_closes_owned_pool(self):
+        before = threading.active_count()
+
+        def failing_write(chunk_id, payload):
+            raise OSError(f"disk full at chunk {chunk_id}")
+
+        writer = OrderedChunkWriter(failing_write, workers=2)
+        writer.submit(0, _double, 1)
+        with pytest.raises(OSError, match="chunk 0"):
+            writer.close()
+        assert threading.active_count() <= before
+        with pytest.raises(ConfigurationError):
+            writer.submit(1, _double, 2)
+
+    def test_cancelled_pipeline_discards_results_without_leaks(self):
+        before = threading.active_count()
+        written = []
+        writer = OrderedChunkWriter(
+            lambda cid, payload: written.append(cid), workers=2, max_pending=8
+        )
+        for chunk_id in range(6):
+            writer.submit(chunk_id, _slow_identity, chunk_id)
+        writer.cancel()
+        assert written == []
+        assert threading.active_count() <= before
+        with pytest.raises(ConfigurationError):
+            writer.submit(6, _double, 6)
+
+    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self):
+        """Cancelling a writer on a shared pool drops its finished results
+        at once and leaves the pool open for the owner to reuse."""
+        with ThreadExecutor(1) as executor:
+            written = []
+            writer = OrderedChunkWriter(
+                lambda cid, payload: written.append(cid), executor=executor, max_pending=8
+            )
+            for chunk_id in range(3):
+                writer.submit(chunk_id, _double, chunk_id)
+            executor.submit(_double, 1).result()  # barrier: every chunk finished
+            writer.cancel()
+            assert written == []
+            assert not writer._pending
+            assert executor.submit(_double, 21).result() == 42  # pool still usable
+
+    def test_cancelled_future_drops_only_unstarted_work(self):
+        gate = threading.Event()
+        ran = []
+
+        def blocked(value):
+            gate.wait(5)
+            ran.append(value)
+            return value
+
+        with ThreadExecutor(1) as executor:
+            running = executor.submit(blocked, "first")
+            queued = executor.submit(blocked, "second")
+            assert queued.cancel()
+            gate.set()
+            assert running.result() == "first"
+            assert queued.cancelled()
+            assert executor.submit(_double, 5).result() == 10
+        assert ran == ["first"]
+
+    def test_abandoned_imap_stream_cancels_its_window(self):
+        gate = threading.Event()
+        started = []
+
+        def gated(value):
+            started.append(value)
+            if value:
+                gate.wait(5)  # holds the single worker on task 1
+            return value
+
+        with ThreadExecutor(1) as executor:
+            stream = executor.imap_ordered(gated, range(100), lookahead=4)
+            assert next(stream) == 0
+            stream.close()  # consumer walks away: the queued window is cancelled
+            gate.set()
+        assert started in ([0], [0, 1])  # at most the running task; 2..4 never start
 
 
-class TestExecutorKind:
-    def test_kind_resolves_names_env_and_instances(self, monkeypatch):
-        assert executor_kind("process") == "process"
-        assert executor_kind(None) == "auto"
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        assert executor_kind(None) == "thread"
-        with SerialExecutor() as executor:
-            assert executor_kind(executor) == "serial"
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX shared memory only")
 def test_engine_module_is_exported_from_core():
     import repro
     import repro.core as core
 
-    assert core.ProcessExecutor is ProcessExecutor
+    assert core.ThreadExecutor is ThreadExecutor
     assert repro.resolve_executor is resolve_executor
-    assert issubclass(ProcessExecutor, Executor)
+    assert issubclass(SerialExecutor, Executor) and issubclass(ThreadExecutor, Executor)

@@ -20,13 +20,7 @@ from repro.core.atc import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyCodec, LossyConfig
-from repro.core.parallel import (
-    OrderedChunkWriter,
-    ProcessExecutor,
-    imap_ordered,
-    map_ordered,
-    resolve_workers,
-)
+from repro.core.parallel import OrderedChunkWriter, imap_ordered, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError
 
 
@@ -242,16 +236,6 @@ def test_parallel_roundtrip_property(addresses, interval_length, workers):
     assert recovered.tolist() == addresses
 
 
-EXECUTORS = ("serial", "thread", "process")
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    """One process pool shared by every cell (startup amortised)."""
-    with ProcessExecutor(2) as executor:
-        yield executor
-
-
 def _synthetic_window(count: int) -> np.ndarray:
     """RNG-free addresses with repeated bytes (ties exercise stability)."""
     k = np.arange(count, dtype=np.uint64)
@@ -291,20 +275,18 @@ class TestBulkCodecWindow:
                 yield value
 
         results = []
-        for value in imap_ordered(lambda v: v + 100, items(), workers=workers, executor="thread"):
+        for value in imap_ordered(lambda v: v + 100, items(), workers=workers):
             state["yielded"] += 1
             results.append(value)
         assert results == [v + 100 for v in range(64)]
 
-    @pytest.mark.parametrize("name", EXECUTORS)
-    def test_compress_many_accepts_generators_byte_identically(self, name, process_executor):
+    @pytest.mark.parametrize("name", ["serial", "thread"])
+    def test_compress_many_accepts_generators_byte_identically(self, name):
+        workers = 1 if name == "serial" else 2
         codec = LosslessCodec(buffer_addresses=64, backend="zlib")
         intervals = [_synthetic_window(50 + 13 * i) for i in range(12)]
         reference = [codec.compress(interval) for interval in intervals]
-        executor = process_executor if name == "process" else name
-        produced = codec.compress_many(
-            (interval for interval in intervals), workers=2, executor=executor
-        )
+        produced = codec.compress_many((interval for interval in intervals), workers=workers)
         assert produced == reference
-        recovered = codec.decompress_many(iter(produced), workers=2, executor=executor)
+        recovered = codec.decompress_many(iter(produced), workers=workers)
         assert all(np.array_equal(r, i) for r, i in zip(recovered, intervals))

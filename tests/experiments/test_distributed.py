@@ -395,10 +395,16 @@ class TestDistributedRunner:
         with pytest.raises(ConfigurationError):
             DistributedSweepRunner(_SPEC, None)
 
-    def test_process_executor_downgrades_to_threads(self, tmp_path):
-        runner = _StubDistributedRunner(_SPEC, tmp_path / "c", executor="process", workers=2)
-        assert runner._effective_executor() == "thread"
-        assert runner.run_worker().remaining == 0
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_threaded_worker_merges_byte_identically(self, tmp_path, workers):
+        serial = _StubSerialRunner(_SPEC, cache_dir=tmp_path / "serial").run()
+        cache = tmp_path / "threaded"
+        report = _StubDistributedRunner(_SPEC, cache, workers=workers).run_worker()
+        assert report.remaining == 0
+        merged = merge_sweep(_SPEC, ResultStore(cache))
+        assert merged.is_complete
+        assert merged.result.normalized().to_json() == serial.normalized().to_json()
+        assert _leftovers(cache) == []
 
     def test_merge_reports_missing_units_in_grid_order(self, tmp_path):
         cache = tmp_path / "cache"

@@ -28,7 +28,7 @@ SCALE = BenchScale(references=2_000)
 @pytest.fixture(scope="module")
 def suite_report() -> dict:
     """One real (tiny-scale) suite run shared by the run/report/CLI tests."""
-    results = run_suite(SCALE, executor="serial", workers=1)
+    results = run_suite(SCALE, workers=1)
     return build_report(results, SCALE, "serial", 1)
 
 
@@ -81,7 +81,7 @@ class TestRunSuite:
         assert all(e["bits_per_address"] > 0 and e["payload_bytes"] > 0 for e in codec_entries)
 
     def test_metrics_deterministic_across_runs_and_executors(self, suite_report):
-        rerun = run_suite(SCALE, executor="thread", workers=2)
+        rerun = run_suite(SCALE, workers=2)
         by_name = {entry["name"]: entry for entry in suite_report["benchmarks"]}
         for result in rerun:
             assert result.bits_per_address == by_name[result.name]["bits_per_address"]
@@ -104,9 +104,8 @@ class TestRunSuite:
         assert "stackdist_curve" in names
 
     def test_resolved_executor_name(self):
-        assert resolved_executor_name(None, workers=1) == "serial"
-        assert resolved_executor_name(None, workers=4) == "thread"
-        assert resolved_executor_name("process", workers=1) == "process"
+        assert resolved_executor_name(1) == "serial"
+        assert resolved_executor_name(4) == "thread"
 
 
 class TestReportSchema:
