@@ -17,7 +17,7 @@ from benchmarks.conftest import SMALL_BUFFER
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.reporting import render_table
 from repro.baselines.generic import raw_bits_per_address
-from repro.core.lossless import LosslessCodec
+from repro.experiments import CodecSpec, evaluate_codec
 
 _BACKENDS = ("bz2", "zlib", "lzma")
 _WORKLOADS = ("410.bwaves", "433.milc", "456.hmmer", "462.libquantum", "470.lbm")
@@ -32,8 +32,8 @@ def _compare_backends(suite_traces) -> Dict[str, Dict[str, float]]:
         addresses = trace.addresses
         row = {"raw-bz2": raw_bits_per_address(addresses)}
         for backend in _BACKENDS:
-            codec = LosslessCodec(buffer_addresses=SMALL_BUFFER, backend=backend)
-            row[f"bs+{backend}"] = codec.bits_per_address(addresses)
+            codec = CodecSpec(kind="lossless", buffer_addresses=SMALL_BUFFER, backend=backend)
+            row[f"bs+{backend}"] = evaluate_codec(codec, addresses)["bits_per_address"]
         rows[name] = row
     return rows
 

@@ -15,7 +15,7 @@ from typing import Dict, List
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.reporting import render_table
-from repro.core.lossless import lossless_bits_per_address
+from repro.experiments import CodecSpec, evaluate_codec
 
 _BUFFER_SIZES = (1_000, 4_000, 16_000, 64_000)
 _WORKLOADS = ("401.bzip2", "429.mcf", "458.sjeng", "470.lbm", "482.sphinx3")
@@ -28,7 +28,9 @@ def _sweep_buffers(figure_traces) -> Dict[str, Dict[str, float]]:
         if trace is None or len(trace) < 4_000:
             continue
         rows[name] = {
-            f"B={buffer_size}": lossless_bits_per_address(trace.addresses, buffer_addresses=buffer_size)
+            f"B={buffer_size}": evaluate_codec(
+                CodecSpec(kind="lossless", buffer_addresses=buffer_size), trace.addresses
+            )["bits_per_address"]
             for buffer_size in _BUFFER_SIZES
         }
     return rows

@@ -21,8 +21,9 @@ from typing import Dict
 
 import numpy as np
 
+from repro.analysis.comparison import regenerate_lossy_trace
 from repro.analysis.metrics import distinct_address_ratio
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.lossy import LossyConfig
 
 _WORKING_SET_BLOCKS = 8_192
 _TRACE_LENGTH = 80_000
@@ -40,10 +41,8 @@ def _sweep_interval_lengths() -> Dict[int, Dict[str, float]]:
     for interval_length in _INTERVAL_LENGTHS:
         row = {}
         for label, enabled in (("translation", True), ("no_translation", False)):
-            codec = LossyCodec(
-                LossyConfig(interval_length=interval_length, enable_translation=enabled)
-            )
-            approx = codec.decompress(codec.compress(trace))
+            config = LossyConfig(interval_length=interval_length, enable_translation=enabled)
+            approx = regenerate_lossy_trace(trace, config)[0]
             row[label] = distinct_address_ratio(approx, trace)
         results[interval_length] = row
     return results

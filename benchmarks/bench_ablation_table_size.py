@@ -12,12 +12,15 @@ table grows, saturating once every distinct phase fits.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
 
-from repro.core.inspect import analyze_lossy
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.atc import MODE_LOSSY, compress_trace
+from repro.core.inspect import analyze_container
+from repro.core.lossy import LossyConfig
 
 _INTERVAL = 10_000
 _DISTINCT_PHASES = 4
@@ -61,11 +64,13 @@ def _sweep_table_sizes() -> Dict[int, Dict[str, float]]:
     results = {}
     for table_size in _TABLE_SIZES:
         config = LossyConfig(interval_length=_INTERVAL, max_table_entries=table_size)
-        compressed = LossyCodec(config).compress(trace)
-        report = analyze_lossy(compressed)
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch) / "container"
+            compress_trace(trace, directory, MODE_LOSSY, config)
+            report = analyze_container(directory)
         results[table_size] = {
-            "chunks": compressed.num_chunks,
-            "bpa": compressed.bits_per_address(),
+            "chunks": report.num_chunks,
+            "bpa": report.bits_per_address,
             "imitation_fraction": report.imitation_fraction,
         }
     return results

@@ -21,10 +21,11 @@ from typing import Dict
 
 import numpy as np
 
+from repro.analysis.comparison import regenerate_lossy_trace
 from repro.analysis.metrics import distinct_address_ratio
 from repro.analysis.reporting import render_series
 from repro.cache.sweep import DEFAULT_ASSOCIATIVITIES, miss_ratio_sweep
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.lossy import LossyConfig
 
 _PHASES = 5
 _PHASE_LENGTH = 20_000
@@ -47,10 +48,8 @@ def _run_ablation() -> Dict[str, object]:
     exact_surface = miss_ratio_sweep(trace, set_counts=[_SET_COUNT])
     outcome = {"exact": exact_surface, "trace": trace}
     for label, enabled in (("translation", True), ("no translation", False)):
-        codec = LossyCodec(
-            LossyConfig(interval_length=_PHASE_LENGTH, enable_translation=enabled)
-        )
-        approx = codec.decompress(codec.compress(trace))
+        config = LossyConfig(interval_length=_PHASE_LENGTH, enable_translation=enabled)
+        approx = regenerate_lossy_trace(trace, config)[0]
         outcome[label] = {
             "surface": miss_ratio_sweep(approx, set_counts=[_SET_COUNT]),
             "distinct_ratio": distinct_address_ratio(approx, trace),

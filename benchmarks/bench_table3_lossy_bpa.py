@@ -6,7 +6,8 @@ lossless 3.39 bits/address, lossy 0.72 bits/address, with the gap largest on
 stable traces (400, 401, 456, 482) and smallest on unstable ones (403, 447).
 
 This bench reproduces both columns on the 22 synthetic traces with scaled
-lengths/intervals and checks:
+lengths/intervals, as the on-disk size of the containers ``repro compress``
+writes, and checks:
 
 * lossy is never larger than lossless by more than a whisker on any trace,
 * the suite mean drops by a clear factor,
@@ -20,8 +21,7 @@ from typing import Dict
 from benchmarks.conftest import LOSSY_INTERVAL, LOSSY_THRESHOLD, SMALL_BUFFER
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.reporting import render_table
-from repro.core.lossless import lossless_bits_per_address
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.experiments import CodecSpec, evaluate_codec
 from repro.traces.spec_like import get_workload
 
 COLUMNS = ("lossless", "lossy")
@@ -29,21 +29,23 @@ COLUMNS = ("lossless", "lossy")
 
 def _compute_rows(suite_traces) -> Dict[str, Dict[str, float]]:
     rows: Dict[str, Dict[str, float]] = {}
-    config = LossyConfig(
-        interval_length=LOSSY_INTERVAL,
-        threshold=LOSSY_THRESHOLD,
-        chunk_buffer_addresses=SMALL_BUFFER,
-    )
-    codec = LossyCodec(config)
+    codecs = {
+        "lossless": CodecSpec(kind="lossless", buffer_addresses=SMALL_BUFFER),
+        "lossy": CodecSpec(
+            kind="lossy",
+            buffer_addresses=SMALL_BUFFER,
+            interval_length=LOSSY_INTERVAL,
+            threshold=LOSSY_THRESHOLD,
+        ),
+    }
     for name, trace in suite_traces.items():
         addresses = trace.addresses
         if len(addresses) < 2 * LOSSY_INTERVAL:
             # Need at least two intervals for lossy compression to mean anything.
             continue
-        compressed = codec.compress(addresses)
         rows[name] = {
-            "lossless": lossless_bits_per_address(addresses, buffer_addresses=SMALL_BUFFER),
-            "lossy": compressed.bits_per_address(),
+            column: evaluate_codec(codec, addresses)["bits_per_address"]
+            for column, codec in codecs.items()
         }
     return rows
 

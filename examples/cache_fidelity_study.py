@@ -2,7 +2,7 @@
 """Figure 3 / Figure 4 style study: do lossy traces preserve miss ratios?
 
 For a few SPEC-like workloads this script compresses the cache-filtered
-trace with the lossy codec, regenerates the approximate trace and compares
+trace into a lossy ATC container, decodes the approximate trace and compares
 miss-ratio-vs-associativity curves for several cache sizes.  It then repeats
 the Figure 4 ablation on a phased workload: with byte translation disabled,
 the apparent working set shrinks and the miss-ratio curve is badly distorted.
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.comparison import compare_miss_ratio_surfaces
+from repro.analysis.comparison import compare_miss_ratio_surfaces, regenerate_lossy_trace
 from repro.analysis.reporting import render_series
 from repro.cache.sweep import miss_ratio_sweep
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.lossy import LossyConfig
 from repro.traces.filter import filtered_spec_like_trace
 
 WORKLOADS = ["429.mcf", "458.sjeng", "470.lbm"]
@@ -63,8 +63,8 @@ def translation_ablation() -> None:
     exact = miss_ratio_sweep(trace, set_counts=[256])
     series = {"exact": exact.series(256, ASSOCIATIVITIES)}
     for enabled in (True, False):
-        codec = LossyCodec(LossyConfig(interval_length=20_000, enable_translation=enabled))
-        approx = codec.decompress(codec.compress(trace))
+        config = LossyConfig(interval_length=20_000, enable_translation=enabled)
+        approx = regenerate_lossy_trace(trace, config)[0]
         surface = miss_ratio_sweep(approx, set_counts=[256])
         label = "translation" if enabled else "no translation"
         series[label] = surface.series(256, ASSOCIATIVITIES)

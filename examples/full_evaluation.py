@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import sys
 
+from repro.analysis.comparison import regenerate_lossy_trace
 from repro.analysis.harness import EvaluationHarness, EvaluationScale
 from repro.analysis.reporting import render_table
 from repro.analysis.reuse import reuse_distance_histogram
-from repro.core.lossy import LossyCodec
 from repro.experiments import SweepRunner
 
 WORKLOADS = ("410.bwaves", "429.mcf", "433.milc", "458.sjeng", "462.libquantum", "470.lbm")
@@ -52,12 +52,12 @@ def sweep_section(harness: EvaluationHarness, table: str, title: str, cache_dir)
 def reuse_fidelity_section(harness: EvaluationHarness) -> str:
     """Extended check: lossy traces preserve the reuse-distance distribution."""
     lines = ["Reuse-distance fidelity (extension): L1 distance between exact and lossy distributions"]
-    codec = LossyCodec(harness.scale.lossy_config())
+    config = harness.scale.lossy_config()
     for name in FIGURE_WORKLOADS:
         trace = harness.trace(name)
         if len(trace) < 2 * harness.scale.interval_length:
             continue
-        approx = codec.decompress(codec.compress(trace.addresses))
+        approx = regenerate_lossy_trace(trace.addresses, config)[0]
         distance = reuse_distance_histogram(trace.addresses).l1_distance(
             reuse_distance_histogram(approx)
         )

@@ -5,10 +5,12 @@ The script walks through the whole paper pipeline on a small scale:
 
 1. generate a SPEC-like synthetic workload and filter it through the
    paper's 32 KB / 4-way / 64-byte-block L1 caches;
-2. compress the filtered trace losslessly (bytesort + bzip2) and compare
-   against bzip2 alone and the byte-unshuffling baseline;
-3. compress it lossily (phase detection + byte translations) and check that
-   the miss-ratio curve of the regenerated trace tracks the exact one;
+2. compress the filtered trace losslessly (bytesort + bzip2) into an ATC
+   container and compare against bzip2 alone and the byte-unshuffling
+   baseline;
+3. compress it lossily (phase detection + byte translations) into a second
+   container and check that the miss-ratio curve of the decoded trace
+   tracks the exact one;
 4. demonstrate the bytesort transformation on the worked example of the
    paper's Section 4.1.
 
@@ -17,10 +19,12 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from repro import LossyConfig, lossless_compress, lossless_decompress, lossy_compress, lossy_decompress
-from repro.analysis.metrics import bits_per_address
+from repro import LossyConfig, compress_trace
 from repro.baselines.generic import raw_bits_per_address
 from repro.baselines.unshuffle import unshuffled_bits_per_address
 from repro.cache.sweep import miss_ratio_sweep
@@ -49,14 +53,15 @@ def demonstrate_bytesort() -> None:
     print()
 
 
-def compare_lossless_methods(trace) -> None:
+def compare_lossless_methods(trace, workdir: Path) -> None:
     print("=== lossless compression (Table 1 style) ===")
     addresses = trace.addresses
     plain = raw_bits_per_address(addresses)
     unshuffled = unshuffled_bits_per_address(addresses, buffer_addresses=len(addresses))
-    payload = lossless_compress(addresses, buffer_addresses=len(addresses))
-    bytesorted = bits_per_address(len(payload), len(addresses))
-    assert np.array_equal(lossless_decompress(payload), addresses)
+    config = LossyConfig(chunk_buffer_addresses=len(addresses))
+    decoder = compress_trace(addresses, workdir / "lossless", mode="c", config=config)
+    bytesorted = decoder.bits_per_address()
+    assert np.array_equal(decoder.read_all(), addresses)
     print(f"trace                 : {trace.name}, {len(trace)} filtered addresses")
     print(f"bzip2 alone           : {plain:6.2f} bits/address")
     print(f"byte-unshuffle + bzip2: {unshuffled:6.2f} bits/address")
@@ -64,15 +69,15 @@ def compare_lossless_methods(trace) -> None:
     print()
 
 
-def compare_lossy_fidelity(trace) -> None:
+def compare_lossy_fidelity(trace, workdir: Path) -> None:
     print("=== lossy compression (Table 3 / Figure 3 style) ===")
     addresses = trace.addresses
     config = LossyConfig(interval_length=max(len(addresses) // 8, 1_000))
-    compressed = lossy_compress(addresses, config)
-    approx = lossy_decompress(compressed)
-    print(f"intervals             : {compressed.num_intervals}")
-    print(f"chunks stored         : {compressed.num_chunks}")
-    print(f"lossy bits/address    : {compressed.bits_per_address():6.2f}")
+    decoder = compress_trace(addresses, workdir / "lossy", mode="k", config=config)
+    approx = decoder.read_all()
+    print(f"intervals             : {len(decoder.records)}")
+    print(f"chunks stored         : {decoder.metadata['num_chunks']}")
+    print(f"lossy bits/address    : {decoder.bits_per_address():6.2f}")
     exact_curve = miss_ratio_sweep(addresses, set_counts=[256])
     lossy_curve = miss_ratio_sweep(approx, set_counts=[256])
     print("miss ratio (256 sets) :  assoc   exact   lossy")
@@ -88,8 +93,9 @@ def compare_lossy_fidelity(trace) -> None:
 def main() -> None:
     demonstrate_bytesort()
     trace = filtered_spec_like_trace("429.mcf", 40_000, seed=0)
-    compare_lossless_methods(trace)
-    compare_lossy_fidelity(trace)
+    with tempfile.TemporaryDirectory() as workdir:
+        compare_lossless_methods(trace, Path(workdir))
+        compare_lossy_fidelity(trace, Path(workdir))
     print("done.")
 
 

@@ -9,7 +9,7 @@ metric/reporting layer used by the benchmark harness.
 Quick tour of the public API (see the package README for a walkthrough):
 
 * :mod:`repro.core` — the paper's contribution: bytesort, the lossy
-  phase-based codec, and the ATC streaming encoder/decoder + container.
+  interval planner, and the ATC streaming encoder/decoder + container.
 * :mod:`repro.traces` — trace types, synthetic workloads and the cache
   filter that produces cache-filtered address traces.
 * :mod:`repro.cache` — set-associative caches and the stack-distance
@@ -28,10 +28,12 @@ paper-to-code map, the ATC container format specification and the sweep
 spec reference).
 
 Example:
-    >>> import numpy as np, repro
+    >>> import numpy as np, os, repro, tempfile
     >>> trace = np.arange(3000, dtype=np.uint64) % 500
-    >>> payload = repro.lossless_compress(trace, buffer_addresses=1000)
-    >>> bool(np.array_equal(repro.lossless_decompress(payload), trace))
+    >>> config = repro.LossyConfig(chunk_buffer_addresses=1000)
+    >>> directory = os.path.join(tempfile.mkdtemp(), "container")
+    >>> decoder = repro.compress_trace(trace, directory, mode="c", config=config)
+    >>> bool(np.array_equal(decoder.read_all(), trace))
     True
 """
 
@@ -50,8 +52,8 @@ from repro.core.bytesort import (
     bytesort_transform,
     bytesort_window,
 )
-from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decompress
-from repro.core.lossy import LossyCodec, LossyCompressed, LossyConfig, lossy_compress, lossy_decompress
+from repro.core.lossless import LosslessCodec
+from repro.core.lossy import LossyConfig
 from repro.core.parallel import Executor, SerialExecutor, ThreadExecutor, resolve_executor
 from repro.errors import (
     CodecError,
@@ -70,7 +72,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.
@@ -95,13 +97,7 @@ __all__ = [
     "compress_stream",
     "decompress_stream",
     "LosslessCodec",
-    "lossless_compress",
-    "lossless_decompress",
-    "LossyCodec",
     "LossyConfig",
-    "LossyCompressed",
-    "lossy_compress",
-    "lossy_decompress",
     "bytesort_window",
     "bytesort_inverse_window",
     "bytesort_transform",

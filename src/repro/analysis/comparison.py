@@ -3,7 +3,7 @@
 These helpers bundle the repeated experimental pattern of Section 5.3:
 
 1. take an exact cache-filtered trace;
-2. compress it with the lossy codec and regenerate the approximate trace;
+2. compress it into a lossy ATC container and decode the approximate trace;
 3. feed both traces to a consumer (cache simulator or address predictor);
 4. quantify how far apart the two results are.
 """
@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.analysis.metrics import distinct_address_ratio, sequence_length_preserved
 from repro.cache.sweep import MissRatioSurface, miss_ratio_sweep
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.atc import MODE_LOSSY, _container_round_trip
+from repro.core.lossy import LossyConfig
 from repro.predictors.cdc import CdcConfig, PredictionBreakdown, simulate_cdc
 from repro.traces.trace import AddressTrace, as_address_array
 
@@ -37,8 +38,8 @@ class LossyFidelityResult:
         trace_name: Label of the trace.
         exact_surface: Miss-ratio surface of the exact trace.
         lossy_surface: Miss-ratio surface of the regenerated trace.
-        bits_per_address: BPA of the lossy representation.
-        num_chunks: Chunks stored by the lossy codec.
+        bits_per_address: BPA of the lossy container.
+        num_chunks: Chunks stored in the lossy container.
         num_intervals: Intervals in the trace.
         distinct_ratio: Approximate/exact distinct-address ratio.
     """
@@ -65,18 +66,20 @@ class LossyFidelityResult:
 def regenerate_lossy_trace(
     trace, config: LossyConfig = LossyConfig()
 ) -> Tuple[np.ndarray, float, int, int]:
-    """Compress then decompress a trace with the lossy codec.
+    """Compress a trace into a lossy container, then decode it.
 
     Returns ``(approximate_addresses, bits_per_address, num_chunks,
-    num_intervals)``.
+    num_intervals)``; the size is the container's on-disk size.
     """
     values = trace.addresses if isinstance(trace, AddressTrace) else as_address_array(trace)
-    codec = LossyCodec(config)
-    compressed = codec.compress(values)
-    approximate = codec.decompress(compressed)
+    with _container_round_trip(values, MODE_LOSSY, config) as decoder:
+        approximate = decoder.read_all()
+        bits = decoder.bits_per_address()
+        num_chunks = len(decoder.container.chunk_ids())
+        num_intervals = len(decoder.records)
     if not sequence_length_preserved(approximate, values):
         raise AssertionError("lossy codec violated the sequence-length invariant")
-    return approximate, compressed.bits_per_address(), compressed.num_chunks, compressed.num_intervals
+    return approximate, bits, num_chunks, num_intervals
 
 
 def compare_miss_ratio_surfaces(

@@ -1,4 +1,4 @@
-"""The paper's contribution: bytesort, the lossy phase codec and ATC itself."""
+"""The paper's contribution: bytesort, the lossy interval planner and ATC itself."""
 
 from repro.core.atc import (
     AtcDecoder,
@@ -19,7 +19,7 @@ from repro.core.bytesort import (
 from repro.core.container import AtcContainer
 from repro.core.fsck import repair_container, scrub_container, scrub_path
 from repro.core.integrity import chunk_digest, json_digest
-from repro.core.inspect import LossyTraceReport, analyze_container, analyze_lossy
+from repro.core.inspect import LossyTraceReport, analyze_container
 from repro.core.histograms import (
     IntervalSummary,
     apply_translation,
@@ -29,7 +29,7 @@ from repro.core.histograms import (
     sort_histograms,
 )
 from repro.core.intervals import ChunkTable, IntervalRecord
-from repro.core.lossless import LosslessCodec, lossless_compress, lossless_decompress
+from repro.core.lossless import LosslessCodec
 from repro.core.parallel import (
     Executor,
     OrderedChunkWriter,
@@ -49,14 +49,7 @@ from repro.core.stream import (
     map_chunks,
     rechunk,
 )
-from repro.core.lossy import (
-    LossyCodec,
-    LossyCompressed,
-    LossyConfig,
-    LossyIntervalEncoder,
-    lossy_compress,
-    lossy_decompress,
-)
+from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 
 __all__ = [
     "AtcEncoder",
@@ -81,7 +74,6 @@ __all__ = [
     "chunk_digest",
     "json_digest",
     "LossyTraceReport",
-    "analyze_lossy",
     "analyze_container",
     "CompressionBackend",
     "get_backend",
@@ -107,12 +99,6 @@ __all__ = [
     "ChunkTable",
     "IntervalRecord",
     "LosslessCodec",
-    "lossless_compress",
-    "lossless_decompress",
-    "LossyCodec",
     "LossyConfig",
-    "LossyCompressed",
     "LossyIntervalEncoder",
-    "lossy_compress",
-    "lossy_decompress",
 ]

@@ -25,7 +25,10 @@ so a lossless container is simply a lossy container that never imitates.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from collections import OrderedDict
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -103,15 +106,14 @@ class AtcEncoder:
         self._records: List[IntervalRecord] = []
         self._total = 0
         self._closed = False
+        self._chunk_codec = LosslessCodec(
+            buffer_addresses=self.config.chunk_buffer_addresses, backend=self.config.backend
+        )
         if mode == MODE_LOSSY:
             self._interval_encoder = LossyIntervalEncoder(self.config)
             self._flush_threshold = self.config.interval_length
-            self._chunk_codec = self._interval_encoder.chunk_codec
         else:
             self._interval_encoder = None
-            self._chunk_codec = LosslessCodec(
-                buffer_addresses=self.config.chunk_buffer_addresses, backend=self.config.backend
-            )
             self._flush_threshold = self.config.chunk_buffer_addresses
         # Preallocated interval buffer: values fed one at a time accumulate
         # here, and every interval is encoded from a zero-copy view (of this
@@ -196,8 +198,7 @@ class AtcEncoder:
         consumed lazily one at a time, so peak memory is bounded by the
         chunk size plus the encoder's interval buffer, never the trace
         length.  The resulting container is byte-identical to calling
-        :meth:`code_many` on the concatenated chunks (and therefore to the
-        fully in-memory path), for every chunking.
+        :meth:`code_many` on the concatenated chunks, for every chunking.
 
         Returns the number of addresses consumed from the stream.
         """
@@ -571,6 +572,18 @@ def compress_trace(
     with AtcEncoder(directory, mode=mode, config=config) as encoder:
         encoder.code_many(values)
     return AtcDecoder(directory, workers=config.workers)
+
+
+@contextlib.contextmanager
+def _container_round_trip(addresses, mode: str, config: LossyConfig) -> Iterator[AtcDecoder]:
+    """Compress a trace into a scratch container and yield its decoder.
+
+    The measurement path of sweeps, the paper benches and the fidelity
+    pipelines, so every size they report is the size ``repro compress``
+    writes.  The container is deleted when the block exits.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-measure-") as scratch:
+        yield compress_trace(addresses, Path(scratch) / "container", mode, config)
 
 
 def decompress_trace(directory, workers: int = 1) -> np.ndarray:

@@ -3,10 +3,9 @@
 The compression ratio and fidelity of ATC's lossy mode depend on how often
 intervals can be imitated, which chunks get reused, and how much of the
 compressed size each component (chunks vs interval trace) accounts for.
-This module computes those statistics from an in-memory
-:class:`~repro.core.lossy.LossyCompressed` or from an on-disk container, so
-users can answer "why is my trace not compressing?" without reverse
-engineering the format.
+This module computes those statistics from an on-disk container, so users
+can answer "why is my trace not compressing?" without reverse engineering
+the format.
 """
 
 from __future__ import annotations
@@ -17,12 +16,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.atc import AtcDecoder
-from repro.core.container import serialize_interval_trace
-from repro.core.backend import get_backend
-from repro.core.intervals import IntervalRecord
-from repro.core.lossy import LossyCompressed
 
-__all__ = ["LossyTraceReport", "analyze_lossy", "analyze_container"]
+__all__ = ["LossyTraceReport", "analyze_container"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +30,6 @@ class LossyTraceReport:
         num_imitations: Intervals regenerated from a chunk.
         chunk_reuse_counts: How many intervals each chunk serves (including
             itself), keyed by chunk id.
-        imitation_distances: Interval distance of every imitation record
-            (empty when the trace was decoded from disk, where distances are
-            not stored).
         translated_byte_histogram: For each byte order j, the number of
             imitation records that actually translated byte j.
         chunk_bytes: Compressed bytes spent on chunk payloads.
@@ -49,7 +41,6 @@ class LossyTraceReport:
     num_chunks: int
     num_imitations: int
     chunk_reuse_counts: Dict[int, int]
-    imitation_distances: List[float]
     translated_byte_histogram: List[int]
     chunk_bytes: int
     interval_trace_bytes: int
@@ -99,61 +90,27 @@ class LossyTraceReport:
         return lines
 
 
-def _report_from_records(
-    records: List[IntervalRecord],
-    chunk_bytes: int,
-    interval_trace_bytes: int,
-    original_length: int,
-) -> LossyTraceReport:
-    reuse: Dict[int, int] = {}
-    distances: List[float] = []
-    translated = [0] * 8
-    num_chunks = 0
-    num_imitations = 0
-    for record in records:
-        reuse[record.chunk_id] = reuse.get(record.chunk_id, 0) + 1
-        if record.kind == "chunk":
-            num_chunks += 1
-            continue
-        num_imitations += 1
-        distances.append(record.distance)
-        active = np.asarray(record.active_bytes, dtype=bool)
-        for j in range(8):
-            if active[j]:
-                translated[j] += 1
-    return LossyTraceReport(
-        num_intervals=len(records),
-        num_chunks=num_chunks,
-        num_imitations=num_imitations,
-        chunk_reuse_counts=reuse,
-        imitation_distances=distances,
-        translated_byte_histogram=translated,
-        chunk_bytes=chunk_bytes,
-        interval_trace_bytes=interval_trace_bytes,
-        original_length=original_length,
-    )
-
-
-def analyze_lossy(compressed: LossyCompressed) -> LossyTraceReport:
-    """Build a report from an in-memory lossy compression result."""
-    backend = get_backend(compressed.config.backend)
-    interval_trace_bytes = len(backend.compress(serialize_interval_trace(compressed.records)))
-    chunk_bytes = sum(len(chunk) for chunk in compressed.chunks)
-    return _report_from_records(
-        compressed.records, chunk_bytes, interval_trace_bytes, compressed.original_length
-    )
-
-
 def analyze_container(directory) -> LossyTraceReport:
     """Build a report from an on-disk ATC container (lossy or lossless)."""
     decoder = AtcDecoder(directory)
     chunk_bytes = sum(
         len(decoder.container.read_chunk(chunk_id)) for chunk_id in decoder.container.chunk_ids()
     )
-    interval_trace_bytes = decoder.compressed_bytes() - chunk_bytes
-    return _report_from_records(
-        decoder.records,
-        chunk_bytes,
-        max(interval_trace_bytes, 0),
-        int(decoder.metadata.get("original_length", 0)),
+    reuse: Dict[int, int] = {}
+    translated = np.zeros(8, dtype=np.int64)
+    num_imitations = 0
+    for record in decoder.records:
+        reuse[record.chunk_id] = reuse.get(record.chunk_id, 0) + 1
+        if record.kind == "imitate":
+            num_imitations += 1
+            translated += np.asarray(record.active_bytes, dtype=bool)
+    return LossyTraceReport(
+        num_intervals=len(decoder.records),
+        num_chunks=len(decoder.records) - num_imitations,
+        num_imitations=num_imitations,
+        chunk_reuse_counts=reuse,
+        translated_byte_histogram=translated.tolist(),
+        chunk_bytes=chunk_bytes,
+        interval_trace_bytes=max(decoder.compressed_bytes() - chunk_bytes, 0),
+        original_length=int(decoder.metadata.get("original_length", 0)),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,9 +31,9 @@ __all__ = ["ChunkMatch", "ChunkTable", "IntervalRecord", "materialize_interval"]
 def materialize_interval(record: "IntervalRecord", source: np.ndarray) -> np.ndarray:
     """Regenerate one interval from its (decoded) source chunk.
 
-    This is the single replay step shared by the streaming decoder and the
-    in-memory lossy codec: truncate the chunk to the interval length and,
-    for imitation records, apply the stored byte translations.
+    This is the decoder's single replay step: truncate the chunk to the
+    interval length and, for imitation records, apply the stored byte
+    translations.
     """
     if record.length > source.size:
         raise CodecError(
@@ -125,8 +125,6 @@ class IntervalRecord:
             which byte orders are translated; ``None`` for chunk records.
         translations: For imitation records, the ``(8, 256)`` byte
             translation table; ``None`` for chunk records.
-        distance: The interval distance to the imitated chunk (0 for chunk
-            records); kept for diagnostics and reporting.
     """
 
     kind: str
@@ -134,7 +132,6 @@ class IntervalRecord:
     length: int
     active_bytes: Optional[np.ndarray] = None
     translations: Optional[np.ndarray] = None
-    distance: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("chunk", "imitate"):

@@ -16,10 +16,13 @@ paper's tables:
 * ``unshuffle`` — byte-unshuffled then back-end compressed (Table 1 "us");
 * ``delta`` — zigzag delta coded then back-end compressed (related work);
 * ``vpc`` — the VPC/TCgen-style predictor compressor (Table 1 "tcg");
-* ``lossless`` — bytesort + back-end, the paper's lossless ATC (Table 1
-  "bs" columns; the buffer size selects small vs big);
-* ``lossy`` — the phase-based lossy ATC codec (Table 3 "lossy"), counting
-  chunk payloads plus the compressed interval trace like the container.
+* ``lossless`` — the paper's lossless ATC (Table 1 "bs" columns; the
+  buffer size selects small vs big);
+* ``lossy`` — the phase-based lossy ATC codec (Table 3 "lossy").
+
+The two ATC kinds measure the container ``repro compress`` writes: the trace
+is compressed into a scratch directory and the payload is the container's
+on-disk size (chunk files plus the INFO stream with its digests).
 
 Example:
     >>> import numpy as np
@@ -38,8 +41,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.lossless import LosslessCodec
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, _container_round_trip
+from repro.core.lossy import LossyConfig
 from repro.errors import ConfigurationError
 from repro.experiments.spec import CodecSpec, EvaluationScale
 
@@ -47,10 +50,12 @@ __all__ = ["evaluate_codec", "resolve_lossy_config"]
 
 
 def resolve_lossy_config(codec: CodecSpec, scale: EvaluationScale) -> LossyConfig:
-    """The :class:`~repro.core.lossy.LossyConfig` of a ``lossy`` cell.
+    """The :class:`~repro.core.lossy.LossyConfig` of a ``lossless`` or ``lossy`` cell.
 
     Codec fields override the scale; unset fields inherit
     ``scale.interval_length`` / ``scale.threshold`` / ``scale.small_buffer``.
+    A ``lossless`` container uses only ``chunk_buffer_addresses`` and
+    ``backend``.
     """
     return LossyConfig(
         interval_length=(
@@ -85,11 +90,10 @@ def _payload_bytes(codec: CodecSpec, addresses: np.ndarray, scale: EvaluationSca
         from repro.predictors.vpc import VpcCodec
 
         return len(VpcCodec().compress(addresses))
-    if codec.kind == "lossless":
-        return len(LosslessCodec(buffer_addresses, backend=codec.backend).compress(addresses))
-    if codec.kind == "lossy":
-        compressed = LossyCodec(resolve_lossy_config(codec, scale)).compress(addresses)
-        return compressed.compressed_bytes()
+    if codec.kind in ("lossless", "lossy"):
+        mode = MODE_LOSSLESS if codec.kind == "lossless" else MODE_LOSSY
+        with _container_round_trip(addresses, mode, resolve_lossy_config(codec, scale)) as decoder:
+            return decoder.compressed_bytes()
     raise ConfigurationError(f"unknown codec kind {codec.kind!r}")  # pragma: no cover
 
 

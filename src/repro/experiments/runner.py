@@ -168,12 +168,13 @@ class SweepRunner:
     # -- units ------------------------------------------------------------------------
     def _evaluate_unit(self, unit: ExperimentUnit, addresses: np.ndarray) -> Dict:
         started = time.perf_counter()
-        measured = evaluate_codec(unit.codec, addresses, unit.scale)
         extra: Dict[str, float] = {}
         if unit.fidelity and unit.codec.kind == "lossy" and addresses.size:
             # Figure-3 style check: how far the lossy trace's miss-ratio
-            # surface sits from the exact trace's.  Imported lazily to keep
-            # experiments importable without the analysis layer.
+            # surface sits from the exact trace's.  Its one container round
+            # trip also yields the cell's size, so the trace is encoded once.
+            # Imported lazily to keep experiments importable without the
+            # analysis layer.
             from repro.analysis.comparison import compare_miss_ratio_surfaces
 
             fidelity = compare_miss_ratio_surfaces(
@@ -182,7 +183,12 @@ class SweepRunner:
                 config=resolve_lossy_config(unit.codec, unit.scale),
                 trace_name=unit.workload.name,
             )
+            # ``bits`` is 8 * bytes / n, so rounding recovers the byte count exactly.
+            bits = fidelity.bits_per_address
+            measured = {"payload_bytes": round(bits * addresses.size / 8), "bits_per_address": bits}
             extra["max_miss_ratio_error"] = float(fidelity.max_miss_ratio_error)
+        else:
+            measured = evaluate_codec(unit.codec, addresses, unit.scale)
         return {
             "addresses": int(addresses.size),
             "payload_bytes": int(measured["payload_bytes"]),

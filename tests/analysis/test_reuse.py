@@ -66,12 +66,11 @@ class TestReuseDistanceHistogram:
         with pytest.raises(ConfigurationError):
             reuse_distance_histogram(working_set_addresses, max_tracked=-1)
 
-    def test_lossy_compression_preserves_reuse_distribution(self, working_set_addresses):
+    def test_lossy_container_preserves_reuse_distribution(self, working_set_addresses, encode):
         """Extended fidelity check: the lossy trace keeps the reuse shape."""
-        from repro.core.lossy import LossyCodec, LossyConfig
+        from repro.core.lossy import LossyConfig
 
-        codec = LossyCodec(LossyConfig(interval_length=10_000))
-        approx = codec.decompress(codec.compress(working_set_addresses))
+        approx = encode(working_set_addresses, LossyConfig(interval_length=10_000)).read_all()
         exact_hist = reuse_distance_histogram(working_set_addresses)
         lossy_hist = reuse_distance_histogram(approx)
         assert exact_hist.l1_distance(lossy_hist) < 0.2

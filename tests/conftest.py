@@ -8,12 +8,14 @@ cache-filtered spec-like traces (end-to-end material).
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.atc import MODE_LOSSY, compress_trace
 from repro.traces import synthetic
 from repro.traces.filter import filtered_spec_like_trace
 from repro.traces.trace import AddressTrace
@@ -66,3 +68,18 @@ def phased_addresses() -> np.ndarray:
 def filtered_trace() -> AddressTrace:
     """A small cache-filtered spec-like trace (end-to-end fixture)."""
     return filtered_spec_like_trace("429.mcf", 15_000, seed=7)
+
+
+@pytest.fixture
+def encode(tmp_path):
+    """Compress a trace into a fresh container under ``tmp_path``.
+
+    ``encode(addresses, config=None, mode="k")`` returns the container's
+    :class:`~repro.core.atc.AtcDecoder`; every call writes its own directory.
+    """
+    names = itertools.count()
+
+    def run(addresses, config=None, mode=MODE_LOSSY):
+        return compress_trace(addresses, tmp_path / f"container-{next(names)}", mode, config)
+
+    return run

@@ -11,6 +11,7 @@ from repro.core.atc import (
     MODE_LOSSY,
     AtcDecoder,
     AtcEncoder,
+    _container_round_trip,
     atc_open,
     compress_trace,
     decompress_trace,
@@ -65,15 +66,6 @@ class TestAtcEncoderLossy:
         decoder = compress_trace(working_set_addresses, directory, mode=MODE_LOSSY, config=small_config)
         assert len(decoder.container.chunk_ids()) == 1
         assert decoder.is_lossy
-
-    def test_streaming_matches_batch_codec(self, tmp_path, working_set_addresses, small_config):
-        from repro.core.lossy import LossyCodec
-
-        directory = tmp_path / "trace"
-        decoder = compress_trace(working_set_addresses, directory, mode=MODE_LOSSY, config=small_config)
-        batch = LossyCodec(small_config).compress(working_set_addresses)
-        batch_approx = LossyCodec(small_config).decompress(batch)
-        assert np.array_equal(decoder.read_all(), batch_approx)
 
     def test_metadata_recorded(self, tmp_path, working_set_addresses, small_config):
         directory = tmp_path / "trace"
@@ -142,3 +134,33 @@ class TestAtcOpenFacade:
         # Compression ratio approaches the number of intervals (10 here).
         ratio = (values.size * 8) / decoder.compressed_bytes()
         assert ratio > 5.0
+
+
+class TestContainerRoundTrip:
+    """The scratch-container helper behind every measured size."""
+
+    @pytest.mark.parametrize("mode", [MODE_LOSSLESS, MODE_LOSSY])
+    def test_yields_the_decoder_of_the_written_container(
+        self, tmp_path, working_set_addresses, small_config, mode
+    ):
+        written = compress_trace(working_set_addresses, tmp_path / "kept", mode, small_config)
+        with _container_round_trip(working_set_addresses, mode, small_config) as decoder:
+            assert decoder.compressed_bytes() == written.compressed_bytes()
+            assert [(r.kind, r.chunk_id, r.length) for r in decoder.records] == [
+                (r.kind, r.chunk_id, r.length) for r in written.records
+            ]
+            assert np.array_equal(decoder.read_all(), written.read_all())
+
+    def test_scratch_container_is_deleted_on_exit(self, sequential_addresses, small_config):
+        with _container_round_trip(sequential_addresses, MODE_LOSSLESS, small_config) as decoder:
+            scratch = decoder.container.path
+            assert scratch.is_dir()
+        assert not scratch.exists()
+        assert not scratch.parent.exists()
+
+    def test_scratch_container_is_deleted_when_the_block_raises(self, sequential_addresses, small_config):
+        with pytest.raises(RuntimeError, match="measurement failed"):
+            with _container_round_trip(sequential_addresses, MODE_LOSSY, small_config) as decoder:
+                scratch = decoder.container.path
+                raise RuntimeError("measurement failed")
+        assert not scratch.parent.exists()

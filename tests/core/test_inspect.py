@@ -6,78 +6,68 @@ import numpy as np
 import pytest
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, compress_trace
-from repro.core.inspect import analyze_container, analyze_lossy
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.inspect import analyze_container
+from repro.core.lossy import LossyConfig
 
 
 @pytest.fixture(scope="module")
-def stationary_compressed():
+def stationary_container(tmp_path_factory):
     rng = np.random.default_rng(42)
     trace = rng.integers(0, 2_048, size=50_000, dtype=np.uint64) + np.uint64(1 << 24)
-    config = LossyConfig(interval_length=10_000)
-    return trace, LossyCodec(config).compress(trace)
+    directory = tmp_path_factory.mktemp("inspect") / "c"
+    decoder = compress_trace(trace, directory, mode=MODE_LOSSY, config=LossyConfig(interval_length=10_000))
+    return trace, directory, decoder
 
 
-class TestAnalyzeLossy:
-    def test_counts_match_compression_result(self, stationary_compressed):
-        trace, compressed = stationary_compressed
-        report = analyze_lossy(compressed)
-        assert report.num_intervals == compressed.num_intervals
-        assert report.num_chunks == compressed.num_chunks
-        assert report.num_imitations == compressed.num_intervals - compressed.num_chunks
+class TestAnalyzeContainer:
+    def test_counts_match_compression_result(self, stationary_container):
+        trace, directory, decoder = stationary_container
+        report = analyze_container(directory)
+        num_intervals = len(decoder.records)
+        num_chunks = decoder.metadata["num_chunks"]
+        assert report.num_intervals == num_intervals
+        assert report.num_chunks == num_chunks
+        assert report.num_imitations == num_intervals - num_chunks
         assert report.original_length == trace.size
 
-    def test_reuse_counts_cover_all_intervals(self, stationary_compressed):
-        _, compressed = stationary_compressed
-        report = analyze_lossy(compressed)
+    def test_reuse_counts_cover_all_intervals(self, stationary_container):
+        _, directory, _ = stationary_container
+        report = analyze_container(directory)
         assert sum(report.chunk_reuse_counts.values()) == report.num_intervals
         assert report.most_reused_chunk == 0
 
-    def test_bits_per_address_consistent(self, stationary_compressed):
-        _, compressed = stationary_compressed
-        report = analyze_lossy(compressed)
-        assert report.bits_per_address == pytest.approx(compressed.bits_per_address(), rel=0.01)
+    def test_bits_per_address_consistent(self, stationary_container):
+        _, directory, decoder = stationary_container
+        report = analyze_container(directory)
+        assert report.compressed_bytes == decoder.compressed_bytes()
+        assert report.bits_per_address == pytest.approx(decoder.bits_per_address())
 
-    def test_imitation_fraction(self, stationary_compressed):
-        _, compressed = stationary_compressed
-        report = analyze_lossy(compressed)
-        assert report.imitation_fraction == pytest.approx(
-            (compressed.num_intervals - compressed.num_chunks) / compressed.num_intervals
-        )
+    def test_imitation_fraction(self, stationary_container):
+        _, directory, decoder = stationary_container
+        report = analyze_container(directory)
+        imitated = sum(record.kind == "imitate" for record in decoder.records)
+        assert report.imitation_fraction == pytest.approx(imitated / len(decoder.records))
 
-    def test_translated_byte_histogram_bounded(self, stationary_compressed):
-        _, compressed = stationary_compressed
-        report = analyze_lossy(compressed)
+    def test_translated_byte_histogram_bounded(self, stationary_container):
+        _, directory, _ = stationary_container
+        report = analyze_container(directory)
         assert len(report.translated_byte_histogram) == 8
         for count in report.translated_byte_histogram:
             assert 0 <= count <= report.num_imitations
 
-    def test_summary_lines_render(self, stationary_compressed):
-        _, compressed = stationary_compressed
-        lines = analyze_lossy(compressed).summary_lines()
+    def test_summary_lines_render(self, stationary_container):
+        _, directory, _ = stationary_container
+        lines = analyze_container(directory).summary_lines()
         assert any("chunks stored" in line for line in lines)
         assert any("bits per address" in line for line in lines)
 
-    def test_empty_trace_report(self):
-        compressed = LossyCodec(LossyConfig(interval_length=1_000)).compress(
-            np.empty(0, dtype=np.uint64)
-        )
-        report = analyze_lossy(compressed)
+    def test_empty_trace_report(self, tmp_path):
+        config = LossyConfig(interval_length=1_000)
+        compress_trace(np.empty(0, dtype=np.uint64), tmp_path / "c", mode=MODE_LOSSY, config=config)
+        report = analyze_container(tmp_path / "c")
         assert report.num_intervals == 0
         assert report.bits_per_address == 0.0
         assert report.most_reused_chunk is None
-
-
-class TestAnalyzeContainer:
-    def test_container_report_matches_in_memory(self, tmp_path, stationary_compressed):
-        trace, compressed = stationary_compressed
-        config = compressed.config
-        compress_trace(trace, tmp_path / "c", mode=MODE_LOSSY, config=config)
-        report = analyze_container(tmp_path / "c")
-        in_memory = analyze_lossy(compressed)
-        assert report.num_intervals == in_memory.num_intervals
-        assert report.num_chunks == in_memory.num_chunks
-        assert report.original_length == in_memory.original_length
 
     def test_lossless_container_report(self, tmp_path):
         trace = np.arange(20_000, dtype=np.uint64)

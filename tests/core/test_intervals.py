@@ -95,10 +95,8 @@ class TestIntervalRecord:
             length=10,
             active_bytes=np.ones(8, dtype=bool),
             translations=identity_translation(),
-            distance=0.05,
         )
         assert not record.is_chunk
-        assert record.distance == pytest.approx(0.05)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(CodecError):

@@ -1,4 +1,4 @@
-"""Tests of the bytesort-based lossless codec."""
+"""Tests of the bytesort-based chunk codec and of lossless containers."""
 
 from __future__ import annotations
 
@@ -8,13 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.generic import raw_bits_per_address
-from repro.core.lossless import (
-    LosslessCodec,
-    lossless_bits_per_address,
-    lossless_compress,
-    lossless_decompress,
-)
+from repro.core.atc import MODE_LOSSLESS
+from repro.core.lossless import LosslessCodec
+from repro.core.lossy import LossyConfig
 from repro.errors import CodecError
+
+
+@pytest.fixture
+def lossless_bpa(encode):
+    """Bits per address of a lossless container with a given bytesort buffer."""
+
+    def measure(addresses, buffer_addresses):
+        config = LossyConfig(chunk_buffer_addresses=buffer_addresses)
+        return encode(addresses, config, mode=MODE_LOSSLESS).bits_per_address()
+
+    return measure
 
 
 class TestLosslessRoundtrip:
@@ -37,8 +45,8 @@ class TestLosslessRoundtrip:
         assert codec.decompress(codec.compress(np.empty(0, dtype=np.uint64))).size == 0
 
     def test_decompressor_reads_buffer_size_from_header(self, random_addresses):
-        payload = lossless_compress(random_addresses, buffer_addresses=777)
-        assert np.array_equal(lossless_decompress(payload), random_addresses)
+        payload = LosslessCodec(buffer_addresses=777).compress(random_addresses)
+        assert np.array_equal(LosslessCodec().decompress(payload), random_addresses)
 
     @pytest.mark.parametrize("backend", ["bz2", "zlib", "lzma", "store"])
     def test_roundtrip_all_backends(self, sequential_addresses, backend):
@@ -46,6 +54,23 @@ class TestLosslessRoundtrip:
         assert np.array_equal(
             codec.decompress(codec.compress(sequential_addresses)), sequential_addresses
         )
+
+    @pytest.mark.parametrize("length", [999, 1_000, 1_001, 2_000])
+    def test_roundtrip_lengths_around_the_buffer_size(self, random_addresses, length):
+        """Full, partial and single-address tail buffers all invert exactly."""
+        codec = LosslessCodec(buffer_addresses=1_000, backend="zlib")
+        chunk = random_addresses[:length]
+        assert np.array_equal(codec.decompress(codec.compress(chunk)), chunk)
+
+    def test_roundtrip_extreme_values(self):
+        chunk = np.array([0, (1 << 64) - 1, 1, (1 << 63), (1 << 64) - 2, 0], dtype=np.uint64)
+        codec = LosslessCodec(buffer_addresses=4, backend="zlib")
+        assert np.array_equal(codec.decompress(codec.compress(chunk)), chunk)
+
+    def test_backend_alias_writes_the_canonical_payload(self, sequential_addresses):
+        gz = LosslessCodec(buffer_addresses=5_000, backend="gz").compress(sequential_addresses)
+        zlib = LosslessCodec(buffer_addresses=5_000, backend="zlib").compress(sequential_addresses)
+        assert gz == zlib
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=0, max_size=300))
@@ -56,25 +81,25 @@ class TestLosslessRoundtrip:
 
 
 class TestLosslessCompressionQuality:
-    def test_regular_trace_compresses_well(self, sequential_addresses):
-        bpa = lossless_bits_per_address(sequential_addresses, buffer_addresses=10_000)
+    def test_regular_trace_compresses_well(self, sequential_addresses, lossless_bpa):
+        bpa = lossless_bpa(sequential_addresses, buffer_addresses=10_000)
         assert bpa < 2.0  # 64 bits down to under 2 bits per address
 
-    def test_bytesort_beats_plain_bzip2_on_filtered_trace(self, filtered_trace):
+    def test_bytesort_beats_plain_bzip2_on_filtered_trace(self, filtered_trace, lossless_bpa):
         """The core Table 1 claim: bytesort+bzip2 beats bzip2 alone."""
         addresses = filtered_trace.addresses
-        bytesort_bpa = lossless_bits_per_address(addresses, buffer_addresses=len(addresses))
+        bytesort_bpa = lossless_bpa(addresses, buffer_addresses=len(addresses))
         plain_bpa = raw_bits_per_address(addresses)
         assert bytesort_bpa < plain_bpa
 
-    def test_bigger_buffer_never_much_worse(self, working_set_addresses):
+    def test_bigger_buffer_never_much_worse(self, working_set_addresses, lossless_bpa):
         """Section 4.1: a bigger buffer exposes more regularity."""
-        small = lossless_bits_per_address(working_set_addresses, buffer_addresses=2_000)
-        big = lossless_bits_per_address(working_set_addresses, buffer_addresses=60_000)
+        small = lossless_bpa(working_set_addresses, buffer_addresses=2_000)
+        big = lossless_bpa(working_set_addresses, buffer_addresses=60_000)
         assert big <= small * 1.10  # allow small noise, but the trend must hold
 
-    def test_bits_per_address_of_empty_trace(self):
-        assert LosslessCodec().bits_per_address(np.empty(0, dtype=np.uint64)) == 0.0
+    def test_bits_per_address_of_empty_trace(self, lossless_bpa):
+        assert lossless_bpa(np.empty(0, dtype=np.uint64), buffer_addresses=1_000) == 0.0
 
 
 class TestLosslessErrors:
@@ -87,13 +112,13 @@ class TestLosslessErrors:
             LosslessCodec().decompress(b"shrt")
 
     def test_bad_magic(self, sequential_addresses):
-        payload = bytearray(lossless_compress(sequential_addresses))
+        payload = bytearray(LosslessCodec().compress(sequential_addresses))
         payload[:4] = b"XXXX"
         with pytest.raises(CodecError):
-            lossless_decompress(bytes(payload))
+            LosslessCodec().decompress(bytes(payload))
 
     def test_corrupt_body_detected(self, sequential_addresses):
-        payload = lossless_compress(sequential_addresses, buffer_addresses=1_000)
+        payload = LosslessCodec(buffer_addresses=1_000).compress(sequential_addresses)
         corrupted = payload[:-10]
         with pytest.raises(Exception):
-            lossless_decompress(corrupted)
+            LosslessCodec().decompress(corrupted)

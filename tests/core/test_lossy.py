@@ -1,17 +1,12 @@
-"""Tests of the lossy phase-based codec (paper Section 5)."""
+"""Tests of the lossy phase-based codec (paper Section 5), through containers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.lossy import (
-    LossyCodec,
-    LossyConfig,
-    LossyIntervalEncoder,
-    lossy_compress,
-    lossy_decompress,
-)
+from repro.core.atc import MODE_LOSSLESS
+from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 from repro.errors import ConfigurationError
 from repro.traces import synthetic
 
@@ -47,33 +42,33 @@ class TestLossyConfig:
 
 
 class TestLossyStructure:
-    def test_first_interval_is_always_a_chunk(self, working_set_addresses):
+    def test_first_interval_is_always_a_chunk(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(working_set_addresses, config)
-        assert compressed.records[0].kind == "chunk"
-        assert compressed.records[0].chunk_id == 0
+        decoder = encode(working_set_addresses, config)
+        assert decoder.records[0].kind == "chunk"
+        assert decoder.records[0].chunk_id == 0
 
-    def test_length_preserved(self, working_set_addresses):
+    def test_length_preserved(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=7_000)
-        compressed = lossy_compress(working_set_addresses, config)
-        approx = lossy_decompress(compressed)
+        decoder = encode(working_set_addresses, config)
+        approx = decoder.read_all()
         assert approx.size == working_set_addresses.size
 
-    def test_number_of_intervals(self, working_set_addresses):
+    def test_number_of_intervals(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(working_set_addresses, config)
+        decoder = encode(working_set_addresses, config)
         expected = -(-working_set_addresses.size // 10_000)
-        assert compressed.num_intervals == expected
-        assert sum(record.length for record in compressed.records) == working_set_addresses.size
+        assert len(decoder.records) == expected
+        assert sum(record.length for record in decoder.records) == working_set_addresses.size
 
-    def test_stationary_trace_stores_single_chunk(self, working_set_addresses):
+    def test_stationary_trace_stores_single_chunk(self, working_set_addresses, encode):
         """The Figure 8 behaviour: all intervals look like the first one."""
         config = LossyConfig(interval_length=10_000, threshold=0.1)
-        compressed = lossy_compress(working_set_addresses, config)
-        assert compressed.num_chunks == 1
-        assert all(record.kind == "imitate" for record in compressed.records[1:])
+        decoder = encode(working_set_addresses, config)
+        assert decoder.metadata["num_chunks"] == 1
+        assert all(record.kind == "imitate" for record in decoder.records[1:])
 
-    def test_unstable_trace_stores_many_chunks(self, rng):
+    def test_unstable_trace_stores_many_chunks(self, rng, encode):
         """Intervals with genuinely different structure must become chunks."""
         pieces = []
         pieces.append(synthetic.sequential_stream(5_000, base=0x1000_0000, stride=64))
@@ -82,87 +77,85 @@ class TestLossyStructure:
         pieces.append(synthetic.pointer_chase(5_000, num_nodes=64, seed=3))
         trace = synthetic.phased_stream(pieces) >> np.uint64(6)
         config = LossyConfig(interval_length=5_000, threshold=0.05)
-        compressed = lossy_compress(trace, config)
-        assert compressed.num_chunks >= 3
+        decoder = encode(trace, config)
+        assert decoder.metadata["num_chunks"] >= 3
 
-    def test_zero_threshold_disables_imitation_for_nonidentical_intervals(self, rng):
+    def test_zero_threshold_disables_imitation_for_nonidentical_intervals(self, rng, encode):
         trace = rng.integers(0, 1 << 40, size=40_000, dtype=np.uint64)
         config = LossyConfig(interval_length=10_000, threshold=0.0)
-        compressed = lossy_compress(trace, config)
-        assert compressed.num_chunks == compressed.num_intervals
+        decoder = encode(trace, config)
+        assert decoder.metadata["num_chunks"] == len(decoder.records)
 
-    def test_empty_trace(self):
-        compressed = lossy_compress(np.empty(0, dtype=np.uint64))
-        assert compressed.num_chunks == 0
-        assert lossy_decompress(compressed).size == 0
+    def test_empty_trace(self, encode):
+        decoder = encode(np.empty(0, dtype=np.uint64))
+        assert decoder.metadata["num_chunks"] == 0
+        assert decoder.read_all().size == 0
 
-    def test_trace_shorter_than_interval(self, rng):
+    def test_trace_shorter_than_interval(self, rng, encode):
         trace = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(trace, config)
-        assert compressed.num_chunks == 1
-        assert np.array_equal(lossy_decompress(compressed), trace)
+        decoder = encode(trace, config)
+        assert decoder.metadata["num_chunks"] == 1
+        assert np.array_equal(decoder.read_all(), trace)
 
-    def test_tail_interval_handled(self, rng):
+    def test_tail_interval_handled(self, rng, encode):
         trace = rng.integers(0, 4096, size=25_000, dtype=np.uint64)
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(trace, config)
-        assert compressed.records[-1].length == 5_000
-        assert lossy_decompress(compressed).size == 25_000
+        decoder = encode(trace, config)
+        assert decoder.records[-1].length == 5_000
+        assert decoder.read_all().size == 25_000
 
-    def test_bounded_chunk_table_still_decodes(self, rng):
+    def test_bounded_chunk_table_still_decodes(self, rng, encode):
         trace = rng.integers(0, 1 << 40, size=60_000, dtype=np.uint64)
         config = LossyConfig(interval_length=5_000, threshold=0.0, max_table_entries=2)
-        compressed = lossy_compress(trace, config)
-        assert np.array_equal(lossy_decompress(compressed), trace)
+        decoder = encode(trace, config)
+        assert np.array_equal(decoder.read_all(), trace)
 
 
 class TestLossyFidelity:
-    def test_chunk_intervals_are_exact(self, working_set_addresses):
+    def test_chunk_intervals_are_exact(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        codec = LossyCodec(config)
-        compressed = codec.compress(working_set_addresses)
-        approx = codec.decompress(compressed)
-        first_chunk_length = compressed.records[0].length
+        decoder = encode(working_set_addresses, config)
+        approx = decoder.read_all()
+        first_chunk_length = decoder.records[0].length
         assert np.array_equal(approx[:first_chunk_length], working_set_addresses[:first_chunk_length])
 
-    def test_distinct_address_count_roughly_preserved(self, working_set_addresses):
+    def test_distinct_address_count_roughly_preserved(self, working_set_addresses, encode):
         """The myopic-interval fix: footprint must not collapse."""
         config = LossyConfig(interval_length=10_000)
-        codec = LossyCodec(config)
-        approx = codec.decompress(codec.compress(working_set_addresses))
+        approx = encode(working_set_addresses, config).read_all()
         exact_distinct = np.unique(working_set_addresses).size
         approx_distinct = np.unique(approx).size
         assert approx_distinct >= 0.8 * exact_distinct
 
-    def test_translation_disabled_shrinks_footprint(self, rng):
+    def test_translation_disabled_shrinks_footprint(self, rng, encode):
         """Figure 4: without byte translation the footprint collapses."""
         # Two phases touching disjoint regions of the same size/structure.
         phase_a = rng.integers(0, 4096, size=20_000, dtype=np.uint64) + np.uint64(1 << 20)
         phase_b = rng.integers(0, 4096, size=20_000, dtype=np.uint64) + np.uint64(1 << 21)
         trace = np.concatenate([phase_a, phase_b])
-        with_translation = LossyCodec(LossyConfig(interval_length=20_000, enable_translation=True))
-        without_translation = LossyCodec(
-            LossyConfig(interval_length=20_000, enable_translation=False)
-        )
-        approx_with = with_translation.decompress(with_translation.compress(trace))
-        approx_without = without_translation.decompress(without_translation.compress(trace))
+        approx_with = encode(
+            trace, LossyConfig(interval_length=20_000, enable_translation=True)
+        ).read_all()
+        approx_without = encode(
+            trace, LossyConfig(interval_length=20_000, enable_translation=False)
+        ).read_all()
         exact_distinct = np.unique(trace).size
         assert np.unique(approx_with).size >= 0.8 * exact_distinct
         assert np.unique(approx_without).size <= 0.6 * exact_distinct
 
-    def test_lossy_bpa_not_worse_than_lossless_on_stationary_trace(self, working_set_addresses):
-        from repro.core.lossless import lossless_bits_per_address
-
+    def test_lossy_bpa_not_worse_than_lossless_on_stationary_trace(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(working_set_addresses, config)
-        lossless_bpa = lossless_bits_per_address(working_set_addresses, buffer_addresses=10_000)
-        assert compressed.bits_per_address() < lossless_bpa
+        lossy_bpa = encode(working_set_addresses, config).bits_per_address()
+        lossless_bpa = encode(
+            working_set_addresses, LossyConfig(chunk_buffer_addresses=10_000), mode=MODE_LOSSLESS
+        ).bits_per_address()
+        assert lossy_bpa < lossless_bpa
 
-    def test_translations_recorded_only_for_imitations(self, working_set_addresses):
+    def test_translations_recorded_only_for_imitations(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        compressed = lossy_compress(working_set_addresses, config)
-        for record in compressed.records:
+        decoder = encode(working_set_addresses, config)
+        for record in decoder.records:
             if record.kind == "chunk":
                 assert record.translations is None
             else:
@@ -170,27 +163,26 @@ class TestLossyFidelity:
                 assert record.active_bytes.shape == (8,)
 
 
+def _plan(config, addresses):
+    """Plan every interval of ``addresses``; returns the planner and its results."""
+    planner = LossyIntervalEncoder(config)
+    planned = [
+        planner.plan_interval(addresses[start : start + config.interval_length])
+        for start in range(0, addresses.size, config.interval_length)
+    ]
+    return planner, planned
+
+
 class TestLossyIntervalEncoder:
-    def test_incremental_matches_batch(self, working_set_addresses):
+    def test_incremental_matches_batch(self, working_set_addresses, encode):
         config = LossyConfig(interval_length=10_000)
-        batch = LossyCodec(config).compress(working_set_addresses)
-        encoder = LossyIntervalEncoder(config)
-        incremental_kinds = []
-        for start in range(0, working_set_addresses.size, config.interval_length):
-            record, _ = encoder.encode_interval(
-                working_set_addresses[start : start + config.interval_length]
-            )
-            incremental_kinds.append((record.kind, record.chunk_id))
-        assert incremental_kinds == [(r.kind, r.chunk_id) for r in batch.records]
+        _, planned = _plan(config, working_set_addresses)
+        decoder = encode(working_set_addresses, config)
+        assert [(r.kind, r.chunk_id) for r, _ in planned] == [
+            (r.kind, r.chunk_id) for r in decoder.records
+        ]
 
     def test_chunk_payloads_only_for_new_chunks(self, working_set_addresses):
-        config = LossyConfig(interval_length=10_000)
-        encoder = LossyIntervalEncoder(config)
-        payloads = 0
-        for start in range(0, working_set_addresses.size, config.interval_length):
-            _, payload = encoder.encode_interval(
-                working_set_addresses[start : start + config.interval_length]
-            )
-            if payload is not None:
-                payloads += 1
-        assert payloads == encoder.num_chunks == 1
+        planner, planned = _plan(LossyConfig(interval_length=10_000), working_set_addresses)
+        payloads = sum(needs_payload for _, needs_payload in planned)
+        assert payloads == planner.num_chunks == 1

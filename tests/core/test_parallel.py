@@ -19,7 +19,7 @@ from repro.core.atc import (
     decompress_trace,
 )
 from repro.core.lossless import LosslessCodec
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.lossy import LossyConfig
 from repro.core.parallel import OrderedChunkWriter, imap_ordered, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError
 
@@ -152,21 +152,6 @@ class TestContainerDeterminism:
         if mode == MODE_LOSSLESS:
             assert np.array_equal(serial, phased_trace)
 
-    def test_in_memory_lossy_codec_matches_parallel(self, phased_trace):
-        serial = LossyCodec(_config(1)).compress(phased_trace)
-        parallel = LossyCodec(_config(4)).compress(phased_trace)
-        assert serial.chunks == parallel.chunks
-        assert len(serial.records) == len(parallel.records)
-        assert np.array_equal(
-            LossyCodec(_config(1)).decompress(serial), LossyCodec(_config(4)).decompress(parallel)
-        )
-
-    def test_compress_many_matches_serial_compress(self, phased_trace):
-        codec = LosslessCodec(buffer_addresses=10_000)
-        intervals = [phased_trace[start : start + 25_000] for start in range(0, 100_000, 25_000)]
-        serial = [codec.compress(interval) for interval in intervals]
-        assert codec.compress_many(intervals, workers=4) == serial
-
 
 class TestDecoderChunkCache:
     def test_parallel_read_all_with_tiny_cache_matches_serial(self, tmp_path, phased_trace):
@@ -236,14 +221,6 @@ def test_parallel_roundtrip_property(addresses, interval_length, workers):
     assert recovered.tolist() == addresses
 
 
-def _synthetic_window(count: int) -> np.ndarray:
-    """RNG-free addresses with repeated bytes (ties exercise stability)."""
-    k = np.arange(count, dtype=np.uint64)
-    return ((k * np.uint64(2654435761)) ^ (k >> np.uint64(3))) % np.uint64(65536) + np.uint64(
-        0x40_0000
-    )
-
-
 class TestBulkCodecWindow:
     def test_imap_ordered_serial_pulls_one_at_a_time(self):
         state = {"pulled": 0, "yielded": 0}
@@ -280,13 +257,15 @@ class TestBulkCodecWindow:
             results.append(value)
         assert results == [v + 100 for v in range(64)]
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
-    def test_compress_many_accepts_generators_byte_identically(self, name):
-        workers = 1 if name == "serial" else 2
-        codec = LosslessCodec(buffer_addresses=64, backend="zlib")
-        intervals = [_synthetic_window(50 + 13 * i) for i in range(12)]
-        reference = [codec.compress(interval) for interval in intervals]
-        produced = codec.compress_many((interval for interval in intervals), workers=workers)
-        assert produced == reference
-        recovered = codec.decompress_many(iter(produced), workers=workers)
-        assert all(np.array_equal(r, i) for r, i in zip(recovered, intervals))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunk_codec_over_a_generator_is_byte_identical(self, phased_trace, workers):
+        """The encoder's chunk fan-out: lazy windows, serial payload bytes."""
+        codec = LosslessCodec(buffer_addresses=7_000, backend="zlib")
+        windows = [phased_trace[start : start + 25_000] for start in range(0, 100_000, 25_000)]
+        serial = [codec.compress(window) for window in windows]
+        fanned = list(imap_ordered(codec.compress, iter(windows), workers=workers))
+        assert fanned == serial
+        assert all(
+            np.array_equal(codec.decompress(payload), window)
+            for payload, window in zip(fanned, windows)
+        )

@@ -209,6 +209,27 @@ class TestSweepRunner:
         assert by_codec["lossy"].extra["max_miss_ratio_error"] >= 0.0
         assert by_codec["lossless"].extra == {}
 
+    def test_fidelity_cell_encodes_once_and_stores_the_plain_size(self, monkeypatch):
+        from repro.core import atc
+
+        encodes = []
+        compress_trace = atc.compress_trace
+        monkeypatch.setattr(
+            atc, "compress_trace", lambda *args: encodes.append(1) or compress_trace(*args)
+        )
+        cell = {
+            "name": "fid-size",
+            "workloads": [{"name": "429.mcf", "references": 6000}],
+            "codecs": ["lossy"],
+            "scale": {"small_buffer": 1000, "interval_length": 1000, "set_counts": [64]},
+        }
+        plain = run_sweep(sweep_spec_from_dict(cell)).rows[0]
+        encodes.clear()
+        checked = run_sweep(sweep_spec_from_dict({**cell, "fidelity": True})).rows[0]
+        assert len(encodes) == 1
+        assert checked.payload_bytes == plain.payload_bytes
+        assert checked.bits_per_address == plain.bits_per_address
+
 
 class TestHarnessParity:
     """A spec-driven sweep and the hand-driven harness agree exactly."""
@@ -309,6 +330,67 @@ class TestEvaluateCodecKinds:
             assert measured["bits_per_address"] == pytest.approx(
                 8.0 * measured["payload_bytes"] / addresses.size
             )
+
+    @pytest.mark.parametrize("kind,mode", [("lossless", "c"), ("lossy", "k")])
+    def test_atc_kinds_measure_the_shipped_container(self, tmp_path, kind, mode):
+        from repro.core.atc import compress_trace
+        from repro.experiments import CodecSpec, evaluate_codec
+        from repro.experiments.codecs import resolve_lossy_config
+        from repro.experiments.spec import EvaluationScale
+
+        rng = np.random.default_rng(0)
+        addresses = rng.integers(0, 4096, size=5000, dtype=np.uint64)
+        scale = EvaluationScale(small_buffer=1000, interval_length=1000)
+        codec = CodecSpec(kind=kind, buffer_addresses=2000)
+        decoder = compress_trace(addresses, tmp_path / "c", mode, resolve_lossy_config(codec, scale))
+        measured = evaluate_codec(codec, addresses, scale)
+        assert measured["payload_bytes"] == decoder.compressed_bytes()
+        assert measured["bits_per_address"] == decoder.bits_per_address()
+        if kind == "lossless":
+            # The codec's buffer, not the scale's, sizes the container's chunks.
+            assert decoder.metadata["chunk_buffer_addresses"] == 2000
+            assert {record.length for record in decoder.records} == {2000, 1000}
+
+    @pytest.mark.parametrize("backend", ["zlib", "lzma"])
+    @pytest.mark.parametrize("kind,mode", [("lossless", "c"), ("lossy", "k")])
+    def test_atc_kinds_honour_the_codec_backend(self, tmp_path, kind, mode, backend):
+        from repro.core.atc import compress_trace
+        from repro.experiments import CodecSpec, evaluate_codec
+        from repro.experiments.codecs import resolve_lossy_config
+        from repro.experiments.spec import EvaluationScale
+
+        rng = np.random.default_rng(1)
+        addresses = rng.integers(0, 4096, size=5000, dtype=np.uint64)
+        scale = EvaluationScale(small_buffer=1000, interval_length=1000)
+        codec = CodecSpec(kind=kind, backend=backend)
+        config = resolve_lossy_config(codec, scale)
+        assert config.backend == backend
+        decoder = compress_trace(addresses, tmp_path / "c", mode, config)
+        chunk_files = {path.suffix for path in (tmp_path / "c").iterdir()}
+        assert chunk_files == {f".{backend}"}
+        assert evaluate_codec(codec, addresses, scale)["payload_bytes"] == decoder.compressed_bytes()
+
+    def test_lossy_codec_fields_override_the_scale(self, tmp_path):
+        from repro.core.atc import compress_trace
+        from repro.experiments import CodecSpec, evaluate_codec
+        from repro.experiments.codecs import resolve_lossy_config
+        from repro.experiments.spec import EvaluationScale
+
+        rng = np.random.default_rng(2)
+        addresses = rng.integers(0, 4096, size=6000, dtype=np.uint64)
+        scale = EvaluationScale(small_buffer=1000, interval_length=1000)
+        codec = CodecSpec(
+            kind="lossy", interval_length=1500, threshold=0.0, enable_translation=False
+        )
+        config = resolve_lossy_config(codec, scale)
+        assert (config.interval_length, config.threshold, config.enable_translation) == (
+            1500,
+            0.0,
+            False,
+        )
+        decoder = compress_trace(addresses, tmp_path / "c", "k", config)
+        assert [record.length for record in decoder.records] == [1500] * 4
+        assert evaluate_codec(codec, addresses, scale)["payload_bytes"] == decoder.compressed_bytes()
 
     def test_empty_trace_measures_zero(self):
         from repro.experiments import CodecSpec, evaluate_codec

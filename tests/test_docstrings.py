@@ -40,8 +40,7 @@ _PUBLIC_MODULES = (
 #: Headline entry points that must keep a runnable Example in their docstring.
 _MUST_HAVE_EXAMPLE = (
     "repro.core.bytesort.bytesort_transform",
-    "repro.core.lossless.lossless_compress",
-    "repro.core.lossy.lossy_compress",
+    "repro.core.lossless.LosslessCodec",
     "repro.core.atc.compress_trace",
     "repro.core.backend.get_backend",
     "repro.core.stream.rechunk",

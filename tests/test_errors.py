@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -50,10 +49,10 @@ class TestErrorPathsAcrossModules:
             CacheConfig(num_sets=7, associativity=1)
 
     def test_codec_errors_from_corrupt_streams(self):
-        from repro.core.lossless import lossless_decompress
+        from repro.core.lossless import LosslessCodec
 
         with pytest.raises(CodecError):
-            lossless_decompress(b"not a stream")
+            LosslessCodec().decompress(b"not a stream")
 
     def test_container_errors_from_missing_directories(self, tmp_path):
         from repro.core.container import AtcContainer

@@ -15,9 +15,8 @@ from repro.analysis.comparison import compare_miss_ratio_surfaces
 from repro.analysis.metrics import bits_per_address
 from repro.baselines.generic import raw_bits_per_address
 from repro.baselines.unshuffle import unshuffled_bits_per_address
-from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, compress_trace, decompress_trace
-from repro.core.lossless import lossless_bits_per_address, lossless_compress, lossless_decompress
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.atc import MODE_LOSSLESS, compress_trace, decompress_trace
+from repro.core.lossy import LossyConfig
 from repro.predictors.vpc import VpcCodec
 from repro.traces.filter import filtered_spec_like_trace
 
@@ -33,52 +32,56 @@ def small_filtered_traces():
     return {name: filtered_spec_like_trace(name, 12_000, seed=11) for name in names}
 
 
+@pytest.fixture
+def lossless_bpa(encode):
+    """Bits per address of a lossless container holding one bytesort buffer."""
+
+    def measure(addresses):
+        config = LossyConfig(chunk_buffer_addresses=len(addresses))
+        return encode(addresses, config, mode=MODE_LOSSLESS).bits_per_address()
+
+    return measure
+
+
 class TestEndToEndLossless:
-    def test_pipeline_roundtrips_for_every_trace(self, small_filtered_traces):
+    def test_pipeline_roundtrips_for_every_trace(self, small_filtered_traces, encode):
+        config = LossyConfig(chunk_buffer_addresses=4_000)
         for name, trace in small_filtered_traces.items():
-            payload = lossless_compress(trace.addresses, buffer_addresses=4_000)
-            recovered = lossless_decompress(payload)
+            recovered = encode(trace.addresses, config, mode=MODE_LOSSLESS).read_all()
             assert np.array_equal(recovered, trace.addresses), name
 
-    def test_table1_ordering_bzip2_vs_unshuffle_vs_bytesort(self, small_filtered_traces):
+    def test_table1_ordering_bzip2_vs_unshuffle_vs_bytesort(self, small_filtered_traces, lossless_bpa):
         """On average over the mini-suite: bz2 >= unshuffle >= bytesort."""
         bz2_mean, unshuffle_mean, bytesort_mean = 0.0, 0.0, 0.0
         for trace in small_filtered_traces.values():
             addresses = trace.addresses
             bz2_mean += raw_bits_per_address(addresses)
             unshuffle_mean += unshuffled_bits_per_address(addresses, buffer_addresses=len(addresses))
-            bytesort_mean += lossless_bits_per_address(addresses, buffer_addresses=len(addresses))
+            bytesort_mean += lossless_bpa(addresses)
         assert bytesort_mean <= unshuffle_mean <= bz2_mean
 
-    def test_bytesort_vs_vpc_on_regular_filtered_trace(self, small_filtered_traces):
+    def test_bytesort_vs_vpc_on_regular_filtered_trace(self, small_filtered_traces, lossless_bpa):
         """The libquantum-like trace is the paper's best case for bytesort."""
         addresses = small_filtered_traces["462.libquantum"].addresses
-        bytesort_bpa = lossless_bits_per_address(addresses, buffer_addresses=len(addresses))
+        bytesort_bpa = lossless_bpa(addresses)
         vpc_payload = VpcCodec().compress(addresses)
         vpc_bpa = bits_per_address(len(vpc_payload), len(addresses))
         assert bytesort_bpa < vpc_bpa
 
 
 class TestEndToEndLossy:
-    def test_lossy_smaller_than_lossless_on_stationary_trace(self, small_filtered_traces):
+    def test_lossy_smaller_than_lossless_on_stationary_trace(
+        self, small_filtered_traces, encode, lossless_bpa
+    ):
         addresses = small_filtered_traces["429.mcf"].addresses
         config = LossyConfig(interval_length=max(len(addresses) // 8, 1_000))
-        compressed = LossyCodec(config).compress(addresses)
-        lossless_bpa = lossless_bits_per_address(addresses, buffer_addresses=len(addresses))
-        assert compressed.bits_per_address() <= lossless_bpa
+        assert encode(addresses, config).bits_per_address() <= lossless_bpa(addresses)
 
     def test_lossy_miss_ratio_fidelity_end_to_end(self, small_filtered_traces):
         addresses = small_filtered_traces["429.mcf"].addresses
         config = LossyConfig(interval_length=max(len(addresses) // 6, 1_000))
         result = compare_miss_ratio_surfaces(addresses, set_counts=[64, 256], config=config)
         assert result.max_miss_ratio_error < 0.15
-
-    def test_container_and_in_memory_codecs_agree(self, tmp_path, small_filtered_traces):
-        addresses = small_filtered_traces["401.bzip2"].addresses
-        config = LossyConfig(interval_length=4_000, chunk_buffer_addresses=4_000)
-        decoder = compress_trace(addresses, tmp_path / "c", mode=MODE_LOSSY, config=config)
-        in_memory = LossyCodec(config).decompress(LossyCodec(config).compress(addresses))
-        assert np.array_equal(decoder.read_all(), in_memory)
 
     def test_lossless_container_roundtrip_full_pipeline(self, tmp_path, small_filtered_traces):
         addresses = small_filtered_traces["462.libquantum"].addresses

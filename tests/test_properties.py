@@ -9,8 +9,8 @@ the paper's design relies on:
   a chunk it did not store;
 * byte translations are permutations, so imitation can never merge two
   distinct addresses of a chunk;
-* the on-disk container decodes to exactly what the in-memory codec
-  produces.
+* the on-disk container decodes to exactly the interval trace the planner
+  recorded, replayed against the original chunk intervals.
 """
 
 from __future__ import annotations
@@ -21,16 +21,24 @@ from hypothesis import strategies as st
 
 from repro.baselines.delta import delta_decode, delta_encode
 from repro.baselines.unshuffle import unshuffle_inverse, unshuffle_transform
+from repro.core.atc import MODE_LOSSY, compress_trace
 from repro.core.bytesort import bytesort_inverse, bytesort_transform
 from repro.core.container import deserialize_interval_trace, serialize_interval_trace
 from repro.core.histograms import IntervalSummary, apply_translation, byte_translation
+from repro.core.intervals import materialize_interval
 from repro.core.lossless import LosslessCodec
-from repro.core.lossy import LossyCodec, LossyConfig
+from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 
 _addresses = st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=0, max_size=400)
 _small_addresses = st.lists(
     st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=1, max_size=400
 )
+
+
+def _lossy_container(tmp_path_factory, array, config):
+    """Compress ``array`` into a fresh lossy container; returns its decoder."""
+    directory = tmp_path_factory.mktemp("prop") / "container"
+    return compress_trace(array, directory, mode=MODE_LOSSY, config=config)
 
 
 class TestLosslessPathsAreExact:
@@ -62,26 +70,27 @@ class TestLosslessPathsAreExact:
 class TestLossyInvariants:
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_small_addresses, st.integers(min_value=10, max_value=200))
-    def test_length_preserved_and_chunks_consistent(self, values, interval_length):
+    def test_length_preserved_and_chunks_consistent(
+        self, tmp_path_factory, values, interval_length
+    ):
         array = np.array(values, dtype=np.uint64)
         config = LossyConfig(interval_length=interval_length, chunk_buffer_addresses=256, backend="zlib")
-        codec = LossyCodec(config)
-        compressed = codec.compress(array)
-        approx = codec.decompress(compressed)
+        decoder = _lossy_container(tmp_path_factory, array, config)
+        approx = decoder.read_all()
+        num_chunks = len(decoder.container.chunk_ids())
         assert approx.size == array.size
-        assert compressed.num_chunks <= max(compressed.num_intervals, 1)
-        referenced = {record.chunk_id for record in compressed.records}
+        assert num_chunks <= max(len(decoder.records), 1)
+        referenced = {record.chunk_id for record in decoder.records}
         if referenced:
-            assert max(referenced) < compressed.num_chunks
-        assert sum(record.length for record in compressed.records) == array.size
+            assert max(referenced) < num_chunks
+        assert sum(record.length for record in decoder.records) == array.size
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_small_addresses, st.integers(min_value=10, max_value=200))
-    def test_first_interval_always_exact(self, values, interval_length):
+    def test_first_interval_always_exact(self, tmp_path_factory, values, interval_length):
         array = np.array(values, dtype=np.uint64)
         config = LossyConfig(interval_length=interval_length, chunk_buffer_addresses=256, backend="zlib")
-        codec = LossyCodec(config)
-        approx = codec.decompress(codec.compress(array))
+        approx = _lossy_container(tmp_path_factory, array, config).read_all()
         first = min(interval_length, array.size)
         assert np.array_equal(approx[:first], array[:first])
 
@@ -98,13 +107,12 @@ class TestLossyInvariants:
 
     @settings(max_examples=20, deadline=None)
     @given(_small_addresses)
-    def test_disabling_translation_still_preserves_length(self, values):
+    def test_disabling_translation_still_preserves_length(self, tmp_path_factory, values):
         array = np.array(values, dtype=np.uint64)
         config = LossyConfig(
             interval_length=64, chunk_buffer_addresses=64, backend="zlib", enable_translation=False
         )
-        codec = LossyCodec(config)
-        assert codec.decompress(codec.compress(array)).size == array.size
+        assert _lossy_container(tmp_path_factory, array, config).read_all().size == array.size
 
 
 class TestContainerSerialisation:
@@ -113,10 +121,14 @@ class TestContainerSerialisation:
     def test_interval_trace_serialisation_roundtrip(self, values, interval_length):
         array = np.array(values, dtype=np.uint64)
         config = LossyConfig(interval_length=interval_length, chunk_buffer_addresses=128, backend="zlib")
-        compressed = LossyCodec(config).compress(array)
-        recovered = deserialize_interval_trace(serialize_interval_trace(compressed.records))
-        assert len(recovered) == len(compressed.records)
-        for original, roundtripped in zip(compressed.records, recovered):
+        planner = LossyIntervalEncoder(config)
+        records = [
+            planner.plan_interval(array[start : start + interval_length])[0]
+            for start in range(0, array.size, interval_length)
+        ]
+        recovered = deserialize_interval_trace(serialize_interval_trace(records))
+        assert len(recovered) == len(records)
+        for original, roundtripped in zip(records, recovered):
             assert original.kind == roundtripped.kind
             assert original.chunk_id == roundtripped.chunk_id
             assert original.length == roundtripped.length
@@ -126,12 +138,19 @@ class TestContainerSerialisation:
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_small_addresses)
-    def test_container_matches_in_memory_codec(self, tmp_path_factory, values):
+    def test_container_matches_planner_replay(self, tmp_path_factory, values):
+        """The container decodes to the planner's records replayed against
+        the original chunk intervals: chunk payloads, INFO and the decoder
+        add nothing and lose nothing."""
         array = np.array(values, dtype=np.uint64)
         config = LossyConfig(interval_length=97, chunk_buffer_addresses=128, backend="zlib")
-        from repro.core.atc import MODE_LOSSY, compress_trace
-
-        directory = tmp_path_factory.mktemp("prop") / "container"
-        decoder = compress_trace(array, directory, mode=MODE_LOSSY, config=config)
-        in_memory = LossyCodec(config).decompress(LossyCodec(config).compress(array))
-        assert np.array_equal(decoder.read_all(), in_memory)
+        planner = LossyIntervalEncoder(config)
+        chunks, pieces = {}, []
+        for start in range(0, array.size, config.interval_length):
+            interval = array[start : start + config.interval_length]
+            record, needs_payload = planner.plan_interval(interval)
+            if needs_payload:
+                chunks[record.chunk_id] = interval
+            pieces.append(materialize_interval(record, chunks[record.chunk_id]))
+        decoder = _lossy_container(tmp_path_factory, array, config)
+        assert np.array_equal(decoder.read_all(), np.concatenate(pieces))

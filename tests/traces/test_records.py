@@ -45,7 +45,7 @@ class TestTagging:
         with pytest.raises(TraceFormatError):
             tag_addresses(np.array([1], dtype=np.uint64), [64])
 
-    def test_tags_survive_lossless_compression(self):
+    def test_tags_survive_bytesort_compression(self):
         """The paper's point: spare bits can carry info through compression."""
         from repro.core.lossless import LosslessCodec
 
