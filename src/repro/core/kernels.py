@@ -15,21 +15,27 @@ NumPy array operations:
    both LRU and FIFO and leaves the replacement state untouched, so
    consecutive duplicates (the bulk of instruction streams) are resolved
    without simulating them.
-3. **March rows in lock-step.**  The surviving references are packed into
-   a column-major ``(rows, time)`` matrix, rows ordered by reference count
-   so the rows still active at step ``t`` always form a leading prefix.
-   One allocation-free vector step per set-local time index then advances
-   *every* set's recency stack at once: an equality scan against the
-   ``(rows, ways)`` stack matrix yields the per-row match depth, and a
-   masked shift performs the LRU move-to-front (or FIFO fill) for all rows
-   simultaneously.  Python cost is one iteration per *time step*, not per
-   reference.
-4. **Replay outliers.**  A row so much longer than the mean that it would
-   stretch the matrix (or a degenerate single-set geometry, where no
-   padding sentinel exists) is replayed exactly with per-reference list
-   operations instead — the kernel's built-in semantics oracle.  Both
-   paths are bit-identical to the serial simulators by construction and by
-   the equivalence suite in ``tests/cache/test_kernels.py``.
+3. **March LRU rows as segments.**  Every row is cut into segments of
+   :data:`MARCH_SEGMENT_STEPS` collapsed references, one column each of a
+   time-major step matrix; one vector step per time index advances every
+   segment's ways-major recency stack at once (an equality scan yields
+   the match depth, a masked shift the move-to-front).  Pass 1 marches
+   each segment from an empty stack to its *summary* (last ``ways``
+   distinct blocks, MRU first).  An LRU stack is a pure function of the
+   reference history (Mattson et al., 1970), so a segment's true starting
+   stack — its *seed* — is the associative merge of the earlier summaries
+   and the carried-in stack; a doubling (Hillis–Steele) scan finds every
+   seed in O(log segments) vectorised rounds, however skewed a row is.
+   Pass 2 marches each segment from its seed and records hits and depths:
+   ``2 × MARCH_SEGMENT_STEPS`` Python-level steps per batch.
+4. **FIFO and single-set geometries.**  FIFO has no stack merge, so its
+   rows march whole in the same step loop, and a row so much longer than
+   the rest that it would march nearly alone (or any row of a maskless
+   single-set geometry, where no padding sentinel exists) is replayed
+   exactly with per-reference list operations — the kernel's built-in
+   semantics oracle.  Every path is bit-identical to the serial
+   simulators by construction and by the equivalence suite in
+   ``tests/cache/test_kernels.py``.
 
 Because a reference hits an ``A``-way LRU set iff its per-set stack
 distance is at most ``A`` (Mattson's inclusion property), the same pass
@@ -44,7 +50,7 @@ byte-identical to one-shot simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,17 +58,21 @@ from repro.errors import ConfigurationError
 
 __all__ = ["KernelBatchResult", "simulate_batch"]
 
-#: Rows with fewer references than this never take the replay path.
+#: LRU rows are cut into segments of this many collapsed references; both
+#: passes of the segment march take this many steps per batch.
+MARCH_SEGMENT_STEPS = 64
+
+#: FIFO rows with fewer references than this never take the replay path.
 REPLAY_MIN_ROW_REFS = 64
 
-#: The lock-step march pays a fixed cost per time step, so it stays ahead
-#: of per-reference replay only while at least this many rows are still
-#: active; rows longer than the ``MARCH_MIN_ACTIVE_ROWS``-th largest row
-#: would march nearly alone through their tail and are replayed instead.
+#: A whole-row FIFO march pays a fixed cost per time step, so it stays
+#: ahead of per-reference replay only while at least this many rows are
+#: still marching; rows longer than the ``MARCH_MIN_ACTIVE_ROWS``-th
+#: largest row would march nearly alone and are replayed instead.
 MARCH_MIN_ACTIVE_ROWS = 13
 
-#: Hard cap on the march's time axis relative to the mean row length (it
-#: bounds the padded step matrix's memory even when many rows are long).
+#: Hard cap on a FIFO march's time axis relative to the mean row length
+#: (it bounds the padded step matrix's memory even when many rows are long).
 REPLAY_SKEW_FACTOR = 8
 
 
@@ -103,7 +113,7 @@ def _replay_row(
     track_stamps: bool,
     last_touch: np.ndarray,
 ) -> List[Tuple[int, int]]:
-    """Exact replay of one skewed row (the kernel's serial oracle).
+    """Exact replay of one skewed FIFO row or single-set row (the oracle).
 
     Operates on the collapsed reference array of a single row, mutating
     the ``hits_out`` / ``depths_out`` slices in place and returning the
@@ -115,8 +125,8 @@ def _replay_row(
     * a row whose distinct blocks all fit in its associativity (and that
       starts cold) can never evict, so only first occurrences miss — hit
       mask, stamps and final order come from :func:`numpy.unique` with no
-      per-reference work at all (this is the tight-loop instruction-stream
-      shape that routes rows here in the first place);
+      per-reference work at all (the tight-loop instruction-stream shape
+      that makes a row skewed in the first place);
     * when depths are not required, a dict in recency/fill order replays
       with O(1) membership per reference;
     * otherwise a list replay reports the exact per-reference stack depth.
@@ -290,61 +300,42 @@ def simulate_batch(
     # inside the run never update a FIFO stamp)
     last_touch = order[run_last] if policy == "lru" else order[keep]
     cbounds = np.flatnonzero(new_row[keep])
-    ccounts = np.diff(np.append(cbounds, collapsed))
+    # per-row sentinel: differs from every block of the row in its set bits
+    sentinel = (cblocks[cbounds] & np.uint64(set_mask)) ^ np.uint64(1)
+    batch = _Rows(cblocks, cbounds, np.diff(np.append(cbounds, collapsed)), row_ids, last_touch, sentinel)
 
     hits_c = np.zeros(collapsed, dtype=bool)
     depths_c = np.zeros(collapsed, dtype=np.int64) if need_depths else None
     final_stacks: Dict[int, List[Tuple[int, int]]] = {}
-
-    # -- route rows: rows that would march nearly alone through their tail
-    #    (or a maskless single-set geometry, where no sentinel value
-    #    exists) take the exact replay instead
-    if groups >= MARCH_MIN_ACTIVE_ROWS:
-        tail_depth = int(np.partition(ccounts, -MARCH_MIN_ACTIVE_ROWS)[-MARCH_MIN_ACTIVE_ROWS])
+    if set_mask != 0 and policy == "lru":
+        _march_segments(
+            batch, width, ways_of_group, initial_stacks, track_stamps, hits_c, depths_c, final_stacks
+        )
     else:
-        tail_depth = 0
-    mean = max(1, collapsed // groups)
-    limit = max(REPLAY_MIN_ROW_REFS, min(tail_depth, REPLAY_SKEW_FACTOR * mean))
-    heavy = ccounts > limit
-    if set_mask == 0:
-        heavy = np.ones(groups, dtype=bool)
-    for g in np.flatnonzero(heavy).tolist():
-        start = int(cbounds[g])
-        stop = start + int(ccounts[g])
-        rid = int(row_ids[g])
-        final_stacks[rid] = _replay_row(
-            cblocks[start:stop],
-            start,
-            width,
-            int(ways_of_group[g]),
-            policy,
-            initial_stacks.get(rid, ()),
-            hits_c[start:stop],
-            depths_c[start:stop] if depths_c is not None else None,
-            track_stamps,
-            last_touch,
-        )
-
-    light = np.flatnonzero(~heavy)
-    if light.size:
-        _march_light_rows(
-            light,
-            cbounds,
-            ccounts,
-            cblocks,
-            row_ids,
-            set_mask,
-            width,
-            ways_of_group,
-            policy,
-            initial_stacks,
-            need_depths,
-            track_stamps,
-            hits_c,
-            depths_c,
-            final_stacks,
-            last_touch,
-        )
+        # -- route rows: FIFO rows that would march nearly alone (and every
+        #    row of a maskless single-set geometry, where no sentinel value
+        #    exists) take the exact replay instead
+        ccounts = batch.counts
+        if set_mask == 0:
+            heavy = np.ones(groups, dtype=bool)
+        else:
+            tail_depth = 0
+            if groups >= MARCH_MIN_ACTIVE_ROWS:
+                tail_depth = int(np.partition(ccounts, -MARCH_MIN_ACTIVE_ROWS)[-MARCH_MIN_ACTIVE_ROWS])
+            mean = max(1, collapsed // groups)
+            heavy = ccounts > max(REPLAY_MIN_ROW_REFS, min(tail_depth, REPLAY_SKEW_FACTOR * mean))
+        for g in np.flatnonzero(heavy).tolist():
+            start = int(cbounds[g])
+            stop = start + int(ccounts[g])
+            rid = int(row_ids[g])
+            final_stacks[rid] = _replay_row(
+                cblocks[start:stop], start, width, int(ways_of_group[g]), policy,
+                initial_stacks.get(rid, ()), hits_c[start:stop],
+                None if depths_c is None else depths_c[start:stop], track_stamps, last_touch,
+            )
+        light = np.flatnonzero(~heavy)
+        if light.size:
+            _march_fifo_rows(batch, light, width, initial_stacks, track_stamps, hits_c, final_stacks)
 
     hits_sorted = np.empty(count, dtype=bool)
     hits_sorted[keep] = hits_c
@@ -367,139 +358,268 @@ def simulate_batch(
     return KernelBatchResult(hits, depths if want_depths else None, final_stacks)
 
 
-def _march_light_rows(
-    light: np.ndarray,
-    cbounds: np.ndarray,
-    ccounts: np.ndarray,
-    cblocks: np.ndarray,
-    row_ids: np.ndarray,
-    set_mask: int,
-    width: int,
-    ways_of_group: np.ndarray,
-    policy: str,
-    initial_stacks: Mapping[int, Sequence[int]],
-    need_depths: bool,
-    track_stamps: bool,
-    hits_c: np.ndarray,
-    depths_c: Optional[np.ndarray],
-    final_stacks: Dict[int, List[Tuple[int, int]]],
-    last_touch: np.ndarray,
-) -> None:
-    """Lock-step march of the non-skewed rows (the vectorised fast path).
+class _Rows(NamedTuple):
+    """A collapsed batch sorted by row.
 
-    Packs the selected rows into a column-major reference matrix ordered
-    by row length and advances every row's stack with one bounded set of
-    array operations per time step.  Results land in the caller's
-    collapsed-order output arrays; final stacks (with collapsed stamp
-    indices) are merged into ``final_stacks``.
+    Row group ``g`` (row id ``ids[g]``) owns the collapsed references
+    ``blocks[bounds[g] : bounds[g] + counts[g]]``; ``last_touch`` maps a
+    collapsed index to the input-batch position behind its stamp, and
+    ``sentinel[g]`` is a value no block of the row can take (meaningless
+    when the set mask is 0).
     """
-    counts = ccounts[light]
-    by_length = np.argsort(-counts, kind="stable")
-    marched = light[by_length]
-    starts = cbounds[marched]
-    counts = counts[by_length]
-    rows_m = int(marched.size)
-    steps = int(counts[0])
 
-    # per-row sentinel: differs from every block of the row in its set bits
-    sentinel = (cblocks[starts] & np.uint64(set_mask)) ^ np.uint64(1)
-    matrix = np.empty((rows_m, steps), dtype=np.uint64, order="F")
-    matrix[:] = sentinel[:, None]
-    rank = np.full(int(row_ids.size), -1, dtype=np.int64)
-    rank[marched] = np.arange(rows_m)
-    group_of = np.repeat(np.arange(int(row_ids.size)), ccounts)
-    in_march = rank[group_of] >= 0
-    flat_rows = rank[group_of][in_march]
-    flat_cols = (np.arange(int(cblocks.size)) - cbounds[group_of])[in_march]
-    matrix[flat_rows, flat_cols] = cblocks[in_march]
+    blocks: np.ndarray
+    bounds: np.ndarray
+    counts: np.ndarray
+    ids: np.ndarray
+    last_touch: np.ndarray
+    sentinel: np.ndarray
 
-    stack = np.empty((rows_m, width), dtype=np.uint64)
-    stack[:] = sentinel[:, None]
-    for g in marched.tolist():
-        rid = int(row_ids[g])
-        seed = initial_stacks.get(rid)
-        if seed:
-            r = int(rank[g])
-            seed = list(seed)[:width]
-            stack[r, : len(seed)] = np.array(seed, dtype=np.uint64)
 
-    miss_mat = np.zeros((rows_m, steps), dtype=bool, order="F")
-    depth_mat = np.zeros((rows_m, steps), dtype=np.int64, order="F") if need_depths else None
-    active = np.searchsorted(-counts, -np.arange(1, steps + 1), side="right")
-    scan = np.empty((rows_m, width), dtype=bool)
-    shift = np.empty((rows_m, width - 1), dtype=np.uint64) if width > 1 else None
-    is_lru = policy == "lru"
-    # the active-row count only ever shrinks, so the time axis splits into
-    # segments of constant row count; hoisting every view out of the inner
-    # loop leaves ~5 array operations per step
-    segment_ends = np.append(np.flatnonzero(active[1:] != active[:-1]), steps - 1)
-    segment_start = 0
-    for segment_end in segment_ends.tolist():
-        a = int(active[segment_start])
-        mat_a = matrix[:a]
-        st = stack[:a]
-        ne = scan[:a]
-        ne_head = ne[:, :-1]
-        miss = ne[:, -1]
-        st_tail = st[:, 1:]
-        st_head = st[:, :-1]
-        shift_a = shift[:a] if width > 1 else None
-        miss_a = miss_mat[:a]
-        depth_a = depth_mat[:a] if depth_mat is not None else None
-        for t in range(segment_start, segment_end + 1):
-            current = mat_a[:, t]
-            np.not_equal(st, current[:, None], out=ne)
-            # prefix-AND: True while the block has not yet matched, so
-            # column k-1 says "match is at depth > k" — the shift condition
-            np.logical_and.accumulate(ne, axis=1, out=ne)
-            if depth_a is not None:
-                np.sum(ne, axis=1, out=depth_a[:, t])
-            if is_lru:
-                if width > 1:
-                    np.copyto(shift_a, st_head)
-                    np.copyto(st_tail, shift_a, where=ne_head)
-                st[:, 0] = current
-            else:
-                if width > 1:
-                    np.copyto(shift_a, st_head)
-                    np.copyto(st_tail, shift_a, where=miss[:, None])
-                np.copyto(st[:, 0], current, where=miss)
-            miss_a[:, t] = miss
-        segment_start = segment_end + 1
+class _Packed(NamedTuple):
+    """Rows cut into segments and packed into a time-major step matrix.
 
-    flat_hits = ~miss_mat[flat_rows, flat_cols]
-    hits_c[in_march] = flat_hits
-    if depths_c is not None:
-        # the march recorded the 0-based match position (or ``width`` when
-        # absent); 1-based depth with 0 marking "deeper than tracked"
-        raw = depth_mat[flat_rows, flat_cols] + 1
-        raw[raw > width] = 0
-        depths_c[in_march] = raw
-    if track_stamps:
-        # recover each surviving block's stamp source after the fact: its
-        # last matching column in the reference matrix (for FIFO, its last
-        # *missing* column — hits never update a FIFO stamp).  One
-        # (rows, ways, time) tensor pass replaces per-step stamp shifting.
-        reversed_matrix = matrix[:, ::-1]
-        matches = stack[:, :, None] == reversed_matrix[:, None, :]
-        if not is_lru:
-            matches &= miss_mat[:, ::-1][:, None, :]
-        reversed_col = matches.argmax(axis=2)
-        touched = np.take_along_axis(matches, reversed_col[:, :, None], axis=2)[:, :, 0]
-        compressed_idx = starts[:, None] + (steps - 1 - reversed_col)
-        # convert compressed indices to input-batch stamp positions in one
-        # vectorised gather (run continuations carry the stamp for LRU);
-        # untouched slots hold garbage indices into the padding region, so
-        # clip before gathering and mask after
-        np.clip(compressed_idx, 0, int(last_touch.size) - 1, out=compressed_idx)
-        last_idx = np.where(touched, last_touch[compressed_idx], -1)
+    Each segment is one column of ``matrix`` (``(steps, columns)``), a
+    row's segments are adjacent columns, and only a row's first segment
+    may be short.  It is padded at its front with references to the
+    column's most recently used block, a no-op under LRU and FIFO alike;
+    pads start as the column's ``sentinel`` and the caller rewrites them
+    (``pads`` are their flat matrix positions) once the stacks are
+    seeded.
+    """
+
+    matrix: np.ndarray
+    sentinel: np.ndarray  # per column
+    group: np.ndarray  # per column: its row group
+    start: np.ndarray  # per column: collapsed index of step 0
+    refs: Union[slice, np.ndarray]  # the packed collapsed references ...
+    cells: np.ndarray  # ... and their cells of the column-major flattened matrix
+    pads: np.ndarray
+    pad_column: np.ndarray
+
+
+def _pack(batch: _Rows, selected: np.ndarray, span: int) -> _Packed:
+    """Cut the ``selected`` row groups into ``span``-reference segments."""
+    counts = batch.counts[selected]
+    span = min(span, int(counts.max()))
+    per_row = (counts + span - 1) // span
+    columns = int(per_row.sum())
+    first = np.cumsum(per_row) - per_row
+    group = np.repeat(selected, per_row)
+    pad = per_row * span - counts
+    start = np.repeat(batch.bounds[selected] - pad - first * span, per_row) + np.arange(columns) * span
+    sentinel = batch.sentinel[group]
+    if selected.size == batch.counts.size:
+        refs = slice(None)
     else:
-        last_idx = np.full((rows_m, width), -1, dtype=np.int64)
-    occupancy = (stack != sentinel[:, None]).sum(axis=1)
-    for g in marched.tolist():
-        r = int(rank[g])
-        rid = int(row_ids[g])
-        depth = min(int(occupancy[r]), int(ways_of_group[g]))
-        final_stacks[rid] = list(
-            zip(stack[r, :depth].tolist(), last_idx[r, :depth].tolist())
+        refs = np.repeat(np.isin(np.arange(batch.counts.size), selected), batch.counts)
+    values = batch.blocks[refs]
+    # fill column-major, where each row's cells are contiguous, then transpose
+    cells = np.arange(values.size) + np.repeat(first * span + pad - (np.cumsum(counts) - counts), counts)
+    by_column = np.empty(columns * span, dtype=np.uint64)
+    by_column[cells] = values
+    pad_column = np.repeat(first, pad)
+    pads = (np.arange(int(pad.sum())) - np.repeat(np.cumsum(pad) - pad, pad)) * columns + pad_column
+    matrix = np.ascontiguousarray(by_column.reshape(columns, span).T)
+    matrix.reshape(-1)[pads] = sentinel[pad_column]
+    return _Packed(matrix, sentinel, group, start, refs, cells, pads, pad_column)
+
+
+def _march(matrix: np.ndarray, stack: np.ndarray, is_lru: bool, record: Optional[np.ndarray] = None) -> None:
+    """Lock-step march of every column of ``matrix`` (the vectorised engine).
+
+    ``stack`` is the ``(width, columns)`` recency (LRU) or fill (FIFO)
+    stack, ways-major so each way is one contiguous row, and is advanced
+    in place: ~6 array operations per time step move every column at
+    once.  ``record``, when given, is a ``(steps, k, columns)`` array that
+    receives the last ``k`` rows of each step's "not matched at or above
+    this way" mask: ``k = 1`` records the miss flag, ``k = width`` lets
+    the caller count match depths.
+    """
+    width = int(stack.shape[0])
+    ne = np.empty(stack.shape, dtype=bool)
+    miss = ne[-1]
+    # prefix-AND by doubling: True while the block has not yet matched,
+    # so way k-1 says "match is deeper than k" (the LRU shift condition)
+    doubling = [(ne[d:], ne[:-d]) for d in (1 << i for i in range(width.bit_length())) if d < width]
+    head = stack[:-1]
+    tail = stack[1:]
+    shift = np.empty_like(head)
+    shift_when = ne[:-1] if is_lru else miss
+    recorded = ne[width - record.shape[1] :] if record is not None else None
+    for t, current in enumerate(matrix):
+        np.not_equal(stack, current, out=ne)
+        for deeper, shallower in doubling:
+            np.logical_and(deeper, shallower, out=deeper)
+        if width > 1:
+            np.copyto(shift, head)
+            np.copyto(tail, shift, where=shift_when)
+        if is_lru:
+            stack[0] = current
+        else:
+            np.copyto(stack[0], current, where=miss)
+        if recorded is not None:
+            record[t] = recorded
+
+
+def _last_step(stack: np.ndarray, matrix: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """Step of each stack entry's last matching reference, ``-1`` if none.
+
+    One ``(width, steps, columns)`` comparison against the reversed
+    reference matrix (restricted to ``where`` steps when given) recovers
+    every stamp source after the fact instead of shifting stamps per step.
+    """
+    matches = stack[:, None, :] == matrix[::-1][None, :, :]
+    if where is not None:
+        matches &= where[::-1][None, :, :]
+    reversed_step = matches.argmax(axis=1)
+    found = np.take_along_axis(matches, reversed_step[:, None, :], axis=1)[:, 0, :]
+    return np.where(found, int(matrix.shape[0]) - 1 - reversed_step, -1)
+
+
+def _merge(front, front_stamps, back, back_stamps, sentinel) -> Tuple[np.ndarray, np.ndarray]:
+    """First ``width`` distinct, non-sentinel entries of ``front ++ back``.
+
+    Row-wise over ``(n, width)`` stacks (MRU first), carrying their
+    stamps.  Each stack holds distinct blocks, so duplicates only arise
+    between the halves.  The merge is associative: a newer history's
+    stack merged in front of an older one's is the stack of both in turn.
+    """
+    width = int(front.shape[1])
+    joined = np.concatenate((front, back), axis=1)
+    joined_stamps = np.concatenate((front_stamps, back_stamps), axis=1)
+    keep = joined != sentinel[:, None]
+    keep[:, width:] &= ~(back[:, :, None] == front[:, None, :]).any(axis=2)
+    slot = np.cumsum(keep, axis=1) - 1
+    keep &= slot < width
+    rows, cols = np.nonzero(keep)
+    slots = slot[rows, cols]
+    merged = np.empty_like(front)
+    merged[:] = sentinel[:, None]
+    merged_stamps = np.full_like(front_stamps, -1)
+    merged[rows, slots] = joined[rows, cols]
+    merged_stamps[rows, slots] = joined_stamps[rows, cols]
+    return merged, merged_stamps
+
+
+def _seed_rows(target: np.ndarray, at, row_ids, initial_stacks: Mapping[int, Sequence[int]]) -> None:
+    """Write each row's initial stack, trimmed to the width, into ``target[at[i]]``."""
+    width = int(target.shape[1])
+    flat: List[int] = []
+    slots: List[int] = []
+    for base, rid in zip((np.asarray(at) * width).tolist(), row_ids):
+        seed = list(initial_stacks.get(rid, ()))[:width]
+        flat.extend(seed)
+        slots.extend(range(base, base + len(seed)))
+    if flat:
+        target.reshape(-1)[slots] = np.array(flat, dtype=np.uint64)
+
+
+def _march_segments(
+    batch: _Rows, width: int, ways_of_group: np.ndarray, initial_stacks, track_stamps: bool,
+    hits_c: np.ndarray, depths_c: Optional[np.ndarray], final_stacks: Dict[int, List[Tuple[int, int]]],
+) -> None:
+    """Simulate every LRU row as :data:`MARCH_SEGMENT_STEPS`-long segments.
+
+    Pass 1 marches each segment from an empty stack; its final stack is
+    the segment's *summary* (its last ``width`` distinct blocks, MRU
+    first).  A doubling scan of :func:`_merge` over each row's summaries
+    gives every segment its *seed* — the true stack at its start — and the
+    row's final stack.  Pass 2 marches each segment from its seed and
+    records hits (and depths) into the collapsed-order outputs.
+    """
+    groups = int(batch.ids.size)
+    packed = _pack(batch, np.arange(groups), MARCH_SEGMENT_STEPS)
+    columns = int(packed.group.size)
+    stack = np.empty((width, columns), dtype=np.uint64)
+    stack[:] = packed.sentinel
+    _march(packed.matrix, stack, True)
+    # summary stamps are collapsed indices; sentinel entries get garbage
+    # stamps that no merge keeps
+    summary_stamps = np.full((width, columns), -1, dtype=np.int64)
+    if track_stamps:
+        summary_stamps = packed.start + _last_step(stack, packed.matrix)
+
+    # scan elements: row g owns elements first[g] .. first[g] + its segment
+    # count, its initial stack followed by its segments' summaries
+    seed_at = np.arange(columns) + packed.group
+    per_row = np.bincount(packed.group, minlength=groups)
+    first = np.cumsum(per_row + 1) - (per_row + 1)
+    element_group = np.repeat(np.arange(groups), per_row + 1)
+    element_position = np.arange(element_group.size) - first[element_group]
+    sentinel = batch.sentinel[element_group]
+    elements = np.empty((int(element_group.size), width), dtype=np.uint64)
+    elements[:] = sentinel[:, None]
+    stamps = np.full(elements.shape, -1, dtype=np.int64)
+    _seed_rows(elements, first, batch.ids.tolist(), initial_stacks)
+    elements[seed_at + 1] = stack.T
+    stamps[seed_at + 1] = summary_stamps.T
+    # Hillis-Steele inclusive scan: element i becomes the merge of elements
+    # i, i-1, ..., 0 of its row in O(log segments) rounds; a full front
+    # stack is its own merge, so only short ones are merged
+    distance = 1
+    while distance <= int(per_row.max()):
+        later = np.flatnonzero((element_position >= distance) & (elements[:, -1] == sentinel))
+        elements[later], stamps[later] = _merge(
+            elements[later], stamps[later],
+            elements[later - distance], stamps[later - distance], sentinel[later],
         )
+        distance *= 2
+
+    stack = np.ascontiguousarray(elements[seed_at].T)
+    # only first segments are padded, and their seed is the initial stack
+    packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
+    record = np.empty((int(packed.matrix.shape[0]), 1 if depths_c is None else width, columns), dtype=bool)
+    _march(packed.matrix, stack, True, record)
+    hits_c[:] = ~record[:, -1, :].T.reshape(-1)[packed.cells]
+    if depths_c is not None:
+        # the recorded mask counts the 0-based match position (``width``
+        # when absent); 1-based depth with 0 marking "deeper than tracked"
+        depths_c[:] = record.sum(axis=1).T.reshape(-1)[packed.cells] + 1
+        depths_c[depths_c > width] = 0
+    final_at = first + per_row
+    _store_final_stacks(
+        batch, elements[final_at], stamps[final_at], batch.sentinel, np.arange(groups),
+        ways_of_group, final_stacks,
+    )
+
+
+def _march_fifo_rows(
+    batch: _Rows, light: np.ndarray, width: int, initial_stacks, track_stamps: bool,
+    hits_c: np.ndarray, final_stacks: Dict[int, List[Tuple[int, int]]],
+) -> None:
+    """March the non-skewed FIFO rows whole, one column per row."""
+    packed = _pack(batch, light, int(batch.counts[light].max()))
+    columns = int(light.size)
+    stack = np.empty((columns, width), dtype=np.uint64)
+    stack[:] = packed.sentinel[:, None]
+    _seed_rows(stack, np.arange(columns), batch.ids[light].tolist(), initial_stacks)
+    stack = np.ascontiguousarray(stack.T)
+    packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
+    record = np.empty((int(packed.matrix.shape[0]), 1, columns), dtype=bool)
+    _march(packed.matrix, stack, False, record)
+    misses = record[:, 0, :]
+    hits_c[packed.refs] = ~misses.T.reshape(-1)[packed.cells]
+    # a FIFO stamp is the block's last *fill*: its last missing step (hits,
+    # pads included, never update it); untouched seeded blocks keep -1
+    stamps = np.full(stack.shape, -1, dtype=np.int64)
+    if track_stamps:
+        step = _last_step(stack, packed.matrix, misses)
+        stamps = np.where(step >= 0, packed.start + step, -1)
+    _store_final_stacks(
+        batch, stack.T, stamps.T, packed.sentinel, light, np.full(columns, width), final_stacks
+    )
+
+
+def _store_final_stacks(batch: _Rows, stacks, stamps, sentinel, group, depth_cap, final_stacks) -> None:
+    """Trim ``(n, width)`` stacks to occupancy and ways, and emit them.
+
+    ``stamps`` hold collapsed indices (``-1`` = untouched), which become
+    input-batch positions via ``batch.last_touch``.
+    """
+    keep = np.minimum((stacks != sentinel[:, None]).sum(axis=1), depth_cap).tolist()
+    stamps = np.where(stamps >= 0, batch.last_touch[np.maximum(stamps, 0)], -1)
+    rows = zip(stacks.tolist(), stamps.tolist(), keep)
+    final_stacks.update(
+        zip(batch.ids[group].tolist(), [list(zip(blocks[:k], row[:k])) for blocks, row, k in rows])
+    )

@@ -24,6 +24,7 @@ Example:
 from __future__ import annotations
 
 import asyncio
+import re
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
@@ -49,6 +50,13 @@ MAX_HEADER_BYTES = 65536
 
 #: Read granularity for request and response bodies.
 IO_CHUNK_BYTES = 65536
+
+# RFC 9110 8.6: Content-Length = 1*DIGIT.  RFC 9112 7.1: a chunk size is
+# 1*HEXDIG before an optional chunk-ext (BWS ";" ...); 16 hex digits are
+# the most a 64-bit length needs.  ASCII only: int() would also take
+# signs, underscores, blanks, "0x" and non-ASCII digits.
+_DIGITS = re.compile(r"[0-9]+")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})(?:[ \t]*;.*)?", re.DOTALL)
 
 _REASONS = {
     200: "OK",
@@ -123,12 +131,9 @@ class Request:
         length_text = self.header("content-length")
         if not length_text:
             return
-        try:
-            remaining = int(length_text)
-        except ValueError:
-            raise HttpError(400, f"invalid Content-Length: {length_text!r}") from None
-        if remaining < 0:
+        if not _DIGITS.fullmatch(length_text):
             raise HttpError(400, f"invalid Content-Length: {length_text!r}")
+        remaining = int(length_text)
         if remaining > self._max_body_bytes:
             raise HttpError(413, f"request body of {remaining} bytes exceeds the limit")
         while remaining:
@@ -142,10 +147,10 @@ class Request:
         total = 0
         while True:
             size_line = await self._read_line("chunk size")
-            try:
-                size = int(size_line.split(b";", 1)[0].strip(), 16)
-            except ValueError:
-                raise HttpError(400, f"invalid chunk size line: {size_line!r}") from None
+            match = _CHUNK_SIZE.fullmatch(size_line)
+            if match is None:
+                raise HttpError(400, f"invalid chunk size line: {size_line!r}")
+            size = int(match.group(1), 16)
             if size == 0:
                 # Trailer section: skip until the blank line.
                 while await self._read_line("chunk trailer"):
@@ -161,7 +166,10 @@ class Request:
                     raise HttpError(400, "request body ended inside a chunk")
                 remaining -= len(piece)
                 yield piece
-            terminator = await self._reader.readexactly(2)
+            try:
+                terminator = await self._reader.readexactly(2)
+            except asyncio.IncompleteReadError:
+                raise HttpError(400, "request body ended inside a chunk") from None
             if terminator != b"\r\n":
                 raise HttpError(400, "chunk data not terminated by CRLF")
 
@@ -236,7 +244,8 @@ async def read_request(
         name, separator, value = text.partition(":")
         if not separator or not name.strip():
             raise HttpError(400, f"malformed header line: {text!r}")
-        headers[name.strip().lower()] = value.strip()
+        # OWS around a field value is SP / HTAB only (RFC 9110 5.6.3)
+        headers[name.strip().lower()] = value.strip(" \t")
 
     split = urlsplit(target)
     query = {name: values[-1] for name, values in parse_qs(split.query).items()}

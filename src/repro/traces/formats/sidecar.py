@@ -62,6 +62,8 @@ SIDECAR_BASENAME = "SIDECAR.bz2"
 _COUNT = struct.Struct("<I")
 _U64 = np.dtype("<u8")
 
+_READ_PIECE_BYTES = 1 << 20
+
 
 def sidecar_path(directory) -> Path:
     """Path of the (possibly absent) sidecar of a container directory."""
@@ -141,22 +143,35 @@ class SidecarReader:
 
     def __init__(self, path) -> None:
         self._handle = bz2.BZ2File(os.fspath(path), "rb")
-        magic = self._handle.read(len(SIDECAR_MAGIC))
-        if magic != SIDECAR_MAGIC:
-            raise TraceFormatError(
-                f"bad sidecar magic {magic!r} (expected {SIDECAR_MAGIC!r})"
-            )
+        try:
+            magic = self._read(len(SIDECAR_MAGIC))
+            if magic != SIDECAR_MAGIC:
+                raise TraceFormatError(
+                    f"bad sidecar magic {magic!r} (expected {SIDECAR_MAGIC!r})"
+                )
+        except BaseException:
+            self._handle.close()
+            raise
         self._last_cycle = np.uint64(0)
         self._kinds = np.empty(0, dtype=np.uint8)
         self._cycles = np.empty(0, dtype=_U64)
 
+    def _read(self, size: int) -> bytes:
+        """Read up to ``size`` decompressed bytes (at most 1 MiB: frame counts
+        are untrusted, and a buffer sized from a damaged one could be
+        gigabytes); bz2 damage is a format error."""
+        try:
+            return self._handle.read(min(size, _READ_PIECE_BYTES))
+        except (OSError, EOFError) as error:
+            raise TraceFormatError(f"sidecar is not a valid bz2 stream: {error}") from None
+
     def _read_exact(self, size: int) -> Optional[bytes]:
         """Read exactly ``size`` bytes, ``None`` at a clean end-of-stream."""
-        payload = self._handle.read(size)
+        payload = self._read(size)
         if not payload:
             return None
         while len(payload) < size:
-            more = self._handle.read(size - len(payload))
+            more = self._read(size - len(payload))
             if not more:
                 raise TraceFormatError("sidecar stream is truncated mid-frame")
             payload += more

@@ -12,6 +12,8 @@ streaming at chunk sizes 1/7/4096.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,10 +27,11 @@ from repro.cache.stackdist import LruStackSimulator
 from repro.errors import ConfigurationError
 from repro.traces.filter import (
     CacheFilter,
+    StreamingCacheFilter,
     filter_reference_stream,
     filter_reference_streams_fused,
 )
-from repro.traces.spec_like import generate_reference_stream
+from repro.traces.spec_like import generate_reference_stream, get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -305,3 +308,134 @@ class TestFilterKernelPaths:
         assert result.trace.addresses.tolist() == misses
         assert result.instruction_stats == instruction.stats
         assert result.data_stats == data.stats
+
+
+S = kernels.MARCH_SEGMENT_STEPS
+
+
+def _one_set_walk(length: int, sets: int = 16, distinct: int = 11, seed: int = 0) -> np.ndarray:
+    """``length`` references to set 0 that never repeat back to back, so
+    every reference survives the collapse: exactly ``length`` collapsed
+    references in one row."""
+    steps = np.random.default_rng(seed).integers(1, distinct, size=length)
+    return (np.cumsum(steps) % distinct).astype(np.uint64) * np.uint64(sets)
+
+
+def _assert_matches_serial(config: CacheConfig, batches) -> None:
+    kernel = SetAssociativeCache(config)
+    serial = SetAssociativeCache(config)
+    for batch in batches:
+        assert np.array_equal(kernel.access_batch(batch), _serial_hits(serial, batch))
+    _assert_same_state(kernel, serial)
+
+
+class TestSegmentMarch:
+    """LRU rows are cut into ``MARCH_SEGMENT_STEPS``-reference segments;
+    segment edges, skew and carried state must not show in any result."""
+
+    @pytest.mark.parametrize("ways", [4, 8])
+    @pytest.mark.parametrize("length", [S - 1, S, S + 1, 3 * S + 1])
+    def test_one_row_at_segment_edges(self, ways, length):
+        walk = _one_set_walk(length)
+        assert int(np.count_nonzero(walk[1:] != walk[:-1])) == length - 1
+        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
+        # the second batch starts from the first one's carried stacks
+        _assert_matches_serial(config, [walk, _one_set_walk(length, seed=1)])
+
+    @pytest.mark.parametrize("ways", [4, 8])
+    def test_one_set_holds_most_of_the_batch(self, ways):
+        rng = np.random.default_rng(4)
+        hot = _one_set_walk(18_500, distinct=40, seed=2)
+        background = rng.integers(0, 4000, size=1_500, dtype=np.uint64)
+        trace = np.concatenate([hot, background])
+        rng.shuffle(trace)
+        assert np.count_nonzero(trace % np.uint64(16) == 0) >= 0.9 * trace.size
+        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
+        _assert_matches_serial(config, [trace[:12_000], trace[12_000:]])
+
+    @pytest.mark.parametrize("ways, back", [(8, 3), (32, 14)])
+    def test_sparse_segments_seed_from_far_back(self, ways, back):
+        """Segments touching two blocks each leave short summaries, so a
+        seed must merge many earlier segments (every scan round)."""
+        segments = []
+        for j in range(24):
+            pair = np.array([2 * j, 2 * j + 1], dtype=np.uint64) * np.uint64(16)
+            revisit = np.uint64(16 * 2 * max(j - back, 0))
+            segments.append(np.concatenate([[revisit], np.tile(pair, S // 2)])[:S])
+        walk = np.concatenate(segments)
+        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
+        _assert_matches_serial(config, [walk, walk[::-1].copy()])
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, S, 4096])
+    @pytest.mark.parametrize("ways", [4, 8])
+    def test_chunked_streaming(self, chunk_size, ways):
+        rng = np.random.default_rng(13)
+        trace = np.repeat(
+            rng.integers(0, 160, size=1_200, dtype=np.uint64),
+            rng.integers(1, 3, size=1_200),
+        )
+        config = CacheConfig(num_sets=8, associativity=ways, policy="lru")
+        pieces = [trace[start : start + chunk_size] for start in range(0, trace.size, chunk_size)]
+        _assert_matches_serial(config, pieces)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, S, 4096])
+    def test_chunked_fused_mixed_lanes(self, chunk_size):
+        """A 4-way and an 8-way lane march in one mixed-width row space."""
+        rng = np.random.default_rng(17)
+        streams = [rng.integers(0, 300, size=1_200, dtype=np.uint64) for _ in range(2)]
+        configs = (
+            CacheConfig(num_sets=8, associativity=4),
+            CacheConfig(num_sets=16, associativity=8),
+        )
+        fused = [SetAssociativeCache(config) for config in configs]
+        solo = [SetAssociativeCache(config) for config in configs]
+        for start in range(0, 1_200, chunk_size):
+            pieces = [stream[start : start + chunk_size] for stream in streams]
+            masks = access_batches(fused, pieces)
+            for reference, mask, piece in zip(solo, masks, pieces):
+                assert np.array_equal(mask, _serial_hits(reference, piece))
+        for cache, reference in zip(fused, solo):
+            _assert_same_state(cache, reference)
+
+    @pytest.mark.parametrize("sets", [1, 4, 32])
+    def test_depths_at_width_32(self, sets):
+        rng = np.random.default_rng(21)
+        trace = rng.integers(0, 60 * sets, size=6_000, dtype=np.uint64)
+        kernel = LruStackSimulator(sets, max_associativity=32)
+        serial = LruStackSimulator(sets, max_associativity=32)
+        kernel.access_trace(trace[:2_500])
+        kernel.access_trace(trace[2_500:])
+        for block in trace.tolist():
+            serial.access_block(block)
+        assert kernel.curve() == serial.curve()
+        assert kernel._stacks == serial._stacks
+
+    def test_skewed_lru_never_replays(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an LRU row with set bits took the replay")
+
+        monkeypatch.setattr(kernels, "_replay_row", refuse)
+        rng = np.random.default_rng(5)
+        hot = rng.integers(0, 40, size=3_000, dtype=np.uint64) * np.uint64(16)
+        cold = rng.integers(0, 200, size=100, dtype=np.uint64)
+        trace = np.concatenate([hot, cold])
+        rng.shuffle(trace)
+        config = CacheConfig(num_sets=16, associativity=4, policy="lru")
+        _assert_matches_serial(config, [trace])
+
+
+#: SHA-256 of the concatenated ``StreamingCacheFilter`` miss blocks
+#: (little-endian uint64) of the four streams below, pinned before the
+#: segment march replaced the whole-row march.
+FILTER_GOLDEN_SHA256 = "fdca43801b48c07b50d2a774fc1a8f89c4dc56b9e47209c8b4480b9604adcbcc"
+
+
+def test_streaming_filter_golden():
+    digest = hashlib.sha256()
+    for name in ("429.mcf", "403.gcc", "433.milc", "410.bwaves"):
+        streaming = StreamingCacheFilter()
+        stream = get_workload(name).reference_stream(200_000, seed=0)
+        for chunk in stream.iter_chunks(65_536):
+            misses = streaming.filter_chunk(chunk)
+            digest.update(np.ascontiguousarray(misses, dtype="<u8").tobytes())
+    assert digest.hexdigest() == FILTER_GOLDEN_SHA256

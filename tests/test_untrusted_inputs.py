@@ -1,4 +1,4 @@
-"""Untrusted-input contract for the text trace parsers and the tar wire format.
+"""Untrusted-input contract for the parsers that take outside bytes.
 
 Any byte string handed to ``iter_k6_records``, ``iter_mase_records`` or
 ``service.cache.unpack_container`` must either raise a
@@ -8,21 +8,35 @@ extracted directory re-packs and re-extracts to the same files.  Inputs are
 arbitrary bytes and mutations (flips, truncations, insertions, deletions)
 of valid documents, so the fuzzer spends most of its budget near the
 grammar instead of on immediately-rejected noise.
+
+Two more boundaries follow the same contract.  Bytes sent to the HTTP
+layer (``read_request`` + ``Request.iter_body``) raise a typed error or
+yield a body no longer than the configured cap, exactly the body a strict
+RFC 9112 framing reader finds.  A file opened as a sidecar
+(``SidecarReader(...).take(n)``) raises ``TraceFormatError`` or yields
+records.
 """
 
 from __future__ import annotations
 
+import asyncio
+import bz2
 import io
+import re
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceFormatError
 from repro.service.cache import pack_container, unpack_container
+from repro.service.http import HttpError, Request, read_request
 from repro.traces.formats.base import TraceRecords
+from repro.traces.formats.sidecar import SidecarReader, SidecarWriter
 from repro.traces.formats.text import (
     iter_k6_records,
     iter_mase_records,
@@ -143,3 +157,173 @@ def test_seeds_are_valid_documents():
         assert parsed is not None and np.array_equal(parsed[0], _RECORDS.addresses)
     with tempfile.TemporaryDirectory() as scratch:
         assert unpack_container(SEEDS[2], Path(scratch) / "c") == 2
+
+
+# -- HTTP framing ------------------------------------------------------------
+
+#: Body cap of the HTTP property: small, so oversize bodies are cheap to fuzz.
+BODY_CAP = 100
+
+_HEAD = b"POST /v1/compress HTTP/1.1\r\nHost: x\r\n"
+_TAIL = b"z" * 500
+
+
+def _chunked(size_token: bytes, data: bytes = b"") -> bytes:
+    """A chunked request whose one chunk is otherwise well framed."""
+    framing = b"Transfer-Encoding: chunked\r\n\r\n" + size_token + b"\r\n"
+    return _HEAD + framing + data + b"\r\n0\r\n\r\n" + _TAIL
+
+
+HTTP_SEEDS = (
+    _HEAD + b"Content-Length: 5\r\n\r\nhello",
+    _HEAD + b"Transfer-Encoding: chunked\r\n\r\n5;x=1\r\nhello\r\n3\r\nabc\r\n0\r\nT: v\r\n\r\n",
+)
+
+http_bytes = st.one_of(
+    st.binary(max_size=512),
+    st.builds(_mutate, st.sampled_from(HTTP_SEEDS), st.lists(_mutation, min_size=1, max_size=4)),
+)
+
+
+def _strict_body(data: bytes) -> Optional[bytes]:
+    """The body a strict RFC 9110/9112 framing reader finds; None if malformed.
+
+    Mirrors the head parsing of :func:`read_request` (header names stripped
+    and lower-cased, values stripped of SP/HTAB, the last duplicate wins,
+    chunked framing wins over Content-Length) and accepts a framing number
+    only when it is ``1*DIGIT`` (Content-Length) or ``1*HEXDIG`` before an
+    optional chunk extension (chunk size).
+    """
+    head, separator, rest = data.partition(b"\r\n\r\n")
+    if not separator:
+        return None
+    headers = {}
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip(" \t")
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        body = b""
+        while True:
+            line, separator, rest = rest.partition(b"\r\n")
+            match = re.fullmatch(rb"([0-9A-Fa-f]+)(?:[ \t]*;.*)?", line, re.DOTALL)
+            if not separator or match is None:
+                return None
+            size = int(match.group(1), 16)
+            if size == 0:
+                return body
+            if rest[size : size + 2] != b"\r\n":
+                return None
+            body += rest[:size]
+            rest = rest[size + 2 :]
+    length = headers.get("content-length", "")
+    if not length:
+        return b""
+    if not re.fullmatch("[0-9]+", length):
+        return None
+    return rest[: int(length)] if len(rest) >= int(length) else None
+
+
+async def _serve_bytes(data: bytes):
+    """Feed ``data`` to the HTTP reader.
+
+    Returns the body bytes yielded and whether the whole body was accepted
+    (``False`` on a typed error or when the client sent nothing at all).
+    """
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    body = b""
+    try:
+        request = await read_request(reader, BODY_CAP)
+        if request is None:
+            return body, False
+        async for piece in request.iter_body():
+            body += piece
+    except ReproError:
+        return body, False
+    return body, True
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=http_bytes)
+@example(data=_chunked(b"-5"))
+@example(data=_chunked(b"+5", b"hello"))
+@example(data=_chunked(b"0x10", b"0123456789abcdef"))
+@example(data=_chunked(b"1_0", b"0123456789abcdef"))
+@example(data=_chunked(b" 5", b"hello"))
+@example(data=_HEAD + b"Content-Length: +5\r\n\r\nhello")
+def test_http_bytes_yield_typed_errors_or_bounded_bodies(data):
+    body, accepted = asyncio.run(_serve_bytes(data))
+    assert len(body) <= BODY_CAP, "the reader yielded more than the body cap"
+    if accepted:
+        assert body == _strict_body(data), "the reader accepted framing RFC 9112 forbids"
+
+
+@pytest.mark.parametrize("token", ["-5", "+5", "0x10", "1_0", "١٢", " 5", "5 "])
+@pytest.mark.parametrize("framing", ["content-length", "chunked"])
+def test_non_rfc_framing_numbers_get_400_before_any_body_byte(token, framing):
+    """Tokens ``int()`` accepts but RFC 9110/9112 forbid.
+
+    The request is built directly: the latin-1 head decoder can never
+    produce Arabic-Indic digits, so bytes on the wire cannot reach them.
+    """
+
+    async def run():
+        reader = asyncio.StreamReader()
+        if framing == "chunked":
+            headers = {"transfer-encoding": "chunked"}
+            reader.feed_data(token.encode() + b"\r\n")
+        else:
+            headers = {"content-length": token}
+        reader.feed_data(_TAIL)
+        reader.feed_eof()
+        request = Request("POST", "/", {}, headers, reader, BODY_CAP)
+        with pytest.raises(HttpError) as raised:
+            async for _ in request.iter_body():
+                raise AssertionError("a body byte was read")
+        assert raised.value.status == 400
+
+    asyncio.run(run())
+
+
+# -- sidecar files -------------------------------------------------------------
+
+
+def _sidecar_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "SIDECAR.bz2"
+        with SidecarWriter(path) as writer:
+            writer.append(np.array([0, 1, 2], np.uint8), np.array([3, 9, 4], np.uint64))
+            writer.append(np.array([2], np.uint8), np.array([1 << 63], np.uint64))
+        return path.read_bytes()
+
+
+SIDECAR_SEED = _sidecar_bytes()
+
+sidecar_files = st.one_of(
+    st.binary(max_size=512),
+    st.builds(_mutate, st.just(SIDECAR_SEED), st.lists(_mutation, min_size=1, max_size=4)),
+    # valid bz2 around damaged frames reaches the frame parser
+    st.builds(
+        lambda data: bz2.compress(data),
+        st.builds(
+            _mutate, st.just(bz2.decompress(SIDECAR_SEED)), st.lists(_mutation, min_size=1, max_size=4)
+        ),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=sidecar_files, count=st.integers(min_value=0, max_value=6))
+@example(data=b"not a bz2 stream", count=1)
+@example(data=SIDECAR_SEED[: len(SIDECAR_SEED) // 2], count=4)
+def test_sidecar_files_yield_format_errors_or_records(data, count):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "SIDECAR.bz2"
+        path.write_bytes(data)
+        try:
+            with SidecarReader(path) as reader:
+                kinds, cycles = reader.take(count)
+        except TraceFormatError:
+            return
+        assert kinds.shape == cycles.shape == (count,)
