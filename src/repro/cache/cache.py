@@ -57,12 +57,6 @@ KERNEL_MIN_BATCH = 192
 #: the caller's batch is.
 KERNEL_SLICE_BLOCKS = 65536
 
-#: Geometries up to this many sets seed the kernel by scanning every
-#: non-empty set (cheaper than sorting the batch's set indices); larger
-#: geometries pay one :func:`numpy.unique` to seed only the touched sets.
-#: Shared with the stack-distance simulator's seeding heuristic.
-KERNEL_SEED_SCAN_SETS = 4096
-
 
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
@@ -189,10 +183,21 @@ class SetAssociativeCache:
         self.stats = CacheStats()
         self._set_shift = config.block_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
-        # One dict per set mapping block address -> monotonically increasing
-        # stamp.  For LRU the stamp is updated on every touch, for FIFO only
-        # on fill, so the victim (min stamp) implements either policy.
-        self._sets: List[dict] = [dict() for _ in range(config.num_sets)]
+        # Replacement state lives in one of two forms, each built lazily
+        # from the other and dropped when the other form is mutated:
+        #
+        # * ``_set_dicts``, the serial oracle's form: one dict per set
+        #   mapping block address -> monotonically increasing stamp.  For
+        #   LRU the stamp is updated on every touch, for FIFO only on fill,
+        #   so the victim (min stamp) implements either policy.
+        # * ``_table``, the kernel's form: ``(blocks, stamps, occupancy)``
+        #   with ``(num_sets, ways)`` block and stamp matrices, each row
+        #   newest stamp first, and the valid entries per row.
+        #
+        # A streaming filter therefore runs batch after batch on the
+        # matrices alone; ``_sets`` materialises the dicts on demand.
+        self._set_dicts: Optional[List[dict]] = [dict() for _ in range(config.num_sets)]
+        self._table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # Dirty blocks per set (written blocks that will cause a write-back
         # when evicted); parallel to ``_sets`` and always a subset of it.
         # The total count is maintained incrementally so the batch paths
@@ -223,7 +228,7 @@ class SetAssociativeCache:
         block = int(block)
         config = self.config
         index = block & self._set_mask
-        cache_set = self._sets[index]
+        cache_set = (self._set_dicts if self._table is None else self._writable_sets())[index]
         dirty_set = self._dirty[index]
         self.stats.accesses += 1
         self._clock += 1
@@ -336,10 +341,11 @@ class SetAssociativeCache:
         clock_start = self._clock
         is_lru = self.config.policy == "lru"
         newly_filled = 0
+        sets = self._writable_sets()
         for group in range(group_starts.size):
             start = int(group_starts[group])
             end = int(group_bounds[group + 1])
-            cache_set = self._sets[int(sorted_sets[start])]
+            cache_set = sets[int(sorted_sets[start])]
             if cache_set:
                 (resident,) = cache_set
                 hits_sorted[start] = int(sorted_blocks[start]) == resident
@@ -371,10 +377,10 @@ class SetAssociativeCache:
     def _access_batch_kernel(self, array: np.ndarray) -> np.ndarray:
         """Batch access on the set-parallel array kernel (LRU/FIFO, clean).
 
-        Delegates the simulation to :func:`repro.core.kernels.simulate_batch`
-        and converts between the cache's per-set stamp dictionaries and the
-        kernel's recency-stack state.  Bit-identical to the serial loop:
-        hit mask, counters, resident blocks and stamps all match exactly.
+        Delegates the simulation to :func:`repro.core.kernels.simulate_batch`,
+        seeded from and written back to the cache's block/stamp matrices.
+        Bit-identical to the serial loop: hit mask, counters, resident
+        blocks and stamps all match exactly.
         """
         from repro.core.kernels import simulate_batch
 
@@ -382,65 +388,100 @@ class SetAssociativeCache:
         hits = np.empty(count, dtype=bool)
         for start in range(0, count, KERNEL_SLICE_BLOCKS):
             piece = array[start : start + KERNEL_SLICE_BLOCKS]
-            size = int(piece.size)
-            set_index = (piece & np.uint64(self._set_mask)).astype(np.int32)
+            blocks, _, occupancy = self._kernel_table()
             result = simulate_batch(
                 piece,
-                set_index,
+                (piece & np.uint64(self._set_mask)).astype(np.int32),
                 self._set_mask,
                 self.config.associativity,
                 self.config.policy,
-                self._kernel_seed_stacks(set_index),
+                blocks,
+                occupancy,
             )
-            growth = self._kernel_apply_state(result.final_stacks.items(), self._clock)
-            piece_hits = result.hits
-            hit_count = int(np.count_nonzero(piece_hits))
-            self.stats.accesses += size
-            self.stats.hits += hit_count
-            self.stats.misses += size - hit_count
-            self.stats.evictions += (size - hit_count) - growth
-            self._clock += size
-            hits[start : start + size] = piece_hits
+            self._commit_kernel_rows(
+                result.rows, result.stacks, result.occupancy, result.sources, result.hits, 0
+            )
+            hits[start : start + int(piece.size)] = result.hits
         return hits
 
-    def _kernel_seed_stacks(self, set_index: np.ndarray) -> dict:
-        """Kernel-facing state: blocks of each touched set, MRU/newest first.
+    # -- replacement state ------------------------------------------------------------
+    @property
+    def _sets(self) -> List[dict]:
+        """The per-set ``{block: stamp}`` dicts (materialised on demand)."""
+        if self._set_dicts is None:
+            self._set_dicts = self._materialise_sets()
+        return self._set_dicts
 
-        Stamps are unique clock values, so sorting by stamp descending
-        recovers the recency (LRU) or fill (FIFO) order the kernel's
-        stacks encode.  For small geometries every non-empty set is
-        offered (the kernel ignores rows absent from the batch); large
-        ones pay one :func:`numpy.unique` to seed only the touched sets.
+    def _materialise_sets(self) -> List[dict]:
+        """Build the per-set dicts from the kernel's block/stamp matrices."""
+        blocks, stamps, occupancy = self._table
+        return [
+            dict(zip(row_blocks[:held], row_stamps[:held]))
+            for row_blocks, row_stamps, held in zip(
+                blocks.tolist(), stamps.tolist(), occupancy.tolist()
+            )
+        ]
+
+    def _writable_sets(self) -> List[dict]:
+        """The per-set dicts, for a caller about to mutate them."""
+        sets = self._sets
+        self._table = None
+        return sets
+
+    def _kernel_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(blocks, stamps, occupancy)`` matrices, built on demand.
+
+        Stamps are unique clock values, so sorting each set's entries by
+        stamp, newest first, recovers the recency (LRU) or fill (FIFO)
+        order the kernel's stacks encode.
         """
-        if self.config.num_sets <= KERNEL_SEED_SCAN_SETS:
-            touched = range(self.config.num_sets)
-        else:
-            touched = np.unique(set_index).tolist()
-        initial = {}
-        for index in touched:
-            cache_set = self._sets[index]
-            if cache_set:
-                initial[index] = sorted(cache_set, key=cache_set.get, reverse=True)
-        return initial
+        if self._table is None:
+            config = self.config
+            sets = self._set_dicts
+            sizes = np.array([len(cache_set) for cache_set in sets], dtype=np.int64)
+            total = int(sizes.sum())
+            set_of = np.repeat(np.arange(config.num_sets), sizes)
+            keys = np.fromiter(
+                (block for cache_set in sets for block in cache_set), np.uint64, total
+            )
+            values = np.fromiter(
+                (stamp for cache_set in sets for stamp in cache_set.values()), np.int64, total
+            )
+            order = np.lexsort((-values, set_of))
+            slot = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            blocks = np.zeros((config.num_sets, config.associativity), dtype=np.uint64)
+            stamps = np.zeros((config.num_sets, config.associativity), dtype=np.int64)
+            blocks[set_of, slot] = keys[order]
+            stamps[set_of, slot] = values[order]
+            self._table = (blocks, stamps, sizes)
+        return self._table
 
-    def _kernel_apply_state(self, stack_items, clock_start: int) -> int:
-        """Write kernel result stacks back into the per-set stamp dicts.
+    def _commit_kernel_rows(self, rows, stacks, occupancy, sources, hits, first: int) -> None:
+        """Scatter a kernel result's touched rows back into the matrices.
 
-        ``stack_items`` yields ``(set_index, [(block, last_position), ...])``
-        with positions relative to this cache's batch (``-1`` = untouched,
-        keep the old stamp).  Returns the total occupancy growth, which
-        turns the batch's miss count into its eviction count.
+        ``rows`` are this cache's set indices; ``sources`` number batch
+        positions from ``first`` (the lane's offset in a fused batch).
+        Carried entries keep their old stamps, and the eviction count is
+        the miss count less the occupancy growth.
         """
         growth = 0
-        for index, stack in stack_items:
-            cache_set = self._sets[index]
-            rebuilt = {}
-            for block, last in reversed(stack):
-                rebuilt[block] = clock_start + last + 1 if last >= 0 else cache_set[block]
-            growth += len(rebuilt) - len(cache_set)
-            cache_set.clear()
-            cache_set.update(rebuilt)
-        return growth
+        if rows.size:
+            blocks, stamps, held = self._table
+            ways = self.config.associativity
+            sources = sources[:, :ways]
+            carried = np.take_along_axis(stamps[rows], np.maximum(-1 - sources, 0), axis=1)
+            stamps[rows] = np.where(sources >= 0, sources + (self._clock + 1 - first), carried)
+            blocks[rows] = stacks[:, :ways]
+            growth = int(occupancy.sum()) - int(held[rows].sum())
+            held[rows] = occupancy
+            self._set_dicts = None
+        count = int(hits.size)
+        hit_count = int(np.count_nonzero(hits))
+        self.stats.accesses += count
+        self.stats.hits += hit_count
+        self.stats.misses += count - hit_count
+        self.stats.evictions += (count - hit_count) - growth
+        self._clock += count
 
     # -- internals ------------------------------------------------------------------
     def _evict(self, cache_set: dict) -> int:
@@ -474,8 +515,8 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Invalidate every block and reset the internal clock (stats kept)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._set_dicts = [dict() for _ in range(self.config.num_sets)]
+        self._table = None
         for dirty_set in self._dirty:
             dirty_set.clear()
         self._dirty_block_count = 0
@@ -565,55 +606,41 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
 
 
 def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
-    """One fused kernel pass over aligned per-cache batch slices."""
+    """One fused kernel pass over aligned per-cache batch slices.
+
+    The lanes' block matrices stack into one row space (padded to the
+    widest associativity) and the touched rows split back by row range.
+    """
     from repro.core.kernels import simulate_batch
 
-    offsets: List[int] = []
-    offset = 0
-    for piece in pieces:
-        offsets.append(offset)
-        offset += int(piece.size)
-    set_indices = [
-        (piece & np.uint64(cache._set_mask)).astype(np.int32)
-        for cache, piece in zip(caches, pieces)
-    ]
+    offsets = np.cumsum([0] + [int(piece.size) for piece in pieces])
     rows = np.concatenate(
         [
-            set_index + row_base
-            for set_index, row_base in zip(set_indices, row_bases)
+            (piece & np.uint64(cache._set_mask)).astype(np.int32) + row_base
+            for cache, piece, row_base in zip(caches, pieces, row_bases)
         ]
     )
-    blocks = np.concatenate(pieces)
-    initial = {}
-    for cache, set_index, row_base in zip(caches, set_indices, row_bases):
-        for index, stack in cache._kernel_seed_stacks(set_index).items():
-            initial[index + row_base] = stack
-    result = simulate_batch(blocks, rows, set_mask, ways, "lru", initial)
-    # one pass over the touched rows, routed to their owning lane
-    from bisect import bisect_right
-
-    lane_items: List[List] = [[] for _ in caches]
-    for rid, stack in result.final_stacks.items():
-        lane = bisect_right(row_bases, rid) - 1
-        lane_items[lane].append(
-            (
-                rid - row_bases[lane],
-                [
-                    (block, last - offsets[lane] if last >= 0 else -1)
-                    for block, last in stack
-                ],
-            )
-        )
+    width = max(cache.config.associativity for cache in caches)
+    row_count = row_bases[-1] + caches[-1].config.num_sets
+    stacks = np.empty((row_count, width), dtype=np.uint64)
+    occupancy = np.empty(row_count, dtype=np.int64)
+    for cache, row_base in zip(caches, row_bases):
+        blocks, _, held = cache._kernel_table()
+        stacks[row_base : row_base + cache.config.num_sets, : blocks.shape[1]] = blocks
+        occupancy[row_base : row_base + cache.config.num_sets] = held
+    result = simulate_batch(np.concatenate(pieces), rows, set_mask, ways, "lru", stacks, occupancy)
+    cuts = np.searchsorted(result.rows, row_bases + [row_count]).tolist()
     slice_hits: List[np.ndarray] = []
-    for lane, (cache, piece) in enumerate(zip(caches, pieces)):
-        count = int(piece.size)
-        lane_hits = result.hits[offsets[lane] : offsets[lane] + count]
-        growth = cache._kernel_apply_state(lane_items[lane], cache._clock)
-        hit_count = int(np.count_nonzero(lane_hits))
-        cache.stats.accesses += count
-        cache.stats.hits += hit_count
-        cache.stats.misses += count - hit_count
-        cache.stats.evictions += (count - hit_count) - growth
-        cache._clock += count
+    for lane, cache in enumerate(caches):
+        lo, hi = cuts[lane], cuts[lane + 1]
+        lane_hits = result.hits[offsets[lane] : offsets[lane + 1]]
+        cache._commit_kernel_rows(
+            result.rows[lo:hi] - row_bases[lane],
+            result.stacks[lo:hi],
+            result.occupancy[lo:hi],
+            result.sources[lo:hi],
+            lane_hits,
+            int(offsets[lane]),
+        )
         slice_hits.append(lane_hits)
     return slice_hits

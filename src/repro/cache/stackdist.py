@@ -24,7 +24,7 @@ counters and stack state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +90,13 @@ class LruStackSimulator:
         self.num_sets = num_sets
         self.max_associativity = max_associativity
         self._set_mask = num_sets - 1
-        # Per-set MRU-first list of block addresses, truncated to max depth.
-        self._stacks: List[List[int]] = [[] for _ in range(num_sets)]
+        # Per-set MRU-first stacks truncated to max depth, in one of two
+        # forms, each built lazily from the other and dropped when the other
+        # is mutated: ``_stack_lists`` (one list per set, the serial
+        # oracle's form) or ``_table`` (a ``(num_sets, max_associativity)``
+        # block matrix plus per-set depth, the kernel's form).
+        self._stack_lists: Optional[List[List[int]]] = [[] for _ in range(num_sets)]
+        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._accesses = 0
         # distance_hits[d] counts references found at stack depth d (1-based);
         # references not found within max_associativity are "deep misses".
@@ -108,6 +113,7 @@ class LruStackSimulator:
         """
         block = int(block)
         stack = self._stacks[block & self._set_mask]
+        self._table = None
         self._accesses += 1
         try:
             position = stack.index(block)
@@ -161,27 +167,17 @@ class LruStackSimulator:
         from repro.core.kernels import simulate_batch
         from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES
 
-        from repro.cache.cache import KERNEL_SEED_SCAN_SETS
-
         for start in range(0, count, DEFAULT_CHUNK_ADDRESSES):
             piece = array[start : start + DEFAULT_CHUNK_ADDRESSES]
-            set_index = (piece & np.uint64(self._set_mask)).astype(np.int32)
-            if self.num_sets <= KERNEL_SEED_SCAN_SETS:
-                touched = range(self.num_sets)
-            else:
-                touched = np.unique(set_index).tolist()
-            initial = {}
-            for index in touched:
-                stack = self._stacks[index]
-                if stack:
-                    initial[index] = stack
+            stacks, depth = self._kernel_table()
             result = simulate_batch(
                 piece,
-                set_index,
+                (piece & np.uint64(self._set_mask)).astype(np.int32),
                 self._set_mask,
                 self.max_associativity,
                 "lru",
-                initial,
+                stacks,
+                depth,
                 want_depths=True,
                 track_stamps=False,
             )
@@ -189,8 +185,31 @@ class LruStackSimulator:
             self._deep_misses += int(counts[0])
             self._distance_hits[1:] += counts[1 : self.max_associativity + 1]
             self._accesses += int(piece.size)
-            for index, stack in result.final_stacks.items():
-                self._stacks[index] = [block for block, _ in stack]
+            stacks[result.rows] = result.stacks
+            depth[result.rows] = result.occupancy
+            self._stack_lists = None
+
+    @property
+    def _stacks(self) -> List[List[int]]:
+        """The per-set MRU-first block lists (materialised on demand)."""
+        if self._stack_lists is None:
+            stacks, depth = self._table
+            self._stack_lists = [
+                row[:held] for row, held in zip(stacks.tolist(), depth.tolist())
+            ]
+        return self._stack_lists
+
+    def _kernel_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(stacks, depth)`` matrices, built on demand from the lists."""
+        if self._table is None:
+            stacks = np.zeros((self.num_sets, self.max_associativity), dtype=np.uint64)
+            depth = np.zeros(self.num_sets, dtype=np.int64)
+            for index, stack in enumerate(self._stack_lists):
+                if stack:
+                    stacks[index, : len(stack)] = stack
+                    depth[index] = len(stack)
+            self._table = (stacks, depth)
+        return self._table
 
     def curve(self) -> MissRatioCurve:
         """Return the miss-ratio curve accumulated so far."""

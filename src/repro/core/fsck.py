@@ -365,7 +365,7 @@ def scrub_store(path) -> StoreScrub:
     for entry in sorted(path.glob("*.json")):
         try:
             payload = json.loads(entry.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             scrub.entries.append(EntryStatus(entry.name, "corrupt", str(exc)))
             continue
         if not isinstance(payload, dict):

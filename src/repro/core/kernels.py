@@ -42,15 +42,23 @@ distance is at most ``A`` (Mattson's inclusion property), the same pass
 yields the hit mask for any associativity, the exact capped stack-distance
 of every reference (one pass gives the whole miss-ratio curve, consumed by
 :class:`repro.cache.stackdist.LruStackSimulator`), and the miss streams
-the cache filter and hierarchy emit.  Callers carry the returned per-row
-stacks into the next batch, which is what makes chunked streaming
-byte-identical to one-shot simulation.
+the cache filter and hierarchy emit.
+
+State crosses the kernel boundary as arrays.  A caller holds a
+``(rows, width)`` ``uint64`` block matrix, each row most recently used
+(LRU) / most recently filled (FIFO) first, plus a per-row occupancy; the
+kernel gathers the touched rows as its seeds and hands back the same
+layout for exactly those rows, together with each entry's *stamp source*
+(the batch position that set its stamp, or the seed slot it was carried
+from untouched).  Callers scatter the rows back into their matrices and
+carry them into the next batch, which is what makes chunked streaming
+byte-identical to one-shot simulation without any per-set Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,20 +93,28 @@ class KernelBatchResult:
         depths: Per-reference LRU stack depth (1-based), ``0`` when the
             block was beyond the tracked ``ways`` (a cold or deep miss).
             ``None`` unless depths were requested (LRU only).
-        final_stacks: Per-touched-row replacement state after the batch:
-            ``row id -> [(block, last_index), ...]`` ordered most recently
-            used (LRU) / most recently filled (FIFO) first, trimmed to the
-            row's associativity.  ``last_index`` is the position in the
-            input batch of the reference that set the block's stamp (the
-            last touch for LRU, the last fill for FIFO), or ``-1`` when
-            the block survives from the initial state untouched (its old
-            stamp still stands).  When stamp tracking is disabled every
-            ``last_index`` is ``-1``.
+        rows: The touched row ids, ascending; the three state fields
+            below have one row per entry, in this order.
+        stacks: ``(len(rows), width)`` ``uint64`` replacement state after
+            the batch, most recently used (LRU) / most recently filled
+            (FIFO) first; only the first ``occupancy[i]`` entries of row
+            ``i`` are meaningful.
+        occupancy: Resident blocks per touched row, trimmed to the row's
+            associativity.
+        sources: ``(len(rows), width)`` ``int64`` stamp source of each
+            entry: ``p >= 0`` is the input-batch position of the reference
+            that set the block's stamp (the last touch for LRU, the last
+            fill for FIFO); ``-1 - k`` means the block was carried
+            untouched from slot ``k`` of the row's seed, so its old stamp
+            still stands.  ``None`` when stamp tracking is disabled.
     """
 
     hits: np.ndarray
     depths: Optional[np.ndarray]
-    final_stacks: Dict[int, List[Tuple[int, int]]]
+    rows: np.ndarray
+    stacks: np.ndarray
+    occupancy: np.ndarray
+    sources: Optional[np.ndarray]
 
 
 def _replay_row(
@@ -110,15 +126,15 @@ def _replay_row(
     initial: Sequence[int],
     hits_out: np.ndarray,
     depths_out: Optional[np.ndarray],
-    track_stamps: bool,
-    last_touch: np.ndarray,
-) -> List[Tuple[int, int]]:
+) -> Tuple[List[int], List[int]]:
     """Exact replay of one skewed FIFO row or single-set row (the oracle).
 
-    Operates on the collapsed reference array of a single row, mutating
-    the ``hits_out`` / ``depths_out`` slices in place and returning the
-    row's final ``(block, stamp_index)`` stack, newest first, with stamp
-    indices already converted to input-batch positions via ``last_touch``.
+    Operates on the collapsed reference array of a single row (``base`` is
+    its first collapsed index), mutating the ``hits_out`` / ``depths_out``
+    slices in place and returning the row's final blocks, newest first,
+    with their stamp codes: the collapsed index that set the stamp, or
+    ``-1 - k`` for a block carried untouched from slot ``k`` of
+    ``initial``.
 
     Three regimes, fastest applicable first:
 
@@ -143,17 +159,11 @@ def _replay_row(
             else:
                 stamp_at = first_seen
             newest_first = np.argsort(stamp_at, kind="stable")[::-1]
-            return [
-                (
-                    int(distinct[i]),
-                    int(last_touch[base + int(stamp_at[i])]) if track_stamps else -1,
-                )
-                for i in newest_first.tolist()
-            ]
+            return distinct[newest_first].tolist(), (base + stamp_at[newest_first]).tolist()
+    carried = {block: -1 - slot for slot, block in enumerate(initial)}
     if depths_out is None:
-        # dict in stack order (oldest entry first); values are compressed
-        # stamp indices, -1 while a seeded block remains untouched
-        entries: Dict[int, int] = {block: -1 for block in reversed(list(initial))}
+        # dict in stack order (oldest entry first) mapping block -> code
+        entries: Dict[int, int] = {block: carried[block] for block in reversed(initial)}
         for offset, block in enumerate(row_blocks.tolist()):
             if block in entries:
                 hits_out[offset] = True
@@ -165,16 +175,13 @@ def _replay_row(
                 entries[block] = base + offset
                 if len(entries) > width:
                     del entries[next(iter(entries))]
-        final = list(entries.items())[::-1][:row_ways]
-        return [
-            (block, int(last_touch[ci]) if track_stamps and ci >= 0 else -1)
-            for block, ci in final
-        ]
+        final = list(entries)[::-1][:row_ways]
+        return final, [entries[block] for block in final]
     # depth-reporting regime: only LRU ever needs depths (simulate_batch
     # rejects want_depths and per-row associativities for FIFO up front)
     assert is_lru, "depth replay is LRU-only by construction"
     stack = list(initial)
-    last: Dict[int, int] = {}
+    last = carried
     for offset, block in enumerate(row_blocks.tolist()):
         try:
             position = stack.index(block)
@@ -190,12 +197,9 @@ def _replay_row(
             stack.pop()
         hits_out[offset] = 0 < depth <= row_ways
         depths_out[offset] = depth
-        if track_stamps:
-            last[block] = base + offset
-    return [
-        (block, int(last_touch[last[block]]) if block in last else -1)
-        for block in stack[:row_ways]
-    ]
+        last[block] = base + offset
+    final = stack[:row_ways]
+    return final, [last[block] for block in final]
 
 
 def simulate_batch(
@@ -204,7 +208,8 @@ def simulate_batch(
     set_mask: int,
     ways: Union[int, np.ndarray],
     policy: str = "lru",
-    initial_stacks: Optional[Mapping[int, Sequence[int]]] = None,
+    stacks: Optional[np.ndarray] = None,
+    occupancy: Optional[np.ndarray] = None,
     want_depths: bool = False,
     track_stamps: bool = True,
 ) -> KernelBatchResult:
@@ -222,15 +227,16 @@ def simulate_batch(
             FIFO has no inclusion property, so mixed widths would change
             its semantics).
         policy: ``"lru"`` or ``"fifo"``.
-        initial_stacks: Replacement state carried in from earlier batches:
-            ``row id -> blocks`` ordered most recently used (LRU) / most
-            recently filled (FIFO) first.  Only rows present in this batch
-            are consulted.
+        stacks: Replacement state carried in from earlier batches, a
+            ``(rows, columns)`` ``uint64`` matrix indexed by row id, each
+            row most recently used (LRU) / most recently filled (FIFO)
+            first.  Only the rows present in this batch are read.
+        occupancy: Valid entries per row of ``stacks`` (required with it;
+            no row may hold more than its associativity).
         want_depths: Also return per-reference stack depths (LRU only).
-        track_stamps: Record the batch index behind each surviving
-            block's stamp (disable when the caller does not keep stamps,
-            e.g. the stack-distance simulator — it trims three array
-            operations from every step).
+        track_stamps: Report each surviving block's stamp source (disable
+            when the caller does not keep stamps, e.g. the stack-distance
+            simulator — it trims three array operations from every step).
 
     Returns:
         A :class:`KernelBatchResult`; see its attributes for layout.
@@ -242,8 +248,10 @@ def simulate_batch(
         ...                         set_mask=7, ways=2)
         >>> result.hits.tolist()            # 8 and 9 hit on reuse, 17 is cold
         [False, False, True, False, True]
-        >>> sorted(result.final_stacks)     # sets 0 and 1 were touched
-        [0, 1]
+        >>> result.rows.tolist(), result.occupancy.tolist()   # sets 0 and 1
+        ([0, 1], [1, 2])
+        >>> result.stacks[1].tolist(), result.sources[1].tolist()  # MRU first
+        ([9, 17], [4, 3])
     """
     if policy not in ("lru", "fifo"):
         raise ConfigurationError(f"kernel supports lru/fifo policies, got {policy!r}")
@@ -251,6 +259,8 @@ def simulate_batch(
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     if blocks.shape != rows.shape or blocks.ndim != 1:
         raise ConfigurationError("blocks and rows must be 1-D arrays of equal length")
+    if (stacks is None) != (occupancy is None):
+        raise ConfigurationError("stacks and occupancy must be given together")
     if rows.size and int(rows.max()) < np.iinfo(np.int16).max:
         # NumPy's stable sort is a radix sort for 16-bit integers (an
         # order of magnitude faster than the 32-bit merge sort), and any
@@ -262,9 +272,12 @@ def simulate_batch(
         raise ConfigurationError("per-row associativities require LRU (Mattson inclusion)")
     if want_depths and policy != "lru":
         raise ConfigurationError("stack depths are only defined for LRU")
-    initial_stacks = initial_stacks or {}
     if count == 0:
-        return KernelBatchResult(np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if want_depths else None, {})
+        return KernelBatchResult(
+            np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if want_depths else None,
+            np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.uint64),
+            np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64) if track_stamps else None,
+        )
 
     order = np.argsort(rows, kind="stable")
     sorted_blocks = blocks[order]
@@ -302,16 +315,32 @@ def simulate_batch(
     cbounds = np.flatnonzero(new_row[keep])
     # per-row sentinel: differs from every block of the row in its set bits
     sentinel = (cblocks[cbounds] & np.uint64(set_mask)) ^ np.uint64(1)
-    batch = _Rows(cblocks, cbounds, np.diff(np.append(cbounds, collapsed)), row_ids, last_touch, sentinel)
+    # -- seed each touched row from the carried-in state, sentinel-padded
+    seed = np.empty((groups, width), dtype=np.uint64)
+    seed[:] = sentinel[:, None]
+    held = np.zeros(groups, dtype=np.int64)
+    if stacks is not None:
+        columns = min(width, int(stacks.shape[1]))
+        held = np.asarray(occupancy, dtype=np.int64)[row_ids]
+        np.copyto(
+            seed[:, :columns], stacks[row_ids, :columns],
+            where=np.arange(columns) < held[:, None],
+        )
+    batch = _Rows(
+        cblocks, cbounds, np.diff(np.append(cbounds, collapsed)), row_ids, sentinel, seed, held
+    )
 
     hits_c = np.zeros(collapsed, dtype=bool)
     depths_c = np.zeros(collapsed, dtype=np.int64) if need_depths else None
-    final_stacks: Dict[int, List[Tuple[int, int]]] = {}
+    # final state per row group; stamp codes are collapsed indices, or
+    # ``-1 - k`` for an entry carried untouched from seed slot ``k``
     if set_mask != 0 and policy == "lru":
-        _march_segments(
-            batch, width, ways_of_group, initial_stacks, track_stamps, hits_c, depths_c, final_stacks
-        )
+        final, codes = _march_segments(batch, width, hits_c, depths_c, track_stamps)
+        final_held = np.minimum((final != sentinel[:, None]).sum(axis=1), ways_of_group)
     else:
+        final = np.empty((groups, width), dtype=np.uint64)
+        codes = np.full((groups, width), -1, dtype=np.int64)
+        final_held = np.zeros(groups, dtype=np.int64)
         # -- route rows: FIFO rows that would march nearly alone (and every
         #    row of a maskless single-set geometry, where no sentinel value
         #    exists) take the exact replay instead
@@ -327,15 +356,18 @@ def simulate_batch(
         for g in np.flatnonzero(heavy).tolist():
             start = int(cbounds[g])
             stop = start + int(ccounts[g])
-            rid = int(row_ids[g])
-            final_stacks[rid] = _replay_row(
+            row_blocks, row_codes = _replay_row(
                 cblocks[start:stop], start, width, int(ways_of_group[g]), policy,
-                initial_stacks.get(rid, ()), hits_c[start:stop],
-                None if depths_c is None else depths_c[start:stop], track_stamps, last_touch,
+                seed[g, : held[g]].tolist(), hits_c[start:stop],
+                None if depths_c is None else depths_c[start:stop],
             )
+            final_held[g] = len(row_blocks)
+            final[g, : final_held[g]] = row_blocks
+            codes[g, : final_held[g]] = row_codes
         light = np.flatnonzero(~heavy)
         if light.size:
-            _march_fifo_rows(batch, light, width, initial_stacks, track_stamps, hits_c, final_stacks)
+            final[light], codes[light] = _march_fifo_rows(batch, light, width, hits_c, track_stamps)
+            final_held[light] = (final[light] != sentinel[light, None]).sum(axis=1)
 
     hits_sorted = np.empty(count, dtype=bool)
     hits_sorted[keep] = hits_c
@@ -355,25 +387,31 @@ def simulate_batch(
         # associativity (Mattson inclusion)
         per_ref_ways = ways[rows]
         hits = (depths >= 1) & (depths <= per_ref_ways)
-    return KernelBatchResult(hits, depths if want_depths else None, final_stacks)
+    sources = None
+    if track_stamps:
+        sources = np.where(codes >= 0, last_touch[np.maximum(codes, 0)], codes)
+    return KernelBatchResult(
+        hits, depths if want_depths else None, row_ids.astype(np.int64), final, final_held, sources
+    )
 
 
 class _Rows(NamedTuple):
     """A collapsed batch sorted by row.
 
     Row group ``g`` (row id ``ids[g]``) owns the collapsed references
-    ``blocks[bounds[g] : bounds[g] + counts[g]]``; ``last_touch`` maps a
-    collapsed index to the input-batch position behind its stamp, and
-    ``sentinel[g]`` is a value no block of the row can take (meaningless
-    when the set mask is 0).
+    ``blocks[bounds[g] : bounds[g] + counts[g]]``; ``sentinel[g]`` is a
+    value no block of the row can take (meaningless when the set mask is
+    0), and ``seed[g]`` is the row's carried-in stack, its first
+    ``held[g]`` entries valid and the rest ``sentinel[g]``.
     """
 
     blocks: np.ndarray
     bounds: np.ndarray
     counts: np.ndarray
     ids: np.ndarray
-    last_touch: np.ndarray
     sentinel: np.ndarray
+    seed: np.ndarray
+    held: np.ndarray
 
 
 class _Packed(NamedTuple):
@@ -502,23 +540,9 @@ def _merge(front, front_stamps, back, back_stamps, sentinel) -> Tuple[np.ndarray
     return merged, merged_stamps
 
 
-def _seed_rows(target: np.ndarray, at, row_ids, initial_stacks: Mapping[int, Sequence[int]]) -> None:
-    """Write each row's initial stack, trimmed to the width, into ``target[at[i]]``."""
-    width = int(target.shape[1])
-    flat: List[int] = []
-    slots: List[int] = []
-    for base, rid in zip((np.asarray(at) * width).tolist(), row_ids):
-        seed = list(initial_stacks.get(rid, ()))[:width]
-        flat.extend(seed)
-        slots.extend(range(base, base + len(seed)))
-    if flat:
-        target.reshape(-1)[slots] = np.array(flat, dtype=np.uint64)
-
-
 def _march_segments(
-    batch: _Rows, width: int, ways_of_group: np.ndarray, initial_stacks, track_stamps: bool,
-    hits_c: np.ndarray, depths_c: Optional[np.ndarray], final_stacks: Dict[int, List[Tuple[int, int]]],
-) -> None:
+    batch: _Rows, width: int, hits_c: np.ndarray, depths_c: Optional[np.ndarray], track_stamps: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate every LRU row as :data:`MARCH_SEGMENT_STEPS`-long segments.
 
     Pass 1 marches each segment from an empty stack; its final stack is
@@ -526,7 +550,8 @@ def _march_segments(
     first).  A doubling scan of :func:`_merge` over each row's summaries
     gives every segment its *seed* — the true stack at its start — and the
     row's final stack.  Pass 2 marches each segment from its seed and
-    records hits (and depths) into the collapsed-order outputs.
+    records hits (and depths) into the collapsed-order outputs.  Returns
+    every row group's final ``(groups, width)`` stack and its stamp codes.
     """
     groups = int(batch.ids.size)
     packed = _pack(batch, np.arange(groups), MARCH_SEGMENT_STEPS)
@@ -541,7 +566,7 @@ def _march_segments(
         summary_stamps = packed.start + _last_step(stack, packed.matrix)
 
     # scan elements: row g owns elements first[g] .. first[g] + its segment
-    # count, its initial stack followed by its segments' summaries
+    # count, its carried-in stack followed by its segments' summaries
     seed_at = np.arange(columns) + packed.group
     per_row = np.bincount(packed.group, minlength=groups)
     first = np.cumsum(per_row + 1) - (per_row + 1)
@@ -551,7 +576,8 @@ def _march_segments(
     elements = np.empty((int(element_group.size), width), dtype=np.uint64)
     elements[:] = sentinel[:, None]
     stamps = np.full(elements.shape, -1, dtype=np.int64)
-    _seed_rows(elements, first, batch.ids.tolist(), initial_stacks)
+    elements[first] = batch.seed
+    stamps[first] = -1 - np.arange(width)
     elements[seed_at + 1] = stack.T
     stamps[seed_at + 1] = summary_stamps.T
     # Hillis-Steele inclusive scan: element i becomes the merge of elements
@@ -567,7 +593,7 @@ def _march_segments(
         distance *= 2
 
     stack = np.ascontiguousarray(elements[seed_at].T)
-    # only first segments are padded, and their seed is the initial stack
+    # only first segments are padded, and their seed is the carried-in stack
     packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
     record = np.empty((int(packed.matrix.shape[0]), 1 if depths_c is None else width, columns), dtype=bool)
     _march(packed.matrix, stack, True, record)
@@ -578,48 +604,31 @@ def _march_segments(
         depths_c[:] = record.sum(axis=1).T.reshape(-1)[packed.cells] + 1
         depths_c[depths_c > width] = 0
     final_at = first + per_row
-    _store_final_stacks(
-        batch, elements[final_at], stamps[final_at], batch.sentinel, np.arange(groups),
-        ways_of_group, final_stacks,
-    )
+    return elements[final_at], stamps[final_at]
 
 
 def _march_fifo_rows(
-    batch: _Rows, light: np.ndarray, width: int, initial_stacks, track_stamps: bool,
-    hits_c: np.ndarray, final_stacks: Dict[int, List[Tuple[int, int]]],
-) -> None:
-    """March the non-skewed FIFO rows whole, one column per row."""
+    batch: _Rows, light: np.ndarray, width: int, hits_c: np.ndarray, track_stamps: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """March the non-skewed FIFO rows whole, one column per row.
+
+    Returns the ``light`` rows' final ``(rows, width)`` stacks and their
+    stamp codes.
+    """
     packed = _pack(batch, light, int(batch.counts[light].max()))
-    columns = int(light.size)
-    stack = np.empty((columns, width), dtype=np.uint64)
-    stack[:] = packed.sentinel[:, None]
-    _seed_rows(stack, np.arange(columns), batch.ids[light].tolist(), initial_stacks)
-    stack = np.ascontiguousarray(stack.T)
+    stack = np.ascontiguousarray(batch.seed[light].T)
     packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
-    record = np.empty((int(packed.matrix.shape[0]), 1, columns), dtype=bool)
+    record = np.empty((int(packed.matrix.shape[0]), 1, int(light.size)), dtype=bool)
     _march(packed.matrix, stack, False, record)
     misses = record[:, 0, :]
     hits_c[packed.refs] = ~misses.T.reshape(-1)[packed.cells]
     # a FIFO stamp is the block's last *fill*: its last missing step (hits,
-    # pads included, never update it); untouched seeded blocks keep -1
-    stamps = np.full(stack.shape, -1, dtype=np.int64)
+    # pads included, never update it).  Fills push down the whole queue, so
+    # the ``filled`` entries with a fill in this batch sit on top and the
+    # seed's survivors follow in their seed order
+    codes = np.full(stack.shape, -1, dtype=np.int64)
     if track_stamps:
         step = _last_step(stack, packed.matrix, misses)
-        stamps = np.where(step >= 0, packed.start + step, -1)
-    _store_final_stacks(
-        batch, stack.T, stamps.T, packed.sentinel, light, np.full(columns, width), final_stacks
-    )
-
-
-def _store_final_stacks(batch: _Rows, stacks, stamps, sentinel, group, depth_cap, final_stacks) -> None:
-    """Trim ``(n, width)`` stacks to occupancy and ways, and emit them.
-
-    ``stamps`` hold collapsed indices (``-1`` = untouched), which become
-    input-batch positions via ``batch.last_touch``.
-    """
-    keep = np.minimum((stacks != sentinel[:, None]).sum(axis=1), depth_cap).tolist()
-    stamps = np.where(stamps >= 0, batch.last_touch[np.maximum(stamps, 0)], -1)
-    rows = zip(stacks.tolist(), stamps.tolist(), keep)
-    final_stacks.update(
-        zip(batch.ids[group].tolist(), [list(zip(blocks[:k], row[:k])) for blocks, row, k in rows])
-    )
+        filled = (step >= 0).sum(axis=0)
+        codes = np.where(step >= 0, packed.start + step, filled - 1 - np.arange(width)[:, None])
+    return stack.T, codes.T

@@ -337,6 +337,11 @@ class OrderedChunkWriter:
             while self._pending:
                 self._drain_one()
         finally:
+            # the callback is usually a bound method of this writer's owner
+            # (an ``AtcEncoder``); dropping it breaks the reference cycle,
+            # so a closed owner and its buffers are freed at once instead of
+            # waiting for the cyclic garbage collector
+            self._write = None
             if self._owns_executor:
                 self._executor.close()
 
@@ -351,6 +356,7 @@ class OrderedChunkWriter:
         for _, future in self._pending:
             future.cancel()
         self._pending.clear()
+        self._write = None  # break the owner cycle, as in close()
         if self._owns_executor:
             self._executor.close(cancel=True)
 

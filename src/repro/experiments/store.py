@@ -122,19 +122,21 @@ class ResultStore:
         """
         path = self._path(unit_hash)
         try:
-            text = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             return None
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
-            self._quarantine(path)
-            return None
-        if not isinstance(data, dict):
-            self._quarantine(path)
-            return None
-        expected = data.pop(ENTRY_DIGEST_KEY, None)
-        if expected is not None and json_digest(data) != expected:
+            # entry bytes are untrusted: invalid UTF-8, oversized integers
+            # and nesting deep enough to exhaust the recursion limit are
+            # corruption like any other parse failure
+            data = json.loads(raw.decode("utf-8"))
+            intact = isinstance(data, dict)
+            if intact:
+                expected = data.pop(ENTRY_DIGEST_KEY, None)
+                intact = expected is None or json_digest(data) == expected
+        except (ValueError, RecursionError):
+            intact = False
+        if not intact:
             self._quarantine(path)
             return None
         return data

@@ -1,0 +1,143 @@
+"""Hand-over between the cache's two state forms.
+
+:class:`~repro.cache.cache.SetAssociativeCache` keeps its replacement
+state either as per-set ``{block: stamp}`` dicts (the serial oracle's
+form) or as ``(sets x ways)`` block/stamp matrices (the kernel's form),
+building each lazily from the other.  A state machine interleaves every
+access path and introspection call against an all-serial twin and checks
+that the two caches agree after every step; a streaming filter must stay
+on the matrices once its first chunk has run.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, SetAssociativeCache, access_batches
+from repro.traces.filter import CacheFilter, StreamingCacheFilter
+from repro.traces.spec_like import get_workload
+
+_block = st.integers(min_value=0, max_value=96)
+_lane = st.integers(min_value=0, max_value=1)
+
+
+def _tiled(pattern, length):
+    return (pattern * (length // len(pattern) + 1))[:length]
+
+
+# A short pattern repeated to kernel size (at least the batch length below
+# which access_batch goes serial) touches few sets and leaves older
+# residents untouched, so the kernel must carry their stamps; it also
+# shrinks fast.
+_pattern = st.lists(_block, min_size=1, max_size=12)
+_kernel_batch = st.builds(
+    _tiled, _pattern, st.integers(min_value=KERNEL_MIN_BATCH, max_value=KERNEL_MIN_BATCH + 64)
+)
+_fused_batch = st.builds(_tiled, _pattern, st.integers(min_value=0, max_value=KERNEL_MIN_BATCH))
+
+
+def _serial_hits(cache: SetAssociativeCache, blocks) -> list:
+    return [cache.access_block(block) for block in blocks]
+
+
+class CacheHandover(RuleBasedStateMachine):
+    """Two kernel-driven lanes against two serial twins."""
+
+    @initialize(
+        policy=st.sampled_from(["lru", "fifo"]),
+        ways=st.sampled_from([2, 4]),
+        sets=st.sampled_from([2, 4, 8]),
+    )
+    def build(self, policy, ways, sets):
+        configs = (
+            CacheConfig(num_sets=sets, associativity=ways, policy=policy),
+            CacheConfig(num_sets=8, associativity=2, policy="lru"),
+        )
+        self.subject = [SetAssociativeCache(config) for config in configs]
+        self.twin = [SetAssociativeCache(config) for config in configs]
+
+    @rule(lane=_lane, block=_block)
+    def access_block(self, lane, block):
+        assert self.subject[lane].access_block(block) == self.twin[lane].access_block(block)
+
+    @rule(lane=_lane, block=_block)
+    def write_block(self, lane, block):
+        expected = self.twin[lane].access_block_rw(block, is_write=True)
+        assert self.subject[lane].access_block_rw(block, is_write=True) == expected
+
+    @rule(lane=_lane, blocks=_kernel_batch)
+    def access_batch(self, lane, blocks):
+        hits = self.subject[lane].access_batch(np.array(blocks, dtype=np.uint64))
+        assert hits.tolist() == _serial_hits(self.twin[lane], blocks)
+
+    @rule(first=_fused_batch, second=_fused_batch)
+    def fused_batches(self, first, second):
+        masks = access_batches(
+            self.subject, [np.array(first, dtype=np.uint64), np.array(second, dtype=np.uint64)]
+        )
+        for mask, twin, blocks in zip(masks, self.twin, (first, second)):
+            assert mask.tolist() == _serial_hits(twin, blocks)
+
+    @rule(lane=_lane)
+    def flush(self, lane):
+        self.subject[lane].flush()
+        self.twin[lane].flush()
+
+    @rule(lane=_lane)
+    def reset(self, lane):
+        self.subject[lane].reset()
+        self.twin[lane].reset()
+
+    @rule(lane=_lane, block=_block)
+    def contains_block(self, lane, block):
+        assert self.subject[lane].contains_block(block) == self.twin[lane].contains_block(block)
+
+    @rule(lane=_lane)
+    def resident_blocks(self, lane):
+        assert self.subject[lane].resident_blocks() == self.twin[lane].resident_blocks()
+
+    @rule(lane=_lane)
+    def dirty_blocks(self, lane):
+        assert self.subject[lane].dirty_blocks() == self.twin[lane].dirty_blocks()
+
+    @invariant()
+    def same_state(self):
+        for subject, twin in zip(self.subject, self.twin):
+            assert subject.stats == twin.stats
+            # read the dicts off a copy, so checking never changes which
+            # state form the next step starts from
+            assert copy.deepcopy(subject)._sets == twin._sets
+            assert subject._dirty == twin._dirty
+            assert subject._clock == twin._clock
+
+
+CacheHandover.TestCase.settings = settings(
+    max_examples=100,
+    stateful_step_count=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestCacheHandover = CacheHandover.TestCase
+
+
+def test_streaming_filter_stays_on_the_matrices(monkeypatch):
+    """After the first chunk, no handoff builds a per-set dict."""
+    stream = get_workload("433.milc").reference_stream(6 * 8192, seed=0)
+    chunks = list(stream.iter_chunks(8192))
+    assert len(chunks) >= 5
+    streaming = StreamingCacheFilter()
+    misses = [streaming.filter_chunk(chunks[0])]
+
+    def refuse(self):
+        raise AssertionError("a kernel handoff materialised the per-set dicts")
+
+    monkeypatch.setattr(SetAssociativeCache, "_materialise_sets", refuse)
+    for chunk in chunks[1:]:
+        misses.append(streaming.filter_chunk(chunk))
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate(misses), CacheFilter().miss_blocks(stream))

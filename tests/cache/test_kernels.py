@@ -277,7 +277,7 @@ class TestKernelRouting:
             np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), 7, 4
         )
         assert result.hits.size == 0
-        assert result.final_stacks == {}
+        assert result.rows.size == 0 and result.stacks.size == 0
 
 
 class TestFilterKernelPaths:

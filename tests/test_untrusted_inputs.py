@@ -15,6 +15,13 @@ yield a body no longer than the configured cap, exactly the body a strict
 RFC 9112 framing reader finds.  A file opened as a sidecar
 (``SidecarReader(...).take(n)``) raises ``TraceFormatError`` or yields
 records.
+
+The same holds at two more read boundaries.  A fixed-record binary dump
+(``iter_binary_records`` over any drawn ``BinaryLayout``) raises
+``TraceFormatError`` exactly when a partial record trails, and otherwise
+yields the addresses a pure-Python ``int.from_bytes`` oracle decodes.  A
+``ResultStore`` entry of any bytes reads as a dict or as a quarantined
+miss, never an exception.
 """
 
 from __future__ import annotations
@@ -33,9 +40,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, TraceFormatError
+from repro.experiments.store import ResultStore
 from repro.service.cache import pack_container, unpack_container
 from repro.service.http import HttpError, Request, read_request
 from repro.traces.formats.base import TraceRecords
+from repro.traces.formats.binary import BinaryLayout, iter_binary_records
 from repro.traces.formats.sidecar import SidecarReader, SidecarWriter
 from repro.traces.formats.text import (
     iter_k6_records,
@@ -327,3 +336,87 @@ def test_sidecar_files_yield_format_errors_or_records(data, count):
         except TraceFormatError:
             return
         assert kinds.shape == cycles.shape == (count,)
+
+
+class _ShortReads(io.BytesIO):
+    """A stream that returns at most ``limit`` bytes per read, like a pipe."""
+
+    def __init__(self, data: bytes, limit: int) -> None:
+        super().__init__(data)
+        self.limit = limit
+
+    def read(self, size=-1):
+        return super().read(self.limit if size is None or size < 0 else min(size, self.limit))
+
+
+@st.composite
+def binary_layouts(draw):
+    record_bytes = draw(st.integers(min_value=1, max_value=24))
+    address_bytes = draw(st.integers(min_value=1, max_value=min(8, record_bytes)))
+    return BinaryLayout(
+        record_bytes=record_bytes,
+        address_offset=draw(st.integers(min_value=0, max_value=record_bytes - address_bytes)),
+        address_bytes=address_bytes,
+        byteorder=draw(st.sampled_from(("little", "big"))),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    layout=binary_layouts(),
+    chunk_records=st.integers(min_value=1, max_value=40),
+    read_limit=st.integers(min_value=1, max_value=600),
+    data=st.binary(max_size=600),
+)
+def test_binary_records_match_the_int_from_bytes_oracle(layout, chunk_records, read_limit, data):
+    size = layout.record_bytes
+    complete = len(data) // size
+    expected = [
+        int.from_bytes(
+            data[i * size + layout.address_offset : i * size + layout.address_offset + layout.address_bytes],
+            layout.byteorder,
+        )
+        for i in range(complete)
+    ]
+    addresses, cycles = [], []
+    try:
+        for chunk in iter_binary_records(_ShortReads(data, read_limit), chunk_records, layout):
+            addresses.extend(chunk.addresses.tolist())
+            cycles.extend(chunk.cycles.tolist())
+    except TraceFormatError:
+        assert len(data) % size != 0
+    else:
+        assert len(data) % size == 0
+    # complete records are all yielded, in order, before any error
+    assert addresses == expected
+    assert cycles == list(range(complete))
+
+
+def _store_entry() -> bytes:
+    with tempfile.TemporaryDirectory() as scratch:
+        ResultStore(scratch).put("a" * 64, {"bits_per_address": 1.5, "cells": [1, 2, 3]})
+        return (Path(scratch) / ("a" * 64 + ".json")).read_bytes()
+
+
+STORE_SEED = _store_entry()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.one_of(
+        st.binary(max_size=256),
+        st.builds(_mutate, st.just(STORE_SEED), st.lists(_mutation, min_size=1, max_size=4)),
+    )
+)
+@example(data=b"\xff\xfe not utf-8")
+@example(data=b"[" * 100_000)
+def test_store_entries_read_as_dicts_or_quarantined_misses(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        store = ResultStore(scratch)
+        entry = Path(scratch) / ("b" * 64 + ".json")
+        entry.write_bytes(data)
+        result = store.get("b" * 64)
+        if result is None:
+            assert store.integrity_evictions == 1 and not entry.exists()
+        else:
+            assert isinstance(result, dict) and store.integrity_evictions == 0
