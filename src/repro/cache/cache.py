@@ -282,19 +282,19 @@ class SetAssociativeCache:
 
         * direct-mapped caches take a fully vectorised NumPy path (a hit is
           an access equal to the previous access of the same set);
-        * LRU and FIFO set-associative caches run on the set-parallel
-          stack kernel (:mod:`repro.core.kernels`), which advances every
-          set's recency stack with whole-array operations;
-        * RANDOM replacement (whose RNG draws depend on global access
-          order), caches holding dirty blocks (whose evictions must count
-          write-backs) and batches shorter than :data:`KERNEL_MIN_BATCH`
-          run the exact serial loop.
+        * LRU set-associative caches run on the set-parallel stack kernel
+          (:mod:`repro.core.kernels`), which advances every set's recency
+          stack with whole-array operations;
+        * FIFO and RANDOM replacement (the paper's filter and sweeps are
+          LRU-only, so neither has an array path), caches holding dirty
+          blocks (whose evictions must count write-backs) and batches
+          shorter than :data:`KERNEL_MIN_BATCH` run the exact serial loop.
         """
         array = _as_block_array(blocks)
         count = int(array.size)
         if count == 0:
             return np.zeros(0, dtype=bool)
-        if self.config.policy == "random" or self._dirty_block_count:
+        if self.config.policy != "lru" or self._dirty_block_count:
             return self._access_batch_serial(array)
         if self.config.associativity == 1:
             return self._access_batch_direct(array)
@@ -318,7 +318,7 @@ class SetAssociativeCache:
         return hits
 
     def _access_batch_direct(self, array: np.ndarray) -> np.ndarray:
-        """Vectorised batch access for direct-mapped caches.
+        """Vectorised batch access for direct-mapped LRU caches.
 
         With one way per set the resident block is simply the last block
         accessed in that set, so after a stable sort by set index a hit is
@@ -339,7 +339,6 @@ class SetAssociativeCache:
         group_starts = np.flatnonzero(~same_set)
         group_bounds = np.append(group_starts, count)
         clock_start = self._clock
-        is_lru = self.config.policy == "lru"
         newly_filled = 0
         sets = self._writable_sets()
         for group in range(group_starts.size):
@@ -351,18 +350,9 @@ class SetAssociativeCache:
                 hits_sorted[start] = int(sorted_blocks[start]) == resident
             else:
                 newly_filled += 1
-            final_block = int(sorted_blocks[end - 1])
-            if is_lru:
-                # LRU stamp = clock at the last touch of the set.
-                stamp_position = int(order[end - 1])
-            else:
-                # FIFO stamp = clock at the last fill (miss) of the set.
-                group_misses = np.flatnonzero(~hits_sorted[start:end])
-                if group_misses.size == 0:
-                    continue  # all hits: resident block and stamp unchanged
-                stamp_position = int(order[start + int(group_misses[-1])])
+            # the LRU stamp is the clock at the last touch of the set
             cache_set.clear()
-            cache_set[final_block] = clock_start + stamp_position + 1
+            cache_set[int(sorted_blocks[end - 1])] = clock_start + int(order[end - 1]) + 1
         hit_count = int(np.count_nonzero(hits_sorted))
         miss_count = count - hit_count
         self.stats.accesses += count
@@ -375,7 +365,7 @@ class SetAssociativeCache:
         return hits
 
     def _access_batch_kernel(self, array: np.ndarray) -> np.ndarray:
-        """Batch access on the set-parallel array kernel (LRU/FIFO, clean).
+        """Batch access on the set-parallel array kernel (LRU, clean).
 
         Delegates the simulation to :func:`repro.core.kernels.simulate_batch`,
         seeded from and written back to the cache's block/stamp matrices.
@@ -394,7 +384,6 @@ class SetAssociativeCache:
                 (piece & np.uint64(self._set_mask)).astype(np.int32),
                 self._set_mask,
                 self.config.associativity,
-                self.config.policy,
                 blocks,
                 occupancy,
             )
@@ -432,8 +421,8 @@ class SetAssociativeCache:
         """The ``(blocks, stamps, occupancy)`` matrices, built on demand.
 
         Stamps are unique clock values, so sorting each set's entries by
-        stamp, newest first, recovers the recency (LRU) or fill (FIFO)
-        order the kernel's stacks encode.
+        stamp, newest first, recovers the recency order the kernel's
+        stacks encode.
         """
         if self._table is None:
             config = self.config
@@ -467,11 +456,9 @@ class SetAssociativeCache:
         growth = 0
         if rows.size:
             blocks, stamps, held = self._table
-            ways = self.config.associativity
-            sources = sources[:, :ways]
             carried = np.take_along_axis(stamps[rows], np.maximum(-1 - sources, 0), axis=1)
             stamps[rows] = np.where(sources >= 0, sources + (self._clock + 1 - first), carried)
-            blocks[rows] = stacks[:, :ways]
+            blocks[rows] = stacks
             growth = int(occupancy.sum()) - int(held[rows].sum())
             held[rows] = occupancy
             self._set_dicts = None
@@ -532,13 +519,14 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     """Batch-access several *independent* caches in one fused kernel call.
 
     The set-parallel kernel amortises its per-time-step cost over every
-    simulated set, so independent caches — the filter's L1I and L1D pair,
-    per-core filter caches — simulate fastest when their sets share one
+    simulated set, so independent caches of one associativity — the
+    filter's L1I and L1D pair — simulate fastest when their sets share one
     row space and march together.  Each cache's counters, stamps, resident
     blocks and hit mask come out exactly as if ``cache.access_batch(blocks)``
-    had been called per cache (the fallback this function takes whenever a
-    cache is ineligible for the kernel: RANDOM replacement, dirty blocks,
-    direct-mapped or single-set geometry, or a tiny total batch).
+    had been called per cache (the fallback this function takes whenever
+    the caches are ineligible for fusion: mixed associativities, a non-LRU
+    policy, dirty blocks, direct-mapped or single-set geometry, or a tiny
+    total batch).
 
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
@@ -564,12 +552,14 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
             f"got {len(caches)} caches but {len(arrays)} block batches"
         )
     total = sum(int(array.size) for array in arrays)
+    ways = caches[0].config.associativity if caches else 0
     fusable = (
         len(caches) >= 2
         and total >= KERNEL_MIN_BATCH
+        and ways >= 2
         and all(
             cache.config.policy == "lru"
-            and cache.config.associativity >= 2
+            and cache.config.associativity == ways
             and cache.config.num_sets >= 2
             and not cache._dirty_block_count
             for cache in caches
@@ -582,16 +572,6 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     for cache in caches:
         row_bases.append(base)
         base += cache.config.num_sets
-    associativities = {cache.config.associativity for cache in caches}
-    if len(associativities) == 1:
-        ways = caches[0].config.associativity
-    else:
-        ways = np.concatenate(
-            [
-                np.full(cache.config.num_sets, cache.config.associativity, dtype=np.int64)
-                for cache in caches
-            ]
-        )
     set_mask = max(cache._set_mask for cache in caches)
     # march in bounded joint slices: each cache's replacement state carries
     # from one slice to the next, so the result is identical to one shot
@@ -608,8 +588,8 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
 def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
     """One fused kernel pass over aligned per-cache batch slices.
 
-    The lanes' block matrices stack into one row space (padded to the
-    widest associativity) and the touched rows split back by row range.
+    The lanes' block matrices stack into one row space and the touched
+    rows split back by row range.
     """
     from repro.core.kernels import simulate_batch
 
@@ -620,15 +600,14 @@ def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.nd
             for cache, piece, row_base in zip(caches, pieces, row_bases)
         ]
     )
-    width = max(cache.config.associativity for cache in caches)
     row_count = row_bases[-1] + caches[-1].config.num_sets
-    stacks = np.empty((row_count, width), dtype=np.uint64)
+    stacks = np.empty((row_count, ways), dtype=np.uint64)
     occupancy = np.empty(row_count, dtype=np.int64)
     for cache, row_base in zip(caches, row_bases):
         blocks, _, held = cache._kernel_table()
-        stacks[row_base : row_base + cache.config.num_sets, : blocks.shape[1]] = blocks
+        stacks[row_base : row_base + cache.config.num_sets] = blocks
         occupancy[row_base : row_base + cache.config.num_sets] = held
-    result = simulate_batch(np.concatenate(pieces), rows, set_mask, ways, "lru", stacks, occupancy)
+    result = simulate_batch(np.concatenate(pieces), rows, set_mask, ways, stacks, occupancy)
     cuts = np.searchsorted(result.rows, row_bases + [row_count]).tolist()
     slice_hits: List[np.ndarray] = []
     for lane, cache in enumerate(caches):

@@ -175,7 +175,6 @@ class LruStackSimulator:
                 (piece & np.uint64(self._set_mask)).astype(np.int32),
                 self._set_mask,
                 self.max_associativity,
-                "lru",
                 stacks,
                 depth,
                 want_depths=True,

@@ -319,7 +319,7 @@ class AtcDecoder:
         self.metadata = metadata
         self.records = records
         self._chunk_codec = LosslessCodec(
-            buffer_addresses=int(metadata.get("chunk_buffer_addresses", 1_000_000)),
+            buffer_addresses=metadata.get("chunk_buffer_addresses", 1_000_000),
             backend=self.container.backend,
         )
         self._chunk_digests = parse_chunk_digests(metadata)
@@ -438,7 +438,7 @@ class AtcDecoder:
             for chunk in rechunk(self.iter_intervals(), chunk_addresses):
                 produced += int(chunk.size)
                 yield chunk
-            expected = int(self.metadata.get("original_length", produced))
+            expected = self.metadata.get("original_length", produced)
             if produced != expected:
                 raise CodecError(
                     f"container decodes to {produced} addresses but INFO records {expected}"
@@ -484,7 +484,7 @@ class AtcDecoder:
         if not intervals:
             return np.empty(0, dtype=np.uint64)
         result = np.concatenate(intervals)
-        expected = int(self.metadata.get("original_length", result.size))
+        expected = self.metadata.get("original_length", result.size)
         if int(result.size) != expected:
             raise CodecError(
                 f"container decodes to {result.size} addresses but INFO records {expected}"
@@ -500,7 +500,7 @@ class AtcDecoder:
     @property
     def format_version(self) -> int:
         """Container format version (1 = unchecked, 2 = digest-protected)."""
-        return int(self.metadata.get("format_version", 1))
+        return self.metadata.get("format_version", 1)
 
     @property
     def chunk_digests(self) -> Dict[int, str]:
@@ -513,7 +513,7 @@ class AtcDecoder:
 
     def bits_per_address(self) -> float:
         """On-disk bits per original address."""
-        count = int(self.metadata.get("original_length", 0))
+        count = self.metadata.get("original_length", 0)
         if count == 0:
             return 0.0
         return 8.0 * self.compressed_bytes() / count

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.backend import CompressionBackend, get_backend
-from repro.core.integrity import FOOTER_BYTES, footer_digest, verify_chunk_payload
+from repro.core.integrity import FOOTER_BYTES, footer_digest, parse_chunk_digests, verify_chunk_payload
 from repro.core.intervals import IntervalRecord
 from repro.errors import CodecError, ContainerError, IntegrityError
 
@@ -115,6 +115,48 @@ def deserialize_interval_trace(payload: bytes) -> List[IntervalRecord]:
             )
         )
     return records
+
+
+#: INFO metadata fields that readers act on, with the JSON type each must have.
+_METADATA_TYPES = {
+    "backend": str,
+    "chunk_buffer_addresses": int,
+    "chunk_digests": dict,
+    "format_version": int,
+    "original_length": int,
+}
+
+
+def _check_metadata(metadata: Dict, version: int, target: Path) -> None:
+    """Reject INFO metadata whose fields readers act on are unusable.
+
+    A v2 footer digest is a checksum, not a signature: a rewritten INFO
+    with a recomputed footer can carry any JSON.  So the fields readers
+    act on are checked once, here, instead of trusted by every reader:
+    their types (``bool`` is not an ``int``), ``format_version`` against
+    the stream's magic, the two counts' ranges, and the ``chunk_digests``
+    table, which a v2 stream must carry (dropping it would silently turn
+    chunk verification off).
+    """
+    for key, kind in _METADATA_TYPES.items():
+        if key in metadata and type(metadata[key]) is not kind:
+            raise ContainerError(
+                f"{target}: INFO metadata field {key!r} is not a JSON {kind.__name__}: "
+                f"{metadata[key]!r:.60}"
+            )
+    if metadata.get("format_version", 1) != version:
+        raise ContainerError(
+            f"{target}: INFO metadata claims format_version {metadata['format_version']} "
+            f"in a v{version} stream"
+        )
+    if version == 2 and "chunk_digests" not in metadata:
+        raise ContainerError(f"{target}: v2 INFO metadata has no chunk_digests table")
+    if metadata.get("chunk_buffer_addresses", 1) < 1 or metadata.get("original_length", 0) < 0:
+        raise ContainerError(f"{target}: INFO metadata holds a negative or zero count")
+    try:
+        parse_chunk_digests(metadata)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{target}: {exc}", path=target) from exc
 
 
 class AtcContainer:
@@ -218,9 +260,9 @@ class AtcContainer:
         32-byte SHA-256 of every preceding body byte as a footer, all
         inside the compressed stream.
         """
-        version = int(metadata.get("format_version", 1))
-        if version not in (1, 2):
-            raise ContainerError(f"unsupported container format version {version}")
+        version = metadata.get("format_version", 1)
+        if type(version) is not int or version not in (1, 2):
+            raise ContainerError(f"unsupported container format version {version!r}")
         header = json.dumps(metadata, sort_keys=True).encode("utf-8")
         interval_payload = serialize_interval_trace(records)
         body = (
@@ -242,7 +284,8 @@ class AtcContainer:
         Reads both format versions.  For v2 the footer digest is verified
         before anything is parsed, so a corrupted INFO raises
         :class:`~repro.errors.IntegrityError`; a stream that is not an ATC
-        INFO at all (bad magic, truncated header) raises a plain
+        INFO at all (bad magic, truncated header) or whose metadata fails
+        :func:`_check_metadata` raises a plain
         :class:`~repro.errors.ContainerError` naming the file.
         """
         target = self._info_path()
@@ -273,10 +316,14 @@ class AtcContainer:
                     f"{target}: INFO footer digest mismatch (metadata is corrupt)",
                     path=target,
                 )
-            return self._parse_info_body(payload, len(_INFO_MAGIC_V2), target)
-        if body.startswith(_INFO_MAGIC_V1):
-            return self._parse_info_body(body, len(_INFO_MAGIC_V1), target)
-        raise ContainerError(f"{target}: INFO stream has an unknown magic; not an ATC container")
+            metadata, records = self._parse_info_body(payload, len(_INFO_MAGIC_V2), target)
+            _check_metadata(metadata, 2, target)
+        elif body.startswith(_INFO_MAGIC_V1):
+            metadata, records = self._parse_info_body(body, len(_INFO_MAGIC_V1), target)
+            _check_metadata(metadata, 1, target)
+        else:
+            raise ContainerError(f"{target}: INFO stream has an unknown magic; not an ATC container")
+        return metadata, records
 
     def _parse_info_body(self, body: bytes, offset: int, target: Path) -> Tuple[Dict, List[IntervalRecord]]:
         """Parse the header + interval trace of a decompressed INFO body.

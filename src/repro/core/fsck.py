@@ -235,10 +235,10 @@ def scrub_container(path) -> ContainerScrub:
         scrub.info_status = "malformed"
         scrub.info_detail = str(exc)
         return scrub
-    scrub.format_version = int(metadata.get("format_version", 1))
+    scrub.format_version = metadata.get("format_version", 1)
     digests = parse_chunk_digests(metadata)
     codec = LosslessCodec(
-        buffer_addresses=int(metadata.get("chunk_buffer_addresses", 1_000_000)),
+        buffer_addresses=metadata.get("chunk_buffer_addresses", 1_000_000),
         backend=container.backend,
     )
     referenced = sorted(
@@ -334,7 +334,7 @@ def repair_container(source, destination) -> RepairReport:
     }
     new_metadata["salvage"] = {
         "source": str(source),
-        "original_length": int(metadata.get("original_length", 0)),
+        "original_length": metadata.get("original_length", 0),
         "damaged_chunks": bad,
         "records_dropped": len(records) - len(kept),
     }
@@ -347,7 +347,7 @@ def repair_container(source, destination) -> RepairReport:
         records_kept=len(kept),
         records_dropped=len(records) - len(kept),
         salvaged_addresses=int(salvaged_addresses),
-        original_addresses=int(metadata.get("original_length", 0)),
+        original_addresses=metadata.get("original_length", 0),
     )
 
 

@@ -112,5 +112,5 @@ def analyze_container(directory) -> LossyTraceReport:
         translated_byte_histogram=translated.tolist(),
         chunk_bytes=chunk_bytes,
         interval_trace_bytes=max(decoder.compressed_bytes() - chunk_bytes, 0),
-        original_length=int(decoder.metadata.get("original_length", 0)),
+        original_length=decoder.metadata.get("original_length", 0),
     )

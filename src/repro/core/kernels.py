@@ -1,4 +1,4 @@
-"""Array-native cache-simulation kernels: one stack engine for LRU and FIFO.
+"""Array-native cache-simulation kernel: one LRU stack engine.
 
 The cache filter is the pipeline's dominant stage — every reference the
 paper compresses first passes through the L1 simulation — and the serial
@@ -8,14 +8,14 @@ NumPy array operations:
 
 1. **Sort by set.**  Accesses to different cache sets never interact, so
    the batch is stably sorted by a caller-supplied *row* index (one row
-   per ``(cache lane, set)`` pair; independent caches — e.g. the filter's
-   L1I and L1D — fuse into one row space and simulate in a single call).
+   per ``(cache lane, set)`` pair; independent caches of one
+   associativity — e.g. the filter's L1I and L1D — fuse into one row
+   space and simulate in a single call).
 2. **Collapse repeat runs.**  A reference equal to the immediately
-   preceding reference of the same row is a guaranteed depth-1 hit under
-   both LRU and FIFO and leaves the replacement state untouched, so
-   consecutive duplicates (the bulk of instruction streams) are resolved
-   without simulating them.
-3. **March LRU rows as segments.**  Every row is cut into segments of
+   preceding reference of the same row is a guaranteed depth-1 hit and
+   leaves the recency stack untouched, so consecutive duplicates (the
+   bulk of instruction streams) are resolved without simulating them.
+3. **March rows as segments.**  Every row is cut into segments of
    :data:`MARCH_SEGMENT_STEPS` collapsed references, one column each of a
    time-major step matrix; one vector step per time index advances every
    segment's ways-major recency stack at once (an equality scan yields
@@ -28,12 +28,11 @@ NumPy array operations:
    seed in O(log segments) vectorised rounds, however skewed a row is.
    Pass 2 marches each segment from its seed and records hits and depths:
    ``2 × MARCH_SEGMENT_STEPS`` Python-level steps per batch.
-4. **FIFO and single-set geometries.**  FIFO has no stack merge, so its
-   rows march whole in the same step loop, and a row so much longer than
-   the rest that it would march nearly alone (or any row of a maskless
-   single-set geometry, where no padding sentinel exists) is replayed
-   exactly with per-reference list operations — the kernel's built-in
-   semantics oracle.  Every path is bit-identical to the serial
+4. **Sentinels.**  Empty stack slots and segment padding hold a per-row
+   value no block of the row takes: the row's set index with bit 0
+   flipped, or — for a maskless single-set geometry, whose blocks share
+   no set bits — the smallest integer absent from the batch and the
+   carried-in stacks.  The result is bit-identical to the serial
    simulators by construction and by the equivalence suite in
    ``tests/cache/test_kernels.py``.
 
@@ -45,20 +44,20 @@ of every reference (one pass gives the whole miss-ratio curve, consumed by
 the cache filter and hierarchy emit.
 
 State crosses the kernel boundary as arrays.  A caller holds a
-``(rows, width)`` ``uint64`` block matrix, each row most recently used
-(LRU) / most recently filled (FIFO) first, plus a per-row occupancy; the
-kernel gathers the touched rows as its seeds and hands back the same
-layout for exactly those rows, together with each entry's *stamp source*
-(the batch position that set its stamp, or the seed slot it was carried
-from untouched).  Callers scatter the rows back into their matrices and
-carry them into the next batch, which is what makes chunked streaming
-byte-identical to one-shot simulation without any per-set Python work.
+``(rows, ways)`` ``uint64`` block matrix, each row most recently used
+first, plus a per-row occupancy; the kernel gathers the touched rows as
+its seeds and hands back the same layout for exactly those rows,
+together with each entry's *stamp source* (the batch position of its
+last touch, or the seed slot it was carried from untouched).  Callers
+scatter the rows back into their matrices and carry them into the next
+batch, which is what makes chunked streaming byte-identical to one-shot
+simulation without any per-set Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,19 +69,6 @@ __all__ = ["KernelBatchResult", "simulate_batch"]
 #: passes of the segment march take this many steps per batch.
 MARCH_SEGMENT_STEPS = 64
 
-#: FIFO rows with fewer references than this never take the replay path.
-REPLAY_MIN_ROW_REFS = 64
-
-#: A whole-row FIFO march pays a fixed cost per time step, so it stays
-#: ahead of per-reference replay only while at least this many rows are
-#: still marching; rows longer than the ``MARCH_MIN_ACTIVE_ROWS``-th
-#: largest row would march nearly alone and are replayed instead.
-MARCH_MIN_ACTIVE_ROWS = 13
-
-#: Hard cap on a FIFO march's time axis relative to the mean row length
-#: (it bounds the padded step matrix's memory even when many rows are long).
-REPLAY_SKEW_FACTOR = 8
-
 
 @dataclass
 class KernelBatchResult:
@@ -92,21 +78,18 @@ class KernelBatchResult:
         hits: Boolean hit mask, aligned with the input references.
         depths: Per-reference LRU stack depth (1-based), ``0`` when the
             block was beyond the tracked ``ways`` (a cold or deep miss).
-            ``None`` unless depths were requested (LRU only).
+            ``None`` unless depths were requested.
         rows: The touched row ids, ascending; the three state fields
             below have one row per entry, in this order.
-        stacks: ``(len(rows), width)`` ``uint64`` replacement state after
-            the batch, most recently used (LRU) / most recently filled
-            (FIFO) first; only the first ``occupancy[i]`` entries of row
-            ``i`` are meaningful.
-        occupancy: Resident blocks per touched row, trimmed to the row's
-            associativity.
-        sources: ``(len(rows), width)`` ``int64`` stamp source of each
-            entry: ``p >= 0`` is the input-batch position of the reference
-            that set the block's stamp (the last touch for LRU, the last
-            fill for FIFO); ``-1 - k`` means the block was carried
-            untouched from slot ``k`` of the row's seed, so its old stamp
-            still stands.  ``None`` when stamp tracking is disabled.
+        stacks: ``(len(rows), ways)`` ``uint64`` recency stacks after the
+            batch, most recently used first; only the first
+            ``occupancy[i]`` entries of row ``i`` are meaningful.
+        occupancy: Resident blocks per touched row.
+        sources: ``(len(rows), ways)`` ``int64`` stamp source of each
+            entry: ``p >= 0`` is the input-batch position of the block's
+            last touch; ``-1 - k`` means the block was carried untouched
+            from slot ``k`` of the row's seed, so its old stamp still
+            stands.  ``None`` when stamp tracking is disabled.
     """
 
     hits: np.ndarray
@@ -117,126 +100,37 @@ class KernelBatchResult:
     sources: Optional[np.ndarray]
 
 
-def _replay_row(
-    row_blocks: np.ndarray,
-    base: int,
-    width: int,
-    row_ways: int,
-    policy: str,
-    initial: Sequence[int],
-    hits_out: np.ndarray,
-    depths_out: Optional[np.ndarray],
-) -> Tuple[List[int], List[int]]:
-    """Exact replay of one skewed FIFO row or single-set row (the oracle).
-
-    Operates on the collapsed reference array of a single row (``base`` is
-    its first collapsed index), mutating the ``hits_out`` / ``depths_out``
-    slices in place and returning the row's final blocks, newest first,
-    with their stamp codes: the collapsed index that set the stamp, or
-    ``-1 - k`` for a block carried untouched from slot ``k`` of
-    ``initial``.
-
-    Three regimes, fastest applicable first:
-
-    * a row whose distinct blocks all fit in its associativity (and that
-      starts cold) can never evict, so only first occurrences miss — hit
-      mask, stamps and final order come from :func:`numpy.unique` with no
-      per-reference work at all (the tight-loop instruction-stream shape
-      that makes a row skewed in the first place);
-    * when depths are not required, a dict in recency/fill order replays
-      with O(1) membership per reference;
-    * otherwise a list replay reports the exact per-reference stack depth.
-    """
-    is_lru = policy == "lru"
-    if depths_out is None and not initial:
-        distinct, first_seen = np.unique(row_blocks, return_index=True)
-        if int(distinct.size) <= row_ways:
-            hits_out[:] = True
-            hits_out[first_seen] = False
-            if is_lru:
-                reversed_first = np.unique(row_blocks[::-1], return_index=True)[1]
-                stamp_at = int(row_blocks.size) - 1 - reversed_first
-            else:
-                stamp_at = first_seen
-            newest_first = np.argsort(stamp_at, kind="stable")[::-1]
-            return distinct[newest_first].tolist(), (base + stamp_at[newest_first]).tolist()
-    carried = {block: -1 - slot for slot, block in enumerate(initial)}
-    if depths_out is None:
-        # dict in stack order (oldest entry first) mapping block -> code
-        entries: Dict[int, int] = {block: carried[block] for block in reversed(initial)}
-        for offset, block in enumerate(row_blocks.tolist()):
-            if block in entries:
-                hits_out[offset] = True
-                if is_lru:
-                    del entries[block]
-                    entries[block] = base + offset
-            else:
-                hits_out[offset] = False
-                entries[block] = base + offset
-                if len(entries) > width:
-                    del entries[next(iter(entries))]
-        final = list(entries)[::-1][:row_ways]
-        return final, [entries[block] for block in final]
-    # depth-reporting regime: only LRU ever needs depths (simulate_batch
-    # rejects want_depths and per-row associativities for FIFO up front)
-    assert is_lru, "depth replay is LRU-only by construction"
-    stack = list(initial)
-    last = carried
-    for offset, block in enumerate(row_blocks.tolist()):
-        try:
-            position = stack.index(block)
-        except ValueError:
-            position = -1
-        if position >= 0:
-            depth = position + 1
-            del stack[position]
-        else:
-            depth = 0
-        stack.insert(0, block)
-        if len(stack) > width:
-            stack.pop()
-        hits_out[offset] = 0 < depth <= row_ways
-        depths_out[offset] = depth
-        last[block] = base + offset
-    final = stack[:row_ways]
-    return final, [last[block] for block in final]
-
-
 def simulate_batch(
     blocks: np.ndarray,
     rows: np.ndarray,
     set_mask: int,
-    ways: Union[int, np.ndarray],
-    policy: str = "lru",
+    ways: int,
     stacks: Optional[np.ndarray] = None,
     occupancy: Optional[np.ndarray] = None,
     want_depths: bool = False,
     track_stamps: bool = True,
 ) -> KernelBatchResult:
-    """Simulate one batch of references against per-row recency stacks.
+    """Simulate one batch of references against per-row LRU stacks.
 
     Args:
         blocks: ``uint64`` block addresses, in access order.
         rows: Row index per reference (``lane * num_sets + set``); all
-            references of a row must share their set bits
-            (``block & set_mask``), which is what makes a padding sentinel
-            constructible.
-        set_mask: The per-lane set-index mask (``num_sets - 1``).
-        ways: Associativity — a scalar, or an integer array indexed by row
-            id when fused lanes have different associativities (LRU only;
-            FIFO has no inclusion property, so mixed widths would change
-            its semantics).
-        policy: ``"lru"`` or ``"fifo"``.
-        stacks: Replacement state carried in from earlier batches, a
+            references of a row must share their set bits, and with a
+            nonzero ``set_mask`` every lane must have at least two sets,
+            which is what makes a padding sentinel constructible.
+        set_mask: The per-lane set-index mask (``num_sets - 1``); ``0``
+            for a single-set geometry.
+        ways: Associativity of every row.
+        stacks: Recency state carried in from earlier batches, a
             ``(rows, columns)`` ``uint64`` matrix indexed by row id, each
-            row most recently used (LRU) / most recently filled (FIFO)
-            first.  Only the rows present in this batch are read.
+            row most recently used first.  Only the rows present in this
+            batch are read.
         occupancy: Valid entries per row of ``stacks`` (required with it;
-            no row may hold more than its associativity).
-        want_depths: Also return per-reference stack depths (LRU only).
+            no row may hold more than ``ways``).
+        want_depths: Also return per-reference stack depths.
         track_stamps: Report each surviving block's stamp source (disable
             when the caller does not keep stamps, e.g. the stack-distance
-            simulator — it trims three array operations from every step).
+            simulator — it skips pass 1's stamp recovery).
 
     Returns:
         A :class:`KernelBatchResult`; see its attributes for layout.
@@ -253,30 +147,26 @@ def simulate_batch(
         >>> result.stacks[1].tolist(), result.sources[1].tolist()  # MRU first
         ([9, 17], [4, 3])
     """
-    if policy not in ("lru", "fifo"):
-        raise ConfigurationError(f"kernel supports lru/fifo policies, got {policy!r}")
     blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
     rows = np.ascontiguousarray(rows, dtype=np.int32)
     if blocks.shape != rows.shape or blocks.ndim != 1:
         raise ConfigurationError("blocks and rows must be 1-D arrays of equal length")
     if (stacks is None) != (occupancy is None):
         raise ConfigurationError("stacks and occupancy must be given together")
+    width = int(ways)
+    if width < 1:
+        raise ConfigurationError(f"ways must be >= 1, got {width}")
     if rows.size and int(rows.max()) < np.iinfo(np.int16).max:
         # NumPy's stable sort is a radix sort for 16-bit integers (an
         # order of magnitude faster than the 32-bit merge sort), and any
         # cache-filter row space fits easily
         rows = rows.astype(np.int16)
     count = int(blocks.size)
-    uniform_ways = not isinstance(ways, np.ndarray)
-    if policy == "fifo" and not uniform_ways:
-        raise ConfigurationError("per-row associativities require LRU (Mattson inclusion)")
-    if want_depths and policy != "lru":
-        raise ConfigurationError("stack depths are only defined for LRU")
     if count == 0:
         return KernelBatchResult(
             np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if want_depths else None,
-            np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.uint64),
-            np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64) if track_stamps else None,
+            np.zeros(0, dtype=np.int64), np.zeros((0, width), dtype=np.uint64),
+            np.zeros(0, dtype=np.int64), np.zeros((0, width), dtype=np.int64) if track_stamps else None,
         )
 
     order = np.argsort(rows, kind="stable")
@@ -289,16 +179,6 @@ def simulate_batch(
     row_ids = sorted_rows[bounds]
     groups = int(bounds.size)
 
-    if uniform_ways:
-        width = int(ways)
-        ways_of_group = np.full(groups, width, dtype=np.int64)
-    else:
-        ways_of_group = ways[row_ids].astype(np.int64)
-        width = int(ways_of_group.max())
-    if width < 1:
-        raise ConfigurationError(f"ways must be >= 1, got {width}")
-    need_depths = want_depths or not uniform_ways
-
     # -- collapse consecutive duplicate references (guaranteed depth-1 hits)
     dup = np.zeros(count, dtype=bool)
     dup[1:] = ~new_row[1:] & (sorted_blocks[1:] == sorted_blocks[:-1])
@@ -308,66 +188,29 @@ def simulate_batch(
     run_last = np.empty(collapsed, dtype=np.int64)
     run_last[:-1] = keep[1:] - 1
     run_last[-1] = count - 1
-    # original-batch index behind each collapsed run's stamp: LRU stamps
-    # record the run's *last* touch, FIFO stamps the fill itself (hits
-    # inside the run never update a FIFO stamp)
-    last_touch = order[run_last] if policy == "lru" else order[keep]
     cbounds = np.flatnonzero(new_row[keep])
-    # per-row sentinel: differs from every block of the row in its set bits
-    sentinel = (cblocks[cbounds] & np.uint64(set_mask)) ^ np.uint64(1)
-    # -- seed each touched row from the carried-in state, sentinel-padded
-    seed = np.empty((groups, width), dtype=np.uint64)
-    seed[:] = sentinel[:, None]
+    # -- seed each touched row from the carried-in state
     held = np.zeros(groups, dtype=np.int64)
+    carried = None
     if stacks is not None:
         columns = min(width, int(stacks.shape[1]))
         held = np.asarray(occupancy, dtype=np.int64)[row_ids]
-        np.copyto(
-            seed[:, :columns], stacks[row_ids, :columns],
-            where=np.arange(columns) < held[:, None],
-        )
+        carried = stacks[row_ids, :columns]
+    sentinel = _sentinels(cblocks, cbounds, set_mask, carried, held)
+    seed = np.empty((groups, width), dtype=np.uint64)
+    seed[:] = sentinel[:, None]
+    if carried is not None:
+        np.copyto(seed[:, :columns], carried, where=np.arange(columns) < held[:, None])
     batch = _Rows(
         cblocks, cbounds, np.diff(np.append(cbounds, collapsed)), row_ids, sentinel, seed, held
     )
 
-    hits_c = np.zeros(collapsed, dtype=bool)
-    depths_c = np.zeros(collapsed, dtype=np.int64) if need_depths else None
-    # final state per row group; stamp codes are collapsed indices, or
-    # ``-1 - k`` for an entry carried untouched from seed slot ``k``
-    if set_mask != 0 and policy == "lru":
-        final, codes = _march_segments(batch, width, hits_c, depths_c, track_stamps)
-        final_held = np.minimum((final != sentinel[:, None]).sum(axis=1), ways_of_group)
-    else:
-        final = np.empty((groups, width), dtype=np.uint64)
-        codes = np.full((groups, width), -1, dtype=np.int64)
-        final_held = np.zeros(groups, dtype=np.int64)
-        # -- route rows: FIFO rows that would march nearly alone (and every
-        #    row of a maskless single-set geometry, where no sentinel value
-        #    exists) take the exact replay instead
-        ccounts = batch.counts
-        if set_mask == 0:
-            heavy = np.ones(groups, dtype=bool)
-        else:
-            tail_depth = 0
-            if groups >= MARCH_MIN_ACTIVE_ROWS:
-                tail_depth = int(np.partition(ccounts, -MARCH_MIN_ACTIVE_ROWS)[-MARCH_MIN_ACTIVE_ROWS])
-            mean = max(1, collapsed // groups)
-            heavy = ccounts > max(REPLAY_MIN_ROW_REFS, min(tail_depth, REPLAY_SKEW_FACTOR * mean))
-        for g in np.flatnonzero(heavy).tolist():
-            start = int(cbounds[g])
-            stop = start + int(ccounts[g])
-            row_blocks, row_codes = _replay_row(
-                cblocks[start:stop], start, width, int(ways_of_group[g]), policy,
-                seed[g, : held[g]].tolist(), hits_c[start:stop],
-                None if depths_c is None else depths_c[start:stop],
-            )
-            final_held[g] = len(row_blocks)
-            final[g, : final_held[g]] = row_blocks
-            codes[g, : final_held[g]] = row_codes
-        light = np.flatnonzero(~heavy)
-        if light.size:
-            final[light], codes[light] = _march_fifo_rows(batch, light, width, hits_c, track_stamps)
-            final_held[light] = (final[light] != sentinel[light, None]).sum(axis=1)
+    hits_c = np.empty(collapsed, dtype=bool)
+    depths_c = np.empty(collapsed, dtype=np.int64) if want_depths else None
+    # stamp codes are collapsed indices, or ``-1 - k`` for an entry carried
+    # untouched from seed slot ``k``
+    final, codes = _march_segments(batch, width, hits_c, depths_c, track_stamps)
+    final_held = (final != sentinel[:, None]).sum(axis=1)
 
     hits_sorted = np.empty(count, dtype=bool)
     hits_sorted[keep] = hits_c
@@ -375,24 +218,37 @@ def simulate_batch(
     hits = np.empty(count, dtype=bool)
     hits[order] = hits_sorted
     depths = None
-    if need_depths:
+    if want_depths:
         depths_sorted = np.empty(count, dtype=np.int64)
         depths_sorted[keep] = depths_c
         depths_sorted[dup] = 1
         depths = np.empty(count, dtype=np.int64)
         depths[order] = depths_sorted
-    if not uniform_ways:
-        # mixed associativities: the march records depths against the
-        # widest stack; each reference hits iff it is within its own row's
-        # associativity (Mattson inclusion)
-        per_ref_ways = ways[rows]
-        hits = (depths >= 1) & (depths <= per_ref_ways)
     sources = None
     if track_stamps:
+        # a collapsed run's stamp is its *last* touch in the input batch
+        last_touch = order[run_last]
         sources = np.where(codes >= 0, last_touch[np.maximum(codes, 0)], codes)
-    return KernelBatchResult(
-        hits, depths if want_depths else None, row_ids.astype(np.int64), final, final_held, sources
-    )
+    return KernelBatchResult(hits, depths, row_ids.astype(np.int64), final, final_held, sources)
+
+
+def _sentinels(cblocks, cbounds, set_mask: int, carried, held) -> np.ndarray:
+    """Per-row-group padding value that no block of the row takes.
+
+    With set bits, the row's set index with bit 0 flipped differs from
+    every block of the row (and of its carried stack).  A maskless
+    single-set geometry has no set bits, so every row gets the smallest
+    integer absent from the batch and from the valid carried entries.
+    """
+    if set_mask != 0:
+        return (cblocks[cbounds] & np.uint64(set_mask)) ^ np.uint64(1)
+    values = cblocks
+    if carried is not None:
+        values = np.concatenate((values, carried[np.arange(carried.shape[1]) < held[:, None]]))
+    size = int(values.size)
+    present = np.zeros(size + 1, dtype=bool)
+    present[values[values <= np.uint64(size)].astype(np.int64)] = True
+    return np.full(int(cbounds.size), int(np.argmin(present)), dtype=np.uint64)
 
 
 class _Rows(NamedTuple):
@@ -400,8 +256,8 @@ class _Rows(NamedTuple):
 
     Row group ``g`` (row id ``ids[g]``) owns the collapsed references
     ``blocks[bounds[g] : bounds[g] + counts[g]]``; ``sentinel[g]`` is a
-    value no block of the row can take (meaningless when the set mask is
-    0), and ``seed[g]`` is the row's carried-in stack, its first
+    value no block of the row (nor of its carried stack) takes, and
+    ``seed[g]`` is the row's carried-in stack, its first
     ``held[g]`` entries valid and the rest ``sentinel[g]``.
     """
 
@@ -420,38 +276,32 @@ class _Packed(NamedTuple):
     Each segment is one column of ``matrix`` (``(steps, columns)``), a
     row's segments are adjacent columns, and only a row's first segment
     may be short.  It is padded at its front with references to the
-    column's most recently used block, a no-op under LRU and FIFO alike;
-    pads start as the column's ``sentinel`` and the caller rewrites them
-    (``pads`` are their flat matrix positions) once the stacks are
-    seeded.
+    column's most recently used block, a no-op under LRU; pads start as
+    the column's ``sentinel`` and the caller rewrites them (``pads`` are
+    their flat matrix positions) once the stacks are seeded.
     """
 
     matrix: np.ndarray
     sentinel: np.ndarray  # per column
     group: np.ndarray  # per column: its row group
     start: np.ndarray  # per column: collapsed index of step 0
-    refs: Union[slice, np.ndarray]  # the packed collapsed references ...
-    cells: np.ndarray  # ... and their cells of the column-major flattened matrix
+    cells: np.ndarray  # each collapsed reference's cell of the column-major flattened matrix
     pads: np.ndarray
     pad_column: np.ndarray
 
 
-def _pack(batch: _Rows, selected: np.ndarray, span: int) -> _Packed:
-    """Cut the ``selected`` row groups into ``span``-reference segments."""
-    counts = batch.counts[selected]
+def _pack(batch: _Rows, span: int) -> _Packed:
+    """Cut every row group into ``span``-reference segments."""
+    counts = batch.counts
     span = min(span, int(counts.max()))
     per_row = (counts + span - 1) // span
     columns = int(per_row.sum())
     first = np.cumsum(per_row) - per_row
-    group = np.repeat(selected, per_row)
+    group = np.repeat(np.arange(counts.size), per_row)
     pad = per_row * span - counts
-    start = np.repeat(batch.bounds[selected] - pad - first * span, per_row) + np.arange(columns) * span
+    start = np.repeat(batch.bounds - pad - first * span, per_row) + np.arange(columns) * span
     sentinel = batch.sentinel[group]
-    if selected.size == batch.counts.size:
-        refs = slice(None)
-    else:
-        refs = np.repeat(np.isin(np.arange(batch.counts.size), selected), batch.counts)
-    values = batch.blocks[refs]
+    values = batch.blocks
     # fill column-major, where each row's cells are contiguous, then transpose
     cells = np.arange(values.size) + np.repeat(first * span + pad - (np.cumsum(counts) - counts), counts)
     by_column = np.empty(columns * span, dtype=np.uint64)
@@ -460,30 +310,29 @@ def _pack(batch: _Rows, selected: np.ndarray, span: int) -> _Packed:
     pads = (np.arange(int(pad.sum())) - np.repeat(np.cumsum(pad) - pad, pad)) * columns + pad_column
     matrix = np.ascontiguousarray(by_column.reshape(columns, span).T)
     matrix.reshape(-1)[pads] = sentinel[pad_column]
-    return _Packed(matrix, sentinel, group, start, refs, cells, pads, pad_column)
+    return _Packed(matrix, sentinel, group, start, cells, pads, pad_column)
 
 
-def _march(matrix: np.ndarray, stack: np.ndarray, is_lru: bool, record: Optional[np.ndarray] = None) -> None:
+def _march(matrix: np.ndarray, stack: np.ndarray, record: Optional[np.ndarray] = None) -> None:
     """Lock-step march of every column of ``matrix`` (the vectorised engine).
 
-    ``stack`` is the ``(width, columns)`` recency (LRU) or fill (FIFO)
-    stack, ways-major so each way is one contiguous row, and is advanced
-    in place: ~6 array operations per time step move every column at
-    once.  ``record``, when given, is a ``(steps, k, columns)`` array that
-    receives the last ``k`` rows of each step's "not matched at or above
-    this way" mask: ``k = 1`` records the miss flag, ``k = width`` lets
-    the caller count match depths.
+    ``stack`` is the ``(width, columns)`` recency stack, ways-major so
+    each way is one contiguous row, and is advanced in place: ~6 array
+    operations per time step move every column at once.  ``record``, when
+    given, is a ``(steps, k, columns)`` array that receives the last ``k``
+    rows of each step's "not matched at or above this way" mask: ``k = 1``
+    records the miss flag, ``k = width`` lets the caller count match
+    depths.
     """
     width = int(stack.shape[0])
     ne = np.empty(stack.shape, dtype=bool)
-    miss = ne[-1]
     # prefix-AND by doubling: True while the block has not yet matched,
     # so way k-1 says "match is deeper than k" (the LRU shift condition)
     doubling = [(ne[d:], ne[:-d]) for d in (1 << i for i in range(width.bit_length())) if d < width]
     head = stack[:-1]
     tail = stack[1:]
     shift = np.empty_like(head)
-    shift_when = ne[:-1] if is_lru else miss
+    deeper_than = ne[:-1]
     recorded = ne[width - record.shape[1] :] if record is not None else None
     for t, current in enumerate(matrix):
         np.not_equal(stack, current, out=ne)
@@ -491,25 +340,20 @@ def _march(matrix: np.ndarray, stack: np.ndarray, is_lru: bool, record: Optional
             np.logical_and(deeper, shallower, out=deeper)
         if width > 1:
             np.copyto(shift, head)
-            np.copyto(tail, shift, where=shift_when)
-        if is_lru:
-            stack[0] = current
-        else:
-            np.copyto(stack[0], current, where=miss)
+            np.copyto(tail, shift, where=deeper_than)
+        stack[0] = current
         if recorded is not None:
             record[t] = recorded
 
 
-def _last_step(stack: np.ndarray, matrix: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+def _last_step(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Step of each stack entry's last matching reference, ``-1`` if none.
 
     One ``(width, steps, columns)`` comparison against the reversed
-    reference matrix (restricted to ``where`` steps when given) recovers
-    every stamp source after the fact instead of shifting stamps per step.
+    reference matrix recovers every stamp source after the fact instead
+    of shifting stamps per step.
     """
     matches = stack[:, None, :] == matrix[::-1][None, :, :]
-    if where is not None:
-        matches &= where[::-1][None, :, :]
     reversed_step = matches.argmax(axis=1)
     found = np.take_along_axis(matches, reversed_step[:, None, :], axis=1)[:, 0, :]
     return np.where(found, int(matrix.shape[0]) - 1 - reversed_step, -1)
@@ -554,11 +398,11 @@ def _march_segments(
     every row group's final ``(groups, width)`` stack and its stamp codes.
     """
     groups = int(batch.ids.size)
-    packed = _pack(batch, np.arange(groups), MARCH_SEGMENT_STEPS)
+    packed = _pack(batch, MARCH_SEGMENT_STEPS)
     columns = int(packed.group.size)
     stack = np.empty((width, columns), dtype=np.uint64)
     stack[:] = packed.sentinel
-    _march(packed.matrix, stack, True)
+    _march(packed.matrix, stack)
     # summary stamps are collapsed indices; sentinel entries get garbage
     # stamps that no merge keeps
     summary_stamps = np.full((width, columns), -1, dtype=np.int64)
@@ -596,7 +440,7 @@ def _march_segments(
     # only first segments are padded, and their seed is the carried-in stack
     packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
     record = np.empty((int(packed.matrix.shape[0]), 1 if depths_c is None else width, columns), dtype=bool)
-    _march(packed.matrix, stack, True, record)
+    _march(packed.matrix, stack, record)
     hits_c[:] = ~record[:, -1, :].T.reshape(-1)[packed.cells]
     if depths_c is not None:
         # the recorded mask counts the 0-based match position (``width``
@@ -605,30 +449,3 @@ def _march_segments(
         depths_c[depths_c > width] = 0
     final_at = first + per_row
     return elements[final_at], stamps[final_at]
-
-
-def _march_fifo_rows(
-    batch: _Rows, light: np.ndarray, width: int, hits_c: np.ndarray, track_stamps: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """March the non-skewed FIFO rows whole, one column per row.
-
-    Returns the ``light`` rows' final ``(rows, width)`` stacks and their
-    stamp codes.
-    """
-    packed = _pack(batch, light, int(batch.counts[light].max()))
-    stack = np.ascontiguousarray(batch.seed[light].T)
-    packed.matrix.reshape(-1)[packed.pads] = stack[0][packed.pad_column]
-    record = np.empty((int(packed.matrix.shape[0]), 1, int(light.size)), dtype=bool)
-    _march(packed.matrix, stack, False, record)
-    misses = record[:, 0, :]
-    hits_c[packed.refs] = ~misses.T.reshape(-1)[packed.cells]
-    # a FIFO stamp is the block's last *fill*: its last missing step (hits,
-    # pads included, never update it).  Fills push down the whole queue, so
-    # the ``filled`` entries with a fill in this batch sit on top and the
-    # seed's survivors follow in their seed order
-    codes = np.full(stack.shape, -1, dtype=np.int64)
-    if track_stamps:
-        step = _last_step(stack, packed.matrix, misses)
-        filled = (step >= 0).sum(axis=0)
-        codes = np.where(step >= 0, packed.start + step, filled - 1 - np.arange(width)[:, None])
-    return stack.T, codes.T

@@ -30,7 +30,6 @@ __all__ = [
     "FilterResult",
     "filter_reference_stream",
     "filter_reference_streams",
-    "filter_reference_streams_fused",
     "filtered_spec_like_trace",
     "filter_spec_like_traces",
     "iter_filtered_spec_like_chunks",
@@ -270,64 +269,6 @@ def filter_reference_streams(
 
     tasks = [(stream, instruction_config, data_config) for stream in streams]
     return map_ordered(_filter_stream_task, tasks, workers=workers)
-
-
-def filter_reference_streams_fused(
-    streams,
-    instruction_config: CacheConfig = PAPER_L1_CONFIG,
-    data_config: CacheConfig = PAPER_L1_CONFIG,
-):
-    """Filter several independent streams in one fused kernel pass.
-
-    Where :func:`filter_reference_streams` fans the per-stream cells out
-    across worker threads, this is the *single-core* batch form: every stream gets its own fresh L1I/L1D pair
-    (the paper's per-benchmark filters, or per-core filters in a multicore
-    trace collection), and all those caches march together in one
-    :func:`~repro.cache.cache.access_batches` row space.  The set-parallel
-    kernel's cost is dominated by its per-time-step overhead, so widening
-    the row space with more independent caches raises throughput almost
-    linearly — filtering a whole suite this way is several times faster
-    than filtering its streams one after another.  Results are identical
-    to ``[filter_reference_stream(s, ...) for s in streams]``.
-
-    Args:
-        streams: Iterable of :class:`~repro.traces.synthetic.ReferenceStream`.
-        instruction_config: L1I geometry applied to every stream.
-        data_config: L1D geometry applied to every stream.
-
-    Returns:
-        ``List[FilterResult]`` in the order the streams were given.
-    """
-    from repro.cache.cache import access_batches
-
-    streams = list(streams)
-    filters = [CacheFilter(instruction_config, data_config) for _ in streams]
-    caches = []
-    batches = []
-    splits = []
-    for stream, cache_filter in zip(streams, filters):
-        blocks = (stream.addresses >> np.uint64(cache_filter._block_shift)).astype(np.uint64)
-        is_instruction = stream.is_instruction.astype(bool)
-        instruction_positions = np.flatnonzero(is_instruction)
-        data_positions = np.flatnonzero(~is_instruction)
-        caches.extend((cache_filter.instruction_cache, cache_filter.data_cache))
-        batches.extend((blocks[instruction_positions], blocks[data_positions]))
-        splits.append((blocks, instruction_positions, data_positions))
-    masks = access_batches(caches, batches)
-    results = []
-    for index, (stream, cache_filter) in enumerate(zip(streams, filters)):
-        blocks, instruction_positions, data_positions = splits[index]
-        miss_mask = np.zeros(blocks.size, dtype=bool)
-        miss_mask[instruction_positions] = ~masks[2 * index]
-        miss_mask[data_positions] = ~masks[2 * index + 1]
-        results.append(
-            FilterResult(
-                trace=AddressTrace(blocks[miss_mask], name=stream.name),
-                instruction_stats=cache_filter.instruction_cache.stats,
-                data_stats=cache_filter.data_cache.stats,
-            )
-        )
-    return results
 
 
 def filtered_spec_like_trace(

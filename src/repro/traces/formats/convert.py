@@ -162,7 +162,7 @@ def export_from_atc(
         sidecar.verify_exhausted()
     finally:
         sidecar.close()
-    expected = int(decoder.metadata["original_length"])
+    expected = decoder.metadata.get("original_length", written)
     if written != expected:
         raise TraceFormatError(
             f"export wrote {written} records but the container holds {expected}"

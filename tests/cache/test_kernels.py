@@ -25,12 +25,7 @@ import repro.core.kernels as kernels
 from repro.cache.cache import CacheConfig, SetAssociativeCache, access_batches
 from repro.cache.stackdist import LruStackSimulator
 from repro.errors import ConfigurationError
-from repro.traces.filter import (
-    CacheFilter,
-    StreamingCacheFilter,
-    filter_reference_stream,
-    filter_reference_streams_fused,
-)
+from repro.traces.filter import CacheFilter, StreamingCacheFilter
 from repro.traces.spec_like import generate_reference_stream, get_workload
 
 
@@ -60,7 +55,7 @@ def _assert_same_state(left: SetAssociativeCache, right: SetAssociativeCache) ->
 
 
 # Traces mix tight reuse, duplicate runs (instruction-stream shape) and
-# cold streaming so every kernel regime (collapse, march, replay) fires.
+# cold streaming so every kernel regime (collapse, march, serial) fires.
 _blocks = st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=400)
 _repeats = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=400)
 
@@ -144,15 +139,18 @@ class TestKernelEquivalence:
 
 
 class TestFusedBatches:
+    # 4 ways: both lanes share one row space despite different set counts;
+    # 2 ways: mixed associativities run per cache
+    @pytest.mark.parametrize("second_ways", [4, 2])
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats, split=st.integers(min_value=1, max_value=9))
-    def test_fused_lanes_match_independent_caches(self, values, repeats, split):
+    def test_fused_lanes_match_independent_caches(self, second_ways, values, repeats, split):
         trace = _build_trace(values, repeats)
         cut = (trace.size * split) // 10
         batches = [trace[:cut], trace[cut:]]
         configs = (
             CacheConfig(num_sets=16, associativity=4),
-            CacheConfig(num_sets=8, associativity=2),
+            CacheConfig(num_sets=8, associativity=second_ways),
         )
         fused = [SetAssociativeCache(config) for config in configs]
         solo = [SetAssociativeCache(config) for config in configs]
@@ -220,57 +218,42 @@ class TestStackDistanceKernel:
         assert lazy.curve() == eager.curve()
 
 
-class TestKernelRouting:
-    """The march/replay/fast-path routing is a perf decision, never a
-    semantic one — force each route and check exactness."""
+class TestKernelArguments:
+    """Geometry edges and argument checks of ``simulate_batch``."""
 
-    def test_skewed_single_set_takes_replay(self, monkeypatch):
-        monkeypatch.setattr(kernels, "REPLAY_MIN_ROW_REFS", 4)
-        rng = np.random.default_rng(5)
-        # one scorching set plus background traffic
-        hot = rng.integers(0, 40, size=800, dtype=np.uint64) * np.uint64(16)
-        cold = rng.integers(0, 200, size=50, dtype=np.uint64)
-        trace = np.concatenate([hot, cold])
-        rng.shuffle(trace)
-        config = CacheConfig(num_sets=16, associativity=4, policy="lru")
-        batched = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
-        assert np.array_equal(batched.access_batch(trace), _serial_hits(serial, trace))
-        _assert_same_state(batched, serial)
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_small_working_set_shortcut(self, policy, monkeypatch):
-        monkeypatch.setattr(kernels, "REPLAY_MIN_ROW_REFS", 4)
-        # a tight loop over 3 blocks of one set: distinct <= ways, so the
-        # replay's numpy shortcut (no per-reference work) must fire
-        trace = np.tile(np.array([0, 16, 32], dtype=np.uint64), 200)
-        config = CacheConfig(num_sets=16, associativity=4, policy=policy)
-        batched = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
-        assert np.array_equal(batched.access_batch(trace), _serial_hits(serial, trace))
-        _assert_same_state(batched, serial)
-
-    def test_single_set_geometry_has_no_sentinel(self):
-        """num_sets == 1 (mask 0) must replay: no padding value exists."""
+    @pytest.mark.parametrize("ways", [1, 4, 16])
+    def test_single_set_march_with_carried_seed(self, ways):
+        """num_sets == 1 (mask 0) marches too.  Its sentinel is the smallest
+        value absent from the batch and the carried stack; both batches
+        cover every block ``0..n``, so the sentinel has to land above them."""
         rng = np.random.default_rng(9)
-        trace = rng.integers(0, 30, size=500, dtype=np.uint64)
-        config = CacheConfig(num_sets=1, associativity=4, policy="lru")
-        batched = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
-        assert np.array_equal(batched.access_batch(trace), _serial_hits(serial, trace))
-        _assert_same_state(batched, serial)
+        n = 40
+        cover = np.arange(n + 1, dtype=np.uint64)
+        batches = [
+            np.concatenate([cover, rng.integers(0, n + 1, size=300, dtype=np.uint64)]),
+            np.concatenate([rng.integers(0, n + 1, size=300, dtype=np.uint64), cover[::-1]]),
+        ]
+        kernel = LruStackSimulator(1, max_associativity=ways)
+        serial = LruStackSimulator(1, max_associativity=ways)
+        for batch in batches:
+            kernel.access_trace(batch)
+            for block in batch.tolist():
+                serial.access_block(block)
+            assert kernel.curve() == serial.curve()
+            assert kernel._stacks == serial._stacks
+        if ways > 1:
+            # the second batch's seed is a full carried stack of low blocks
+            _assert_matches_serial(CacheConfig(num_sets=1, associativity=ways), batches)
 
     def test_kernel_rejects_bad_arguments(self):
         blocks = np.arange(10, dtype=np.uint64)
         rows = np.zeros(10, dtype=np.int64)
-        with pytest.raises(ConfigurationError, match="policies"):
-            kernels.simulate_batch(blocks, rows, 0, 2, policy="random")
-        with pytest.raises(ConfigurationError, match="Mattson"):
-            kernels.simulate_batch(blocks, rows, 0, np.array([2]), policy="fifo")
-        with pytest.raises(ConfigurationError, match="only defined for LRU"):
-            kernels.simulate_batch(blocks, rows, 0, 2, policy="fifo", want_depths=True)
         with pytest.raises(ConfigurationError, match="equal length"):
             kernels.simulate_batch(blocks, rows[:-1], 0, 2)
+        with pytest.raises(ConfigurationError, match="together"):
+            kernels.simulate_batch(blocks, rows, 0, 2, stacks=np.zeros((1, 2), dtype=np.uint64))
+        with pytest.raises(ConfigurationError, match="ways must be"):
+            kernels.simulate_batch(blocks, rows, 0, 0)
 
     def test_empty_batch(self):
         result = kernels.simulate_batch(
@@ -281,18 +264,6 @@ class TestKernelRouting:
 
 
 class TestFilterKernelPaths:
-    def test_fused_filter_matches_sequential(self):
-        streams = [
-            generate_reference_stream(name, 2_000, seed=0)
-            for name in ("429.mcf", "462.libquantum")
-        ]
-        fused = filter_reference_streams_fused(streams)
-        for stream, result in zip(streams, fused):
-            expected = filter_reference_stream(stream)
-            assert np.array_equal(result.trace.addresses, expected.trace.addresses)
-            assert result.instruction_stats == expected.instruction_stats
-            assert result.data_stats == expected.data_stats
-
     def test_filter_matches_per_reference_caches(self):
         stream = generate_reference_stream("403.gcc", 3_000, seed=1)
         fast = CacheFilter()
@@ -380,7 +351,8 @@ class TestSegmentMarch:
 
     @pytest.mark.parametrize("chunk_size", [1, 7, S, 4096])
     def test_chunked_fused_mixed_lanes(self, chunk_size):
-        """A 4-way and an 8-way lane march in one mixed-width row space."""
+        """A 4-way and an 8-way lane cannot share a row space, so they run
+        per cache; chunking still matches the serial loop."""
         rng = np.random.default_rng(17)
         streams = [rng.integers(0, 300, size=1_200, dtype=np.uint64) for _ in range(2)]
         configs = (
@@ -409,19 +381,6 @@ class TestSegmentMarch:
             serial.access_block(block)
         assert kernel.curve() == serial.curve()
         assert kernel._stacks == serial._stacks
-
-    def test_skewed_lru_never_replays(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("an LRU row with set bits took the replay")
-
-        monkeypatch.setattr(kernels, "_replay_row", refuse)
-        rng = np.random.default_rng(5)
-        hot = rng.integers(0, 40, size=3_000, dtype=np.uint64) * np.uint64(16)
-        cold = rng.integers(0, 200, size=100, dtype=np.uint64)
-        trace = np.concatenate([hot, cold])
-        rng.shuffle(trace)
-        config = CacheConfig(num_sets=16, associativity=4, policy="lru")
-        _assert_matches_serial(config, [trace])
 
 
 #: SHA-256 of the concatenated ``StreamingCacheFilter`` miss blocks

@@ -6,6 +6,11 @@ Two layers of enforcement:
   relative markdown link inside ``docs/`` resolves to a real file/anchor
   target, so ``mkdocs build --strict`` cannot fail on the CI docs job for
   structural reasons the test suite would miss locally.
+* **No stale names** — every backticked ``repro.…`` dotted path in the
+  docs and README imports, and every code span that is an UPPER_SNAKE
+  name (a constant or an environment variable) still occurs in the
+  code, tests or CI (the "Measured and removed" table names deleted code
+  on purpose and is exempt).
 * **Spec truth** — ``docs/atc-format.md`` is a byte-level specification;
   this module re-parses the golden containers under ``tests/data/golden/``
   with an *independent* reader that follows the documented offsets and
@@ -17,6 +22,7 @@ Two layers of enforcement:
 from __future__ import annotations
 
 import bz2
+import importlib
 import json
 import lzma
 import re
@@ -152,6 +158,67 @@ class TestDocsStructure:
         for target in re.findall(r"\]\((docs/[\w-]+\.md)\)", readme):
             assert (_REPO / target).is_file(), f"README links to missing {target}"
         assert "docs/" in readme, "README must link into the documentation site"
+
+
+_CODE_DIRS = ("src", "benchmarks", "perfbench", "tests", "examples", ".github")
+_CODE_SUFFIXES = {".py", ".yml", ".yaml", ".toml", ".cfg", ".ini", ".sh", ".md", ".json", ".txt"}
+
+
+def _doc_code_spans():
+    """``(page, span)`` for every inline code span of the docs and README.
+
+    Fenced blocks are dropped first, and so is the "Measured and removed"
+    section of ``docs/performance.md``, which names deleted code on purpose.
+    """
+    for page in sorted(_DOCS.glob("*.md")) + [_REPO / "README.md"]:
+        text = re.sub(r"^```.*?^```", "", page.read_text(encoding="utf-8"), flags=re.MULTILINE | re.DOTALL)
+        if page.name == "performance.md":
+            text = re.sub(r"^## Measured and removed\n.*?(?=^## )", "", text, flags=re.MULTILINE | re.DOTALL)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            yield page.name, span
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest importable prefix of ``dotted``, then walk attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+class TestDocsNameLiveCode:
+    def test_dotted_repro_paths_resolve(self):
+        paths = {
+            (page, dotted)
+            for page, span in _doc_code_spans()
+            for dotted in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", span)
+        }
+        assert paths, "the docs name no repro.* paths; the extraction is broken"
+        stale = sorted(f"{page}: {dotted}" for page, dotted in paths if not _resolves(dotted))
+        assert not stale, f"docs name paths that do not resolve: {stale}"
+
+    def test_upper_snake_constants_exist(self):
+        constants = {
+            (page, span)
+            for page, span in _doc_code_spans()
+            if re.fullmatch(r"[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+", span)
+        }
+        assert constants, "the docs name no constants; the extraction is broken"
+        words = set()
+        for directory in _CODE_DIRS:
+            for path in (_REPO / directory).rglob("*"):
+                if path.suffix in _CODE_SUFFIXES and path.is_file():
+                    words.update(re.findall(r"\w+", path.read_text(encoding="utf-8", errors="ignore")))
+        stale = sorted(f"{page}: {name}" for page, name in constants if name not in words)
+        assert not stale, f"docs name constants the code no longer has: {stale}"
 
 
 class TestAtcFormatSpecAgainstGoldenFixtures:

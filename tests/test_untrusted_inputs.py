@@ -22,6 +22,12 @@ The same holds at two more read boundaries.  A fixed-record binary dump
 yields the addresses a pure-Python ``int.from_bytes`` oracle decodes.  A
 ``ResultStore`` entry of any bytes reads as a dict or as a quarantined
 miss, never an exception.
+
+A container's INFO metadata is untrusted too: the v2 footer is a
+checksum, not a signature, so anyone can rewrite a metadata field and
+keep the footer valid.  Whatever JSON value a field holds,
+``AtcDecoder(...).read_all()`` raises a ``ReproError`` or decodes what
+the undamaged container decodes, and ``repro inspect`` exits with a code.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as repro_main
+from repro.core.atc import AtcDecoder, compress_trace
+from repro.core.container import AtcContainer
+from repro.core.lossy import LossyConfig
 from repro.errors import ReproError, TraceFormatError
 from repro.experiments.store import ResultStore
 from repro.service.cache import pack_container, unpack_container
@@ -420,3 +430,47 @@ def test_store_entries_read_as_dicts_or_quarantined_misses(data):
             assert store.integrity_evictions == 1 and not entry.exists()
         else:
             assert isinstance(result, dict) and store.integrity_evictions == 0
+
+
+#: Every field ``AtcEncoder`` writes into the INFO metadata, plus one it does not.
+_METADATA_KEYS = (
+    "format", "format_version", "mode", "backend", "original_length", "interval_length",
+    "threshold", "chunk_buffer_addresses", "enable_translation", "num_chunks",
+    "chunk_digests", "extra",
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_CONTAINER_TRACE = np.tile(np.arange(0x4000, 0x4000 + 700, dtype=np.uint64), 3)
+_CONTAINER_CONFIG = LossyConfig(interval_length=500, chunk_buffer_addresses=500)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mode=st.sampled_from(["c", "k"]), key=st.sampled_from(_METADATA_KEYS), value=_json_values)
+@example(mode="c", key="chunk_buffer_addresses", value=[1])
+@example(mode="k", key="chunk_buffer_addresses", value="x")
+@example(mode="c", key="backend", value=["bz2"])
+@example(mode="k", key="original_length", value={})
+@example(mode="c", key="format_version", value=True)
+def test_info_metadata_values_yield_typed_errors_or_the_original_decode(mode, key, value):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch) / "trace"
+        expected = compress_trace(
+            _CONTAINER_TRACE, directory, mode=mode, config=_CONTAINER_CONFIG
+        ).read_all()
+        container = AtcContainer(directory)
+        metadata, records = container.read_info()
+        metadata[key] = value
+        try:
+            container.write_info(metadata, records)
+        except ReproError:
+            return  # the writer refuses a format_version it cannot write
+        try:
+            decoded = AtcDecoder(directory).read_all()
+        except ReproError:
+            pass
+        else:
+            assert np.array_equal(decoded, expected)
+        assert repro_main(["inspect", str(directory)]) in (0, 1, 2)
