@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.container import FORMAT_VERSION, AtcContainer
 from repro.core.integrity import chunk_digest, parse_chunk_digests
-from repro.core.intervals import IntervalRecord, materialize_interval
+from repro.core.intervals import IntervalRecord, chunk_lengths, materialize_interval
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 from repro.core.parallel import Executor, OrderedChunkWriter, executor_scope, resolve_workers
@@ -323,6 +323,7 @@ class AtcDecoder:
             backend=self.container.backend,
         )
         self._chunk_digests = parse_chunk_digests(metadata)
+        self._chunk_lengths = chunk_lengths(records)
         self._workers = resolve_workers(workers)
         self._executor = executor
         if cache_chunks < 1:
@@ -341,12 +342,14 @@ class AtcDecoder:
         ``read_all``): the raw bytes are checked against the recorded digest
         first, and a chunk that then still fails to decompress is reported
         as :class:`~repro.errors.IntegrityError` naming the file and chunk
-        rather than leaking a codec exception.
+        rather than leaking a codec exception.  The chunk's header must
+        declare the address count its interval record gives, and bounds
+        decompression to that many addresses.
         """
         container = self.container
         payload = container.read_chunk(chunk_id, expected_digest=self._chunk_digests.get(chunk_id))
         try:
-            return self._chunk_codec.decompress(payload)
+            return self._chunk_codec.decompress(payload, self._chunk_lengths.get(chunk_id))
         except CodecError as exc:
             target = container.path / f"{chunk_id + 1}.{container.suffix}"
             raise IntegrityError(

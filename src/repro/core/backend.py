@@ -21,6 +21,13 @@ A back-end is a tiny object with two methods::
     compress(data: bytes) -> bytes
     decompress(data: bytes) -> bytes
 
+plus an optional bounded decoder, ``decompress_bounded(data, max_length)``,
+that stops inflating as soon as the output would pass ``max_length`` bytes.
+Chunk payloads are decoded through :meth:`CompressionBackend.decompress_at_most`
+with the size their header declares, so a few bytes of hostile input cannot
+inflate into gigabytes.  The built-in back-ends all have a bounded decoder; a
+back-end registered without one is decoded in full and checked afterwards.
+
 Back-ends are looked up by name through :func:`get_backend` so that codec
 constructors and the CLI can accept a plain string (``"bz2"``, ``"zlib"``,
 ``"lzma"``, ``"store"``), mirroring the paper's command-string argument to
@@ -32,9 +39,11 @@ from __future__ import annotations
 import bz2
 import lzma
 import os
+import sys
 import threading
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -64,15 +73,43 @@ class CompressionBackend:
             ``<n>.bz2`` like in the paper's container format).
         compress: Function mapping raw bytes to compressed bytes.
         decompress: Inverse of ``compress``.
+        decompress_bounded: Optional ``(data, max_length)`` variant of
+            ``decompress`` that raises :class:`~repro.errors.CodecError`
+            instead of producing more than ``max_length`` bytes, without
+            inflating much past the bound.
     """
 
     name: str
     compress: Callable[[bytes], bytes]
     decompress: Callable[[bytes], bytes]
+    decompress_bounded: Optional[Callable[[bytes, int], bytes]] = None
 
     def roundtrip(self, data: bytes) -> bytes:
         """Compress then decompress ``data`` (used by self-checks/tests)."""
         return self.decompress(self.compress(data))
+
+    def decompress_at_most(self, data, max_length: int) -> bytes:
+        """``decompress(data)``, or :class:`~repro.errors.CodecError` past ``max_length`` bytes.
+
+        Uses the bounded decoder when the back-end has one.  Otherwise the
+        data is decoded in full and the length is checked afterwards, which
+        bounds what reaches the caller but not the decoder's own memory.
+
+        Example:
+            >>> len(get_backend("bz2").decompress_at_most(bz2.compress(bytes(64)), 64))
+            64
+            >>> get_backend("bz2").decompress_at_most(bz2.compress(bytes(64)), 8)
+            Traceback (most recent call last):
+            ...
+            repro.errors.CodecError: bz2 data decompresses to more than 8 bytes
+        """
+        max_length = min(int(max_length), sys.maxsize - 1)
+        if self.decompress_bounded is not None:
+            return self.decompress_bounded(data, max_length)
+        result = self.decompress(data)
+        if len(result) > max_length:
+            raise _overrun(self.name, max_length)
+        return result
 
 
 def _store_compress(data: bytes) -> bytes:
@@ -81,6 +118,85 @@ def _store_compress(data: bytes) -> bytes:
 
 def _store_decompress(data: bytes) -> bytes:
     return bytes(data)
+
+
+def _store_decompress_bounded(data, max_length: int) -> bytes:
+    if len(data) > max_length:
+        raise _overrun("store", max_length)
+    return bytes(data)
+
+
+def _overrun(name: str, max_length: int) -> CodecError:
+    return CodecError(f"{name} data decompresses to more than {max_length} bytes")
+
+
+class _Budget:
+    """Output bytes a group of decoders may still produce, shared across threads.
+
+    A decoder asks for :meth:`cap` (one byte more than is left, so an
+    overrun shows) before each call and reports what it produced through
+    :meth:`spend`, which raises once the total passes the bound.  Decoders
+    running at the same time may each overshoot by at most the bound before
+    the first of them reports.  ``limit=None`` is unbounded.
+    """
+
+    def __init__(self, name: str, limit: Optional[int]) -> None:
+        self.name = name
+        self.limit = limit
+        self.left = limit
+        self._lock = threading.Lock()
+
+    def cap(self) -> int:
+        """``max_length`` for the next decoder call (``-1``: no bound)."""
+        return -1 if self.left is None else max(self.left, 0) + 1
+
+    def spend(self, produced: int) -> None:
+        if self.left is None:
+            return
+        with self._lock:
+            self.left -= produced
+            if self.left < 0:
+                raise _overrun(self.name, self.limit)
+
+
+def _decode_streams(new_decoder: Callable, data, budget: _Budget) -> bytes:
+    """Decode back-to-back compressed streams the way ``lzma.decompress`` does.
+
+    Bytes after the last complete stream that do not start another stream
+    are ignored, as in the stdlib; every decoder call is capped by
+    ``budget``.
+    """
+    results = []
+    while True:
+        decoder = new_decoder()
+        try:
+            piece = decoder.decompress(data, budget.cap())
+        except (OSError, lzma.LZMAError):
+            if results:
+                break  # trailing garbage after a complete stream
+            raise
+        budget.spend(len(piece))
+        results.append(piece)
+        if not decoder.eof:
+            raise EOFError("Compressed data ended before the end-of-stream marker was reached")
+        data = decoder.unused_data
+        if not data:
+            break
+    return b"".join(results)
+
+
+def _zlib_decompress_bounded(data, max_length: int) -> bytes:
+    decoder = zlib.decompressobj()
+    result = decoder.decompress(data, max_length + 1)
+    if len(result) > max_length:
+        raise _overrun("zlib", max_length)
+    if not decoder.eof:
+        raise zlib.error("incomplete or truncated stream")
+    return result
+
+
+def _lzma_decompress_bounded(data, max_length: int) -> bytes:
+    return _decode_streams(lzma.LZMADecompressor, data, _Budget("lzma", max_length))
 
 
 _BACKENDS: Dict[str, CompressionBackend] = {}
@@ -187,7 +303,7 @@ def get_backend(name_or_backend) -> CompressionBackend:
         ) from None
 
 
-def _checked_decompress(name: str, decompress: Callable[[bytes], bytes]) -> Callable[[bytes], bytes]:
+def _checked_decompress(name: str, decompress: Callable[..., bytes]) -> Callable[..., bytes]:
     """Translate a stdlib decompressor's raw errors into :class:`CodecError`.
 
     The stdlib codecs raise an inconsistent zoo on corrupt or truncated
@@ -198,9 +314,9 @@ def _checked_decompress(name: str, decompress: Callable[[bytes], bytes]) -> Call
     looks like a programming bug or an I/O failure.
     """
 
-    def checked(data: bytes) -> bytes:
+    def checked(data: bytes, *bound) -> bytes:
         try:
-            return decompress(data)
+            return decompress(data, *bound)
         except (OSError, EOFError, ValueError, zlib.error, lzma.LZMAError) as error:
             raise CodecError(f"corrupt or truncated {name} data: {error}") from None
 
@@ -395,25 +511,30 @@ def _compress_piece(piece) -> bytes:
     return bz2.compress(piece, compresslevel=9)
 
 
-def _decompress_stream(segment) -> bytes:
+def _decompress_stream(segment, budget: _Budget) -> bytes:
     """Decode ``segment`` as exactly one complete bzip2 stream."""
     decompressor = bz2.BZ2Decompressor()
-    result = decompressor.decompress(segment)
+    result = decompressor.decompress(segment, budget.cap())
+    budget.spend(len(result))
     if not decompressor.eof or decompressor.unused_data:
         raise ValueError("segment is not exactly one bzip2 stream")
     return result
 
 
-def _bz2_decompress(data) -> bytes:
+def _bz2_decompress(data, max_length: Optional[int] = None) -> bytes:
     """Decode concatenated bzip2 streams, each on its own core.
 
     Every level-9 stream starts with ``BZh91AY&SY``.  A false match inside
     a stream leaves the segment before it without its end-of-stream
     marker, so that segment fails :func:`_decompress_stream`; any failure
-    falls back to plain ``bz2.decompress``.  The result is therefore always
-    exactly the serial one.
+    falls back to one serial pass over the streams, as ``bz2.decompress``
+    makes.  The result is therefore always exactly the serial one.  With
+    ``max_length`` every stream decoder draws on one shared budget of that
+    many bytes and an overrun raises :class:`~repro.errors.CodecError`.
     """
     payload = data if isinstance(data, bytes) else bytes(data)
+    if not payload:
+        return b""  # like bz2.decompress
     bounds = [0]
     found = payload.find(_BZ2_STREAM_START, 1)
     while found != -1:
@@ -423,18 +544,21 @@ def _bz2_decompress(data) -> bytes:
         view = memoryview(payload)
         bounds.append(len(payload))
         segments = [view[low:high] for low, high in zip(bounds, bounds[1:])]
+        budget = _Budget("bz2", max_length)
         try:
-            return b"".join(_map_on_every_core(_decompress_stream, segments))
+            return b"".join(_map_on_every_core(partial(_decompress_stream, budget=budget), segments))
         except (OSError, EOFError, ValueError):
             pass
-    return bz2.decompress(payload)
+    return _decode_streams(bz2.BZ2Decompressor, payload, _Budget("bz2", max_length))
 
 
+_checked_bz2 = _checked_decompress("bz2", _bz2_decompress)
 register_backend(
     CompressionBackend(
         name="bz2",
         compress=_bz2_compress,
-        decompress=_checked_decompress("bz2", _bz2_decompress),
+        decompress=_checked_bz2,
+        decompress_bounded=_checked_bz2,
     )
 )
 # "gz" accepts the paper's gzip-style name; "xz" the modern lzma name.
@@ -443,6 +567,7 @@ register_backend(
         name="zlib",
         compress=lambda data: zlib.compress(data, 9),
         decompress=_checked_decompress("zlib", zlib.decompress),
+        decompress_bounded=_checked_decompress("zlib", _zlib_decompress_bounded),
     ),
     aliases=("gz",),
 )
@@ -451,9 +576,15 @@ register_backend(
         name="lzma",
         compress=lambda data: lzma.compress(data, preset=6),
         decompress=_checked_decompress("lzma", lzma.decompress),
+        decompress_bounded=_checked_decompress("lzma", _lzma_decompress_bounded),
     ),
     aliases=("xz",),
 )
 register_backend(
-    CompressionBackend(name="store", compress=_store_compress, decompress=_store_decompress)
+    CompressionBackend(
+        name="store",
+        compress=_store_compress,
+        decompress=_store_decompress,
+        decompress_bounded=_store_decompress_bounded,
+    )
 )

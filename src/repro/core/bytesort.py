@@ -20,6 +20,14 @@ compressor (bzip2 in the paper).
 The transformation is linear in time and space in the window size, matching
 the complexity the paper claims for the C implementation of Figure 2.
 
+The forward transform holds the window plane-major: one transposition turns
+the addresses into an ``(8, n)`` matrix whose row ``k`` is byte ``k`` (MSB
+first) of every address, so each step gathers from one contiguous row rather
+than a strided byte column; the inverse likewise scatters each block into a
+contiguous row.  A stable sort by a constant key is the identity, so a byte
+plane holding one value everywhere (the high bytes of block addresses) costs
+neither a sort nor a permutation composition.
+
 This module provides the window transform, its inverse and the streaming
 variant that processes a long trace with a finite buffer of ``B`` addresses
 (the paper's "small bytesort" uses B = 1 M and "big bytesort" B = 10 M).
@@ -27,7 +35,7 @@ variant that processes a long trace with a finite buffer of ``B`` addresses
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -51,6 +59,67 @@ def iter_windows(addresses: np.ndarray, buffer_addresses: int) -> Iterable[np.nd
         yield addresses[start : start + buffer_addresses]
 
 
+def _is_constant(plane: np.ndarray) -> bool:
+    """True when every byte of ``plane`` equals its first."""
+    return bool((plane == plane[0]).all())
+
+
+def _sort_step(block: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
+    """Compose ``order`` with the stable sort by ``block`` (``None`` is the identity)."""
+    perm = np.argsort(block, kind="stable")
+    return perm if order is None else order[perm]
+
+
+def _forward_into(values: np.ndarray, blocks: np.ndarray) -> None:
+    """Bytesort the non-empty window ``values`` into the ``(8, n)`` matrix ``blocks``.
+
+    ``blocks`` first receives the byte planes (row ``k`` is byte ``k``, MSB
+    first, of every address in input order); each row is then permuted in
+    place into the current sort order before it is sorted by.
+    """
+    count = int(values.size)
+    # columns[i, j] is byte of order j of address i (j = 0 is the LSB).
+    columns = values.view(np.uint8).reshape(count, ADDRESS_BYTES)
+    np.copyto(blocks, columns[:, ::-1].T)
+    order = None  # the identity until the first non-constant plane
+    for block_index in range(ADDRESS_BYTES):
+        plane = blocks[block_index]
+        if _is_constant(plane):
+            continue  # the same constant in every order, and a no-op sort key
+        if order is not None:
+            plane[...] = plane[order]
+        if block_index < ADDRESS_BYTES - 1:  # the LSB block is never sorted by
+            order = _sort_step(plane, order)
+
+
+def _inverse_into(blocks: np.ndarray, values: np.ndarray) -> None:
+    """Invert :func:`_forward_into`: decode the ``(8, n)`` matrix ``blocks`` into ``values``.
+
+    Block ``k`` holds byte ``k`` of every address in the encoder's working
+    order at step ``k``; scattering it through that order into a contiguous
+    row restores input order, and the row is then copied into its byte
+    column of ``values`` (eight strided column copies measure faster than
+    one transposition of an ``(8, n)`` matrix).
+    """
+    count = int(values.size)
+    columns = values.view(np.uint8).reshape(count, ADDRESS_BYTES)
+    row = np.empty(count, dtype=np.uint8)
+    order = None
+    for block_index in range(ADDRESS_BYTES):
+        block = blocks[block_index]
+        column = columns[:, ADDRESS_BYTES - 1 - block_index]
+        if _is_constant(block):
+            column[...] = block[0]
+            continue
+        if order is None:
+            column[...] = block
+        else:
+            row[order] = block
+            column[...] = row
+        if block_index < ADDRESS_BYTES - 1:
+            order = _sort_step(block, order)
+
+
 def bytesort_window(addresses) -> bytes:
     """Apply the bytesort transformation to one window of addresses.
 
@@ -70,22 +139,12 @@ def bytesort_window(addresses) -> bytes:
     count = int(values.size)
     if count == 0:
         return b""
-    # columns[k, j] is byte of order j of address k (j = 0 is the LSB).
-    columns = values.view(np.uint8).reshape(count, ADDRESS_BYTES)
-    # one preallocated output matrix, one row per emitted block: a single
-    # final tobytes() replaces eight intermediate byte strings plus a join
-    out = np.empty((ADDRESS_BYTES, count), dtype=np.uint8)
-    order = np.arange(count)
-    for block_index in range(ADDRESS_BYTES):
-        position = ADDRESS_BYTES - 1 - block_index
-        column = columns[order, position]
-        out[block_index] = column
-        if position:  # no need to sort after the last (least significant) block
-            order = order[np.argsort(column, kind="stable")]
-    return out.tobytes()
+    blocks = np.empty((ADDRESS_BYTES, count), dtype=np.uint8)
+    _forward_into(values, blocks)
+    return blocks.tobytes()
 
 
-def bytesort_inverse_window(payload: bytes) -> np.ndarray:
+def bytesort_inverse_window(payload) -> np.ndarray:
     """Invert :func:`bytesort_window`.
 
     The inverse replays the forward pass: the first block gives the most
@@ -98,20 +157,11 @@ def bytesort_inverse_window(payload: bytes) -> np.ndarray:
             f"bytesorted window length {len(payload)} is not a multiple of {ADDRESS_BYTES}"
         )
     count = len(payload) // ADDRESS_BYTES
-    if count == 0:
-        return np.empty(0, dtype=np.uint64)
-    blocks = np.frombuffer(payload, dtype=np.uint8).reshape(ADDRESS_BYTES, count)
-    columns = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
-    order = np.arange(count)
-    for block_index in range(ADDRESS_BYTES):
-        position = ADDRESS_BYTES - 1 - block_index  # byte order j, MSB first
-        block = blocks[block_index]
-        # block[k] is the byte of the address currently at position k of the
-        # encoder's working order; map it back to the original address index.
-        columns[order, position] = block
-        if position:
-            order = order[np.argsort(block, kind="stable")]
-    return columns.view("<u8").reshape(count).copy()
+    values = np.empty(count, dtype="<u8")
+    if count:
+        blocks = np.frombuffer(payload, dtype=np.uint8).reshape(ADDRESS_BYTES, count)
+        _inverse_into(blocks, values)
+    return values
 
 
 def bytesort_transform(addresses, buffer_addresses: int = 1_000_000) -> bytes:
@@ -121,6 +171,7 @@ def bytesort_transform(addresses, buffer_addresses: int = 1_000_000) -> bytes:
     traces, we use a finite size buffer of B x 8 bytes, and we output the
     eight blocks every B addresses."  A bigger buffer exposes longer-range
     regularity and therefore compresses better (Table 1's bs1 vs bs10).
+    Every window is transformed straight into its slice of one output.
 
     Example:
         >>> import numpy as np
@@ -130,20 +181,30 @@ def bytesort_transform(addresses, buffer_addresses: int = 1_000_000) -> bytes:
         True
     """
     values = as_address_array(addresses)
-    return b"".join(bytesort_window(window) for window in iter_windows(values, buffer_addresses))
+    out = np.empty(ADDRESS_BYTES * values.size, dtype=np.uint8)
+    start = 0
+    for window in iter_windows(values, buffer_addresses):
+        stop = start + ADDRESS_BYTES * window.size
+        _forward_into(window, out[start:stop].reshape(ADDRESS_BYTES, window.size))
+        start = stop
+    return out.tobytes()
 
 
-def bytesort_inverse(payload: bytes, buffer_addresses: int = 1_000_000) -> np.ndarray:
-    """Invert :func:`bytesort_transform` (must use the same buffer size)."""
+def bytesort_inverse(payload, buffer_addresses: int = 1_000_000) -> np.ndarray:
+    """Invert :func:`bytesort_transform` (must use the same buffer size).
+
+    Every window is decoded from its offset in ``payload`` (any bytes-like
+    object) straight into its slice of one result array.
+    """
     if buffer_addresses <= 0:
         raise CodecError("buffer_addresses must be positive")
-    window_bytes = buffer_addresses * ADDRESS_BYTES
     if len(payload) % ADDRESS_BYTES:
         raise CodecError("bytesorted payload length is not a multiple of 8")
-    windows = [
-        bytesort_inverse_window(payload[start : start + window_bytes])
-        for start in range(0, len(payload), window_bytes)
-    ]
-    if not windows:
-        return np.empty(0, dtype=np.uint64)
-    return np.concatenate(windows)
+    data = np.frombuffer(payload, dtype=np.uint8)
+    total = data.size // ADDRESS_BYTES
+    values = np.empty(total, dtype="<u8")
+    for start in range(0, total, buffer_addresses):
+        stop = min(total, start + buffer_addresses)
+        window = data[ADDRESS_BYTES * start : ADDRESS_BYTES * stop]
+        _inverse_into(window.reshape(ADDRESS_BYTES, stop - start), values[start:stop])
+    return values

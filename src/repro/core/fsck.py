@@ -29,6 +29,7 @@ from typing import Dict, List
 from repro.core.backend import canonical_backend_name
 from repro.core.container import AtcContainer
 from repro.core.integrity import ENTRY_DIGEST_KEY, chunk_digest, parse_chunk_digests
+from repro.core.intervals import chunk_lengths
 from repro.core.lossless import LosslessCodec
 from repro.errors import CodecError, ContainerError, IntegrityError, ReproError
 
@@ -218,7 +219,8 @@ def scrub_container(path) -> ContainerScrub:
 
     The INFO stream is read (which for v2 verifies the footer digest), then
     every chunk file is checked: against its recorded digest for v2, by
-    attempted decompression for digestless v1 chunks.  Damage never raises
+    attempted decompression for digestless v1 chunks, and in both against
+    the address count its interval record gives.  Damage never raises
     — it is localised into the returned :class:`ContainerScrub` — but a
     path that is not a container at all raises :class:`ContainerError`.
     """
@@ -241,6 +243,7 @@ def scrub_container(path) -> ContainerScrub:
         buffer_addresses=metadata.get("chunk_buffer_addresses", 1_000_000),
         backend=container.backend,
     )
+    lengths = chunk_lengths(records)
     referenced = sorted(
         {record.chunk_id for record in records}
         | set(container.chunk_ids())
@@ -270,11 +273,16 @@ def scrub_container(path) -> ContainerScrub:
                     )
                 )
                 continue
+            try:
+                LosslessCodec.read_header(payload, lengths.get(chunk_id))
+            except CodecError as exc:
+                scrub.chunks.append(ChunkStatus(chunk_id, file_name, "corrupt", str(exc)))
+                continue
             scrub.chunks.append(ChunkStatus(chunk_id, file_name, "ok"))
             continue
         # v1 chunk: no digest recorded, so decompression is the only check.
         try:
-            codec.decompress(payload)
+            codec.decompress(payload, lengths.get(chunk_id))
         except CodecError as exc:
             scrub.chunks.append(ChunkStatus(chunk_id, file_name, "corrupt", str(exc)))
             continue

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.histograms import IntervalSummary, apply_translation, interval_distance
 from repro.errors import CodecError, ConfigurationError
 
-__all__ = ["ChunkMatch", "ChunkTable", "IntervalRecord", "materialize_interval"]
+__all__ = ["ChunkMatch", "ChunkTable", "IntervalRecord", "chunk_lengths", "materialize_interval"]
 
 
 def materialize_interval(record: "IntervalRecord", source: np.ndarray) -> np.ndarray:
@@ -146,3 +146,16 @@ class IntervalRecord:
     def is_chunk(self) -> bool:
         """True when the interval is stored as its own chunk."""
         return self.kind == "chunk"
+
+
+def chunk_lengths(records: Iterable[IntervalRecord]) -> Dict[int, int]:
+    """``{chunk_id: address count}`` of every chunk a ``"chunk"`` record stores.
+
+    A stored chunk holds exactly its interval, so this is the count each
+    chunk payload's header must declare.
+    """
+    lengths: Dict[int, int] = {}
+    for record in records:
+        if record.is_chunk:
+            lengths.setdefault(record.chunk_id, record.length)
+    return lengths

@@ -8,6 +8,10 @@ that the decompressor recovers the buffer size and address count without a
 side channel.  :class:`~repro.core.atc.AtcEncoder` writes these payloads,
 :class:`~repro.core.atc.AtcDecoder` and :mod:`repro.core.fsck` read them.
 
+The header's address count also bounds decompression: the back-end may not
+inflate the payload past ``8 * count`` bytes, so a tiny payload cannot
+expand into gigabytes before the size check.
+
 The two buffer sizes evaluated in Table 1 — 1 M addresses ("small
 bytesort", ``bs1``) and 10 M addresses ("big bytesort", ``bs10``) — are just
 two values of the container's ``chunk_buffer_addresses``.
@@ -17,13 +21,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.backend import get_backend
 from repro.core.bytesort import bytesort_inverse, bytesort_transform
 from repro.errors import CodecError
-from repro.traces.trace import as_address_array
+from repro.traces.trace import ADDRESS_BYTES, as_address_array
 
 __all__ = ["LosslessCodec"]
 
@@ -67,8 +72,14 @@ class LosslessCodec:
         header = _HEADER.pack(_MAGIC, 1, int(values.size), int(self.buffer_addresses))
         return header + payload
 
-    def decompress(self, payload: bytes) -> np.ndarray:
-        """Invert :meth:`compress`."""
+    @staticmethod
+    def read_header(payload: bytes, expected_count: Optional[int] = None) -> Tuple[int, int]:
+        """Check a payload's header; returns its ``(count, buffer_addresses)``.
+
+        With ``expected_count`` (what the container's interval records say
+        the chunk holds) a header declaring another count raises
+        :class:`CodecError`.  Reads only the header, so it costs nothing.
+        """
         if len(payload) < _HEADER.size:
             raise CodecError("truncated lossless ATC stream: missing header")
         magic, version, count, buffer_addresses = _HEADER.unpack(payload[: _HEADER.size])
@@ -76,7 +87,26 @@ class LosslessCodec:
             raise CodecError("not a lossless ATC stream (bad magic)")
         if version != 1:
             raise CodecError(f"unsupported lossless ATC stream version {version}")
-        transformed = get_backend(self.backend).decompress(payload[_HEADER.size :])
+        if expected_count is not None and count != expected_count:
+            raise CodecError(
+                f"lossless ATC stream header declares {count} addresses "
+                f"but its interval record holds {expected_count}"
+            )
+        return count, buffer_addresses
+
+    def decompress(self, payload: bytes, expected_count: Optional[int] = None) -> np.ndarray:
+        """Invert :meth:`compress`.
+
+        The header is checked first (:meth:`read_header`), so a count that
+        disagrees with ``expected_count`` fails before anything is
+        decompressed.  The back-end may then produce at most ``8 * count``
+        bytes; an overrun raises :class:`CodecError` before the inverse
+        bytesort runs.
+        """
+        count, buffer_addresses = self.read_header(payload, expected_count)
+        transformed = get_backend(self.backend).decompress_at_most(
+            payload[_HEADER.size :], ADDRESS_BYTES * count
+        )
         values = bytesort_inverse(transformed, int(buffer_addresses))
         if int(values.size) != count:
             raise CodecError(

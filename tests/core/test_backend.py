@@ -9,6 +9,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -395,6 +397,78 @@ class TestBz2ParallelDecoder:
         flip_bit(chunk, 8 * chunk.stat().st_size // 2)
         with pytest.raises(IntegrityError):
             AtcDecoder(directory).read_all()
+
+
+class TestBoundedDecompression:
+    """``decompress_at_most``: the output of a payload never passes the bound."""
+
+    @pytest.mark.parametrize("name", ["bz2", "zlib", "lzma", "store"])
+    def test_exact_bound_decodes_and_one_byte_less_raises(self, name):
+        backend = get_backend(name)
+        data = bytes(range(256)) * 40
+        payload = backend.compress(data)
+        assert backend.decompress_bounded is not None
+        assert backend.decompress_at_most(payload, len(data)) == data
+        with pytest.raises(CodecError, match="decompresses to more than"):
+            backend.decompress_at_most(payload, len(data) - 1)
+
+    @pytest.mark.parametrize("name", ["bz2", "zlib", "lzma"])
+    def test_truncated_payloads_still_raise_under_a_bound(self, name):
+        backend = get_backend(name)
+        payload = backend.compress(bytes(range(256)) * 40)
+        with pytest.raises(CodecError):
+            backend.decompress_at_most(payload[: len(payload) // 2], 1 << 20)
+
+    def test_parallel_streams_share_one_budget(self, multi_block, multi_block_payload):
+        bz2_backend = get_backend("bz2")
+        assert bz2_backend.decompress_at_most(multi_block_payload, len(multi_block)) == multi_block
+        for bound in (len(multi_block) - 1, len(multi_block) // 2, 0):
+            with pytest.raises(CodecError, match="decompresses to more than"):
+                bz2_backend.decompress_at_most(multi_block_payload, bound)
+
+    # The lzma decoder allocates its 8 MiB dictionary whatever the output.
+    @pytest.mark.parametrize("name, allowance", [("bz2", 1 << 20), ("zlib", 1 << 20), ("lzma", 9 << 20)])
+    def test_a_bomb_is_stopped_without_inflating(self, name, allowance):
+        backend = get_backend(name)
+        bomb = backend.compress(bytes(16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match="decompresses to more than 8 bytes"):
+                backend.decompress_at_most(bomb, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < allowance
+
+    def test_backend_without_a_bounded_decoder_is_checked_after_decoding(self):
+        plain = CompressionBackend("plain", lambda data: bytes(data), lambda data: bytes(data))
+        assert plain.decompress_at_most(b"abcd", 4) == b"abcd"
+        with pytest.raises(CodecError, match="plain data decompresses to more than 3 bytes"):
+            plain.decompress_at_most(b"abcd", 3)
+
+    def test_the_shared_budget_loses_no_update_under_contention(self):
+        threads, spends = 8, 2_000
+        budget = backend_module._Budget("test", threads * spends)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=lambda: [budget.spend(1) for _ in range(spends)])
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert budget.left == 0 and budget.cap() == 1
+        with pytest.raises(CodecError, match="more than 16000 bytes"):
+            budget.spend(1)
+
+    def test_bounds_past_the_address_space_are_clamped(self):
+        assert get_backend("bz2").decompress_at_most(bz2.compress(b"abc"), 1 << 70) == b"abc"
 
 
 def _compress_in_child(data: bytes, connection) -> None:

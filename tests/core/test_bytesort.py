@@ -172,3 +172,106 @@ class TestBytesortProperties:
     def test_length_preserved(self, values):
         array = np.array(values, dtype=np.uint64)
         assert len(bytesort_window(array)) == 8 * array.size
+
+
+def _oracle_window(values: np.ndarray) -> bytes:
+    """The column-major transform: gather byte ``j`` of every address by row index, sort all 7 keys."""
+    count = int(values.size)
+    if count == 0:
+        return b""
+    columns = values.view(np.uint8).reshape(count, ADDRESS_BYTES)
+    out = np.empty((ADDRESS_BYTES, count), dtype=np.uint8)
+    order = np.arange(count)
+    for block_index in range(ADDRESS_BYTES):
+        position = ADDRESS_BYTES - 1 - block_index
+        column = columns[order, position]
+        out[block_index] = column
+        if position:
+            order = order[np.argsort(column, kind="stable")]
+    return out.tobytes()
+
+
+def _oracle_inverse_window(payload: bytes) -> np.ndarray:
+    """Invert :func:`_oracle_window` by scattering each block into its byte column."""
+    count = len(payload) // ADDRESS_BYTES
+    if count == 0:
+        return np.empty(0, dtype=np.uint64)
+    blocks = np.frombuffer(payload, dtype=np.uint8).reshape(ADDRESS_BYTES, count)
+    columns = np.empty((count, ADDRESS_BYTES), dtype=np.uint8)
+    order = np.arange(count)
+    for block_index in range(ADDRESS_BYTES):
+        position = ADDRESS_BYTES - 1 - block_index
+        block = blocks[block_index]
+        columns[order, position] = block
+        if position:
+            order = order[np.argsort(block, kind="stable")]
+    return columns.view("<u8").reshape(count).copy()
+
+
+def _drawn_window(kind: str, count: int, seed: int) -> np.ndarray:
+    """A window of ``count`` addresses of one shape the plane-skipping path must handle.
+
+    ``odd-first``/``odd-middle``/``odd-last`` are all-equal windows with one
+    address changed in its low bytes: every plane is constant except a
+    plane whose first and last bytes agree when the odd one sits inside.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.integers(0, 1 << 64, size=count, dtype=np.uint64)
+    if kind == "block-addresses":  # 42 significant bits: the high planes are constant
+        return rng.integers(0, 1 << 42, size=count, dtype=np.uint64)
+    if kind == "extremes":
+        return rng.choice(np.array([0, (1 << 64) - 1], dtype=np.uint64), size=count)
+    value = np.uint64(rng.integers(0, 1 << 64, dtype=np.uint64))
+    values = np.full(count, value, dtype=np.uint64)
+    if kind != "equal" and count:
+        where = {"odd-first": 0, "odd-middle": count // 2, "odd-last": count - 1}[kind]
+        values[where] ^= np.uint64(int(rng.integers(1, 1 << 16)))
+    return values
+
+
+_WINDOW_KINDS = ["random", "block-addresses", "extremes", "equal", "odd-first", "odd-middle", "odd-last"]
+
+
+class TestBytesortOracle:
+    """The plane-major, constant-plane-skipping transform against the column-major one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(_WINDOW_KINDS),
+        count=st.integers(min_value=0, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_window_matches_the_column_major_oracle(self, kind, count, seed):
+        values = _drawn_window(kind, count, seed)
+        payload = bytesort_window(values)
+        assert payload == _oracle_window(values)
+        decoded = bytesort_inverse_window(payload)
+        assert decoded.dtype == np.uint64 and np.array_equal(decoded, values)
+        assert np.array_equal(_oracle_inverse_window(payload), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(_WINDOW_KINDS),
+        count=st.integers(min_value=0, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_streaming_matches_the_oracle_for_every_buffer(self, kind, count, seed, data):
+        values = _drawn_window(kind, count, seed)
+        buffer_addresses = data.draw(st.integers(min_value=1, max_value=count + 1))
+        payload = bytesort_transform(values, buffer_addresses)
+        expected = b"".join(
+            _oracle_window(values[start : start + buffer_addresses])
+            for start in range(0, count, buffer_addresses)
+        )
+        assert payload == expected
+        assert np.array_equal(bytesort_inverse(payload, buffer_addresses), values)
+        assert np.array_equal(bytesort_inverse(memoryview(payload), buffer_addresses), values)
+
+    @pytest.mark.parametrize("kind", ["odd-first", "odd-middle", "odd-last"])
+    def test_one_odd_address_in_constant_planes(self, kind):
+        values = _drawn_window(kind, 1001, seed=7)
+        payload = bytesort_window(values)
+        assert payload == _oracle_window(values)
+        assert np.array_equal(bytesort_inverse_window(payload), values)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.atc import AtcDecoder
+from repro.core.container import AtcContainer
 from repro.core.fsck import (
     repair_container,
     scrub_cache_root,
@@ -23,6 +25,7 @@ from repro.core.fsck import (
     scrub_path,
     scrub_store,
 )
+from repro.core.integrity import chunk_digest
 from repro.errors import ContainerError, IntegrityError
 from repro.experiments.store import ResultStore
 from repro.testing.faults import flip_bit, torn_write, truncate_file
@@ -90,6 +93,35 @@ class TestScrubContainer:
         scrub = scrub_container(work)
         assert [c.status for c in scrub.damaged_chunks] == ["corrupt"]
         assert scrub.format_version == 1
+
+    def test_v1_chunk_header_must_match_its_interval_record(self, tmp_path):
+        work = tmp_path / "v1"
+        shutil.copytree(golden_v1_directory("lossless", "bz2"), work)
+        target = _chunk_file(work, 0)
+        payload = bytearray(target.read_bytes())
+        (count,) = struct.unpack_from("<Q", payload, 5)
+        struct.pack_into("<Q", payload, 5, count + 1)
+        target.write_bytes(bytes(payload))
+        scrub = scrub_container(work)
+        assert [c.status for c in scrub.damaged_chunks] == ["corrupt"]
+        assert "interval record" in scrub.damaged_chunks[0].detail
+        with pytest.raises(IntegrityError, match=r"1\.bz2: chunk 1 is corrupt: .*interval record"):
+            AtcDecoder(work).read_all()
+
+    def test_v2_chunk_header_is_checked_under_a_recomputed_digest(self, container):
+        target = _chunk_file(container, 2)
+        payload = bytearray(target.read_bytes())
+        (count,) = struct.unpack_from("<Q", payload, 5)
+        struct.pack_into("<Q", payload, 5, count - 1)
+        target.write_bytes(bytes(payload))
+        info = AtcContainer(container)
+        metadata, records = info.read_info()
+        metadata["chunk_digests"]["2"] = chunk_digest(bytes(payload))
+        info.write_info(metadata, records)
+        scrub = scrub_container(container)
+        assert [(c.chunk_id, c.status) for c in scrub.damaged_chunks] == [(2, "corrupt")]
+        with pytest.raises(IntegrityError, match=r"3\.bz2: chunk 3 is corrupt: .*interval record"):
+            AtcDecoder(container).read_all()
 
     def test_non_container_raises_container_error(self, tmp_path):
         (tmp_path / "stray.txt").write_text("hi")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.histograms import IntervalSummary, identity_translation
-from repro.core.intervals import ChunkMatch, ChunkTable, IntervalRecord
+from repro.core.intervals import ChunkMatch, ChunkTable, IntervalRecord, chunk_lengths
 from repro.errors import CodecError, ConfigurationError
 
 
@@ -105,3 +105,15 @@ class TestIntervalRecord:
     def test_negative_length_rejected(self):
         with pytest.raises(CodecError):
             IntervalRecord(kind="chunk", chunk_id=0, length=-1)
+
+
+def test_chunk_lengths_come_from_chunk_records_only():
+    translations = identity_translation()
+    active = np.zeros(8, dtype=bool)
+    records = [
+        IntervalRecord("chunk", 0, 500),
+        IntervalRecord("imitate", 0, 300, active, translations),
+        IntervalRecord("chunk", 1, 120),
+        IntervalRecord("imitate", 2, 80, active, translations),
+    ]
+    assert chunk_lengths(records) == {0: 500, 1: 120}

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import bz2
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.generic import raw_bits_per_address
 from repro.core.atc import MODE_LOSSLESS
+from repro.core.backend import CompressionBackend
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig
 from repro.errors import CodecError
@@ -122,3 +127,36 @@ class TestLosslessErrors:
         corrupted = payload[:-10]
         with pytest.raises(Exception):
             LosslessCodec().decompress(corrupted)
+
+    def test_header_count_bounds_decompression(self):
+        bomb = struct.pack("<4sB Q Q", b"ATCL", 1, 1, 1_000_000) + bz2.compress(bytes(16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match="more than 8 bytes"):
+                LosslessCodec().decompress(bomb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_short_payload_still_reports_the_count(self, sequential_addresses):
+        payload = bytearray(LosslessCodec(backend="store").compress(sequential_addresses))
+        payload[5:13] = struct.pack("<Q", sequential_addresses.size + 1)
+        with pytest.raises(CodecError, match="expected"):
+            LosslessCodec(backend="store").decompress(bytes(payload))
+
+    def test_expected_count_is_checked_before_decompressing(self, sequential_addresses):
+        calls = []
+
+        def decompress(data):
+            calls.append(len(data))
+            return bz2.decompress(data)
+
+        backend = CompressionBackend("counted", lambda data: bz2.compress(data), decompress)
+        codec = LosslessCodec(backend=backend)
+        payload = codec.compress(sequential_addresses)
+        with pytest.raises(CodecError, match="interval record"):
+            codec.decompress(payload, expected_count=sequential_addresses.size - 1)
+        assert calls == []
+        decoded = codec.decompress(payload, expected_count=sequential_addresses.size)
+        assert np.array_equal(decoded, sequential_addresses) and len(calls) == 1

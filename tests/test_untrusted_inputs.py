@@ -28,6 +28,10 @@ checksum, not a signature, so anyone can rewrite a metadata field and
 keep the footer valid.  Whatever JSON value a field holds,
 ``AtcDecoder(...).read_all()`` raises a ``ReproError`` or decodes what
 the undamaged container decodes, and ``repro inspect`` exits with a code.
+The same holds for a chunk file rewritten with any lossless header (address
+count, buffer size) and any payload bytes under a recomputed digest, and
+the decode stays within a fixed memory bound: a header's count bounds how
+far the payload may inflate.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ import asyncio
 import bz2
 import io
 import re
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +54,7 @@ from hypothesis import strategies as st
 from repro.cli import main as repro_main
 from repro.core.atc import AtcDecoder, compress_trace
 from repro.core.container import AtcContainer
+from repro.core.integrity import chunk_digest
 from repro.core.lossy import LossyConfig
 from repro.errors import ReproError, TraceFormatError
 from repro.experiments.store import ResultStore
@@ -474,3 +481,66 @@ def test_info_metadata_values_yield_typed_errors_or_the_original_decode(mode, ke
         else:
             assert np.array_equal(decoded, expected)
         assert repro_main(["inspect", str(directory)]) in (0, 1, 2)
+
+
+#: ``bz2.compress(bytes(160 MiB))``: 144 bytes that inflate to 160 MiB.
+_BZ2_BOMB = bytes.fromhex(
+    "425a68393141592653590e09e2df015f8e4000c0000008200030804d4642a025a90a8097"
+    "3141592653590e09e2df015f8e4000c0000008200030804d4642a025a90a8097"
+    "3141592653590e09e2df015f8e4000c0000008200030804d4642a025a90a8097"
+    "314159265359b877ec2c00e659c000c1000008200030cc09aa698a25146d5489451e2ee48a70a121d819682c"
+)
+_LOSSLESS_HEADER = struct.Struct("<4sB Q Q")
+_CHUNK_PAYLOADS = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=4096).map(bz2.compress),
+    st.integers(min_value=0, max_value=1200).map(lambda count: bz2.compress(bytes(8 * count))),
+)
+_DECODE_PEAK_BYTES = 64 << 20
+
+
+def test_the_bomb_inflates_past_the_memory_bound():
+    decoder = bz2.BZ2Decompressor()
+    assert len(decoder.decompress(_BZ2_BOMB, max_length=_DECODE_PEAK_BYTES + 1)) > _DECODE_PEAK_BYTES
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mode=st.sampled_from(["c", "k"]),
+    chunk_pick=st.integers(min_value=0, max_value=10),
+    count=st.one_of(st.sampled_from([0, 1, 100, 500]), st.integers(min_value=0, max_value=2**64 - 1)),
+    buffer_addresses=st.one_of(st.sampled_from([1, 500]), st.integers(min_value=0, max_value=2**64 - 1)),
+    version=st.sampled_from([1, 1, 1, 2]),
+    payload=_CHUNK_PAYLOADS,
+)
+@example(mode="c", chunk_pick=0, count=1, buffer_addresses=1_000_000, version=1, payload=_BZ2_BOMB)
+@example(mode="c", chunk_pick=0, count=500, buffer_addresses=500, version=1, payload=_BZ2_BOMB)
+@example(mode="k", chunk_pick=0, count=500, buffer_addresses=500, version=1, payload=_BZ2_BOMB)
+def test_chunk_headers_and_payloads_yield_typed_errors_or_the_original_decode(
+    mode, chunk_pick, count, buffer_addresses, version, payload
+):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch) / "trace"
+        expected = compress_trace(
+            _CONTAINER_TRACE, directory, mode=mode, config=_CONTAINER_CONFIG
+        ).read_all()
+        container = AtcContainer(directory)
+        metadata, records = container.read_info()
+        chunk_ids = container.chunk_ids()
+        chunk_id = chunk_ids[chunk_pick % len(chunk_ids)]
+        forged = _LOSSLESS_HEADER.pack(b"ATCL", version, count, buffer_addresses) + payload
+        container.write_chunk(chunk_id, forged)
+        metadata["chunk_digests"][str(chunk_id)] = chunk_digest(forged)
+        container.write_info(metadata, records)
+        tracemalloc.start()
+        try:
+            try:
+                decoded = AtcDecoder(directory).read_all()
+            except ReproError:
+                pass
+            else:
+                assert np.array_equal(decoded, expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _DECODE_PEAK_BYTES, f"decode peaked at {peak / 2**20:.0f} MiB"
