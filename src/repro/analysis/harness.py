@@ -99,8 +99,8 @@ class EvaluationHarness:
 
         The streaming counterpart of :meth:`trace`: the concatenated chunks
         are byte-identical to ``self.trace(name).addresses``, but the
-        filter runs chunk by chunk so downstream consumers (ATC encoder,
-        hierarchy replay) see chunk-bounded memory.  The result is not
+        filter runs chunk by chunk so downstream consumers (the ATC
+        encoder) see chunk-bounded memory.  The result is not
         cached — the point of streaming is not to hold the trace.
         """
         from repro.traces.filter import iter_filtered_spec_like_chunks

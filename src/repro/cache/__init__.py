@@ -1,8 +1,6 @@
 """Cache substrate: set-associative caches and multi-config LRU simulation."""
 
 from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_batches
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.optimal import OptimalCacheSimulator, optimal_miss_ratio
 from repro.cache.stackdist import LruStackSimulator, MissRatioCurve, simulate_miss_curve
 from repro.cache.sweep import DEFAULT_ASSOCIATIVITIES, MissRatioSurface, miss_ratio_sweep
 
@@ -11,13 +9,10 @@ __all__ = [
     "CacheStats",
     "SetAssociativeCache",
     "access_batches",
-    "CacheHierarchy",
     "LruStackSimulator",
     "MissRatioCurve",
     "simulate_miss_curve",
     "MissRatioSurface",
     "miss_ratio_sweep",
     "DEFAULT_ASSOCIATIVITIES",
-    "OptimalCacheSimulator",
-    "optimal_miss_ratio",
 ]

@@ -280,9 +280,7 @@ class SetAssociativeCache:
         the simulation runs on arrays instead of one Python-level cache
         probe per reference:
 
-        * direct-mapped caches take a fully vectorised NumPy path (a hit is
-          an access equal to the previous access of the same set);
-        * LRU set-associative caches run on the set-parallel stack kernel
+        * LRU caches of every geometry run on the set-parallel stack kernel
           (:mod:`repro.core.kernels`), which advances every set's recency
           stack with whole-array operations;
         * FIFO and RANDOM replacement (the paper's filter and sweeps are
@@ -296,8 +294,6 @@ class SetAssociativeCache:
             return np.zeros(0, dtype=bool)
         if self.config.policy != "lru" or self._dirty_block_count:
             return self._access_batch_serial(array)
-        if self.config.associativity == 1:
-            return self._access_batch_direct(array)
         if count < KERNEL_MIN_BATCH:
             return self._access_batch_serial(array)
         return self._access_batch_kernel(array)
@@ -315,53 +311,6 @@ class SetAssociativeCache:
             chunk = array[start : start + SERIAL_FALLBACK_BLOCKS].tolist()
             for offset, block in enumerate(chunk):
                 hits[start + offset] = access_block(block)
-        return hits
-
-    def _access_batch_direct(self, array: np.ndarray) -> np.ndarray:
-        """Vectorised batch access for direct-mapped LRU caches.
-
-        With one way per set the resident block is simply the last block
-        accessed in that set, so after a stable sort by set index a hit is
-        "equal to the previous access of the same set" — no per-access
-        Python at all.  Only the per-set boundary work (seeding the first
-        access of each touched set with the resident block, and writing the
-        final state back) runs in a Python loop over *touched sets*.
-        """
-        count = int(array.size)
-        set_index = (array & np.uint64(self._set_mask)).astype(np.int64)
-        order = np.argsort(set_index, kind="stable")
-        sorted_sets = set_index[order]
-        sorted_blocks = array[order]
-        same_set = np.zeros(count, dtype=bool)
-        same_set[1:] = sorted_sets[1:] == sorted_sets[:-1]
-        hits_sorted = np.zeros(count, dtype=bool)
-        hits_sorted[1:] = same_set[1:] & (sorted_blocks[1:] == sorted_blocks[:-1])
-        group_starts = np.flatnonzero(~same_set)
-        group_bounds = np.append(group_starts, count)
-        clock_start = self._clock
-        newly_filled = 0
-        sets = self._writable_sets()
-        for group in range(group_starts.size):
-            start = int(group_starts[group])
-            end = int(group_bounds[group + 1])
-            cache_set = sets[int(sorted_sets[start])]
-            if cache_set:
-                (resident,) = cache_set
-                hits_sorted[start] = int(sorted_blocks[start]) == resident
-            else:
-                newly_filled += 1
-            # the LRU stamp is the clock at the last touch of the set
-            cache_set.clear()
-            cache_set[int(sorted_blocks[end - 1])] = clock_start + int(order[end - 1]) + 1
-        hit_count = int(np.count_nonzero(hits_sorted))
-        miss_count = count - hit_count
-        self.stats.accesses += count
-        self.stats.hits += hit_count
-        self.stats.misses += miss_count
-        self.stats.evictions += miss_count - newly_filled
-        self._clock += count
-        hits = np.empty(count, dtype=bool)
-        hits[order] = hits_sorted
         return hits
 
     def _access_batch_kernel(self, array: np.ndarray) -> np.ndarray:
@@ -525,8 +474,7 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     blocks and hit mask come out exactly as if ``cache.access_batch(blocks)``
     had been called per cache (the fallback this function takes whenever
     the caches are ineligible for fusion: mixed associativities, a non-LRU
-    policy, dirty blocks, direct-mapped or single-set geometry, or a tiny
-    total batch).
+    policy, dirty blocks, single-set geometry, or a tiny total batch).
 
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
@@ -556,7 +504,6 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     fusable = (
         len(caches) >= 2
         and total >= KERNEL_MIN_BATCH
-        and ways >= 2
         and all(
             cache.config.policy == "lru"
             and cache.config.associativity == ways

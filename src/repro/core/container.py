@@ -284,9 +284,11 @@ class AtcContainer:
         Reads both format versions.  For v2 the footer digest is verified
         before anything is parsed, so a corrupted INFO raises
         :class:`~repro.errors.IntegrityError`; a stream that is not an ATC
-        INFO at all (bad magic, truncated header) or whose metadata fails
-        :func:`_check_metadata` raises a plain
-        :class:`~repro.errors.ContainerError` naming the file.
+        INFO at all (bad magic, truncated header), whose metadata fails
+        :func:`_check_metadata`, or whose interval records do not add up
+        to ``original_length`` raises a plain
+        :class:`~repro.errors.ContainerError` naming the file, before any
+        chunk is read.
         """
         target = self._info_path()
         if not target.exists():
@@ -323,6 +325,13 @@ class AtcContainer:
             _check_metadata(metadata, 1, target)
         else:
             raise ContainerError(f"{target}: INFO stream has an unknown magic; not an ATC container")
+        if "original_length" in metadata:
+            recorded = sum(record.length for record in records)
+            if recorded != metadata["original_length"]:
+                raise ContainerError(
+                    f"{target}: INFO interval records cover {recorded} addresses but "
+                    f"original_length is {metadata['original_length']}"
+                )
         return metadata, records
 
     def _parse_info_body(self, body: bytes, offset: int, target: Path) -> Tuple[Dict, List[IntervalRecord]]:

@@ -40,8 +40,8 @@ Because a reference hits an ``A``-way LRU set iff its per-set stack
 distance is at most ``A`` (Mattson's inclusion property), the same pass
 yields the hit mask for any associativity, the exact capped stack-distance
 of every reference (one pass gives the whole miss-ratio curve, consumed by
-:class:`repro.cache.stackdist.LruStackSimulator`), and the miss streams
-the cache filter and hierarchy emit.
+:class:`repro.cache.stackdist.LruStackSimulator`), and the miss stream
+the cache filter emits.
 
 State crosses the kernel boundary as arrays.  A caller holds a
 ``(rows, ways)`` ``uint64`` block matrix, each row most recently used

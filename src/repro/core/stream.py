@@ -76,10 +76,10 @@ def map_chunks(chunks: Iterable, transform: Callable) -> Iterator:
     """Lazily apply a (possibly stateful) per-chunk transform to a stream.
 
     The generic plumbing behind every chunked simulation stage: the cache
-    filter and the hierarchy replay are *stateful* transforms (simulator
-    state carries from one chunk to the next inside ``transform``), and
-    mapping them over a chunk stream one chunk at a time is exactly what
-    keeps their peak memory bounded by the chunk size.  Chunks are pulled
+    filter is a *stateful* transform (simulator state carries from one
+    chunk to the next inside ``transform``), and mapping it over a chunk
+    stream one chunk at a time is exactly what keeps its peak memory
+    bounded by the chunk size.  Chunks are pulled
     only as the consumer iterates, so upstream laziness is preserved —
     this is :func:`map` under its pipeline-stage name, documented here so
     chunked stages share one idiom instead of ad-hoc generators.

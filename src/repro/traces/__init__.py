@@ -9,14 +9,6 @@ from repro.traces.filter import (
     filtered_spec_like_trace,
     iter_filtered_spec_like_chunks,
 )
-from repro.traces.multicore import (
-    interleave_round_robin,
-    interleave_weighted,
-    iter_interleave_round_robin,
-    iter_interleave_weighted,
-    merge_traces,
-    split_by_core,
-)
 from repro.traces.formats import (
     TraceRecords,
     convert_to_atc,
@@ -80,12 +72,6 @@ __all__ = [
     "RecordKind",
     "tag_addresses",
     "untag_addresses",
-    "interleave_round_robin",
-    "interleave_weighted",
-    "iter_interleave_round_robin",
-    "iter_interleave_weighted",
-    "merge_traces",
-    "split_by_core",
     "TraceRecords",
     "get_format",
     "format_names",

@@ -369,8 +369,8 @@ def iter_filtered_spec_like_chunks(
 
     The concatenated chunks are byte-identical to
     ``filtered_spec_like_trace(name, reference_count, seed).addresses``
-    with the same cache geometry; downstream consumers (ATC encoder,
-    hierarchy replay) see chunk-bounded memory.
+    with the same cache geometry; downstream consumers (the ATC encoder)
+    see chunk-bounded memory.
     """
     from repro.traces.spec_like import get_workload
 

@@ -50,8 +50,8 @@ class CacheHandover(RuleBasedStateMachine):
 
     @initialize(
         policy=st.sampled_from(["lru", "fifo"]),
-        ways=st.sampled_from([2, 4]),
-        sets=st.sampled_from([2, 4, 8]),
+        ways=st.sampled_from([1, 2, 4]),
+        sets=st.sampled_from([1, 2, 4, 8]),
     )
     def build(self, policy, ways, sets):
         configs = (

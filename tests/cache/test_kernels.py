@@ -139,17 +139,19 @@ class TestKernelEquivalence:
 
 
 class TestFusedBatches:
-    # 4 ways: both lanes share one row space despite different set counts;
-    # 2 ways: mixed associativities run per cache
-    @pytest.mark.parametrize("second_ways", [4, 2])
+    # (4, 4) and (1, 1): both lanes share one row space despite different
+    # set counts; (4, 2): mixed associativities run per cache
+    @pytest.mark.parametrize("first_ways,second_ways", [(4, 4), (4, 2), (1, 1)])
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats, split=st.integers(min_value=1, max_value=9))
-    def test_fused_lanes_match_independent_caches(self, second_ways, values, repeats, split):
+    def test_fused_lanes_match_independent_caches(
+        self, first_ways, second_ways, values, repeats, split
+    ):
         trace = _build_trace(values, repeats)
         cut = (trace.size * split) // 10
         batches = [trace[:cut], trace[cut:]]
         configs = (
-            CacheConfig(num_sets=16, associativity=4),
+            CacheConfig(num_sets=16, associativity=first_ways),
             CacheConfig(num_sets=8, associativity=second_ways),
         )
         fused = [SetAssociativeCache(config) for config in configs]
@@ -163,6 +165,23 @@ class TestFusedBatches:
         config = CacheConfig(num_sets=4, associativity=2)
         with pytest.raises(ConfigurationError, match="block batches"):
             access_batches([SetAssociativeCache(config)], [])
+
+    def test_direct_mapped_lanes_fuse(self, monkeypatch):
+        """A 1-way LRU pair takes the fused kernel, not per-cache batches."""
+        config = CacheConfig(num_sets=8, associativity=1)
+        rng = np.random.default_rng(5)
+        batches = [rng.integers(0, 64, size=300, dtype=np.uint64) for _ in range(2)]
+        fused = [SetAssociativeCache(config) for _ in batches]
+        solo = [SetAssociativeCache(config) for _ in batches]
+
+        def refuse(self, blocks):
+            raise AssertionError("a 1-way lane fell back to access_batch")
+
+        monkeypatch.setattr(SetAssociativeCache, "access_batch", refuse)
+        masks = access_batches(fused, batches)
+        for cache, reference, mask, batch in zip(fused, solo, masks, batches):
+            assert np.array_equal(mask, _serial_hits(reference, batch))
+            _assert_same_state(cache, reference)
 
     def test_ineligible_caches_fall_back(self):
         """A RANDOM-policy lane routes through plain per-cache batches."""

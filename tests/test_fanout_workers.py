@@ -3,8 +3,8 @@
 The worker count alone picks the strategy — inline for one worker, a
 thread pool beyond — so each site that accepts ``workers`` is run once
 serially and again on threads, and the two outputs must be identical:
-batch filtering, the hierarchy filter, the miss-ratio sweep, and the
-trace-format conversion in both directions.
+batch filtering, the miss-ratio sweep, and the trace-format conversion
+in both directions.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cache.cache import CacheConfig
-from repro.cache.hierarchy import miss_streams
 from repro.cache.sweep import miss_ratio_sweep
 from repro.core.lossy import LossyConfig
 from repro.traces.filter import (
@@ -76,16 +74,6 @@ def test_filter_spec_like_traces_matches_serial(workers):
     for name, trace in threaded.items():
         expected = filtered_spec_like_trace(name, 2_000, seed=3)
         assert np.array_equal(trace.addresses, expected.addresses)
-
-
-@THREAD_WORKERS
-def test_miss_streams_matches_serial(workers):
-    configs = [CacheConfig(num_sets=16, associativity=2), CacheConfig(num_sets=64, associativity=4)]
-    traces = [_blocks(seed) for seed in range(4)]
-    serial = miss_streams(traces, configs, workers=1)
-    threaded = miss_streams(traces, configs, workers=workers)
-    assert len(threaded) == len(traces)
-    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 @THREAD_WORKERS

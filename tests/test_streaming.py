@@ -1,8 +1,8 @@
 """Streaming-vs-in-memory equivalence tests.
 
 The streaming pipeline's hard invariant is byte-identity: for every stage
-(chunk plumbing, cache filter, ATC encoder, decoder, hierarchy replay,
-multicore merger) and for every chunk size and worker count, the
+(chunk plumbing, cache filter, ATC encoder and decoder) and for every
+chunk size and worker count, the
 concatenated streaming output must equal the in-memory output exactly.
 These tests pin that invariant for chunk sizes 1 (every boundary between
 consecutive addresses), 7 (never aligned with any internal buffer) and
@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.cache import CacheConfig
-from repro.cache.hierarchy import CacheHierarchy
 from repro.core.atc import (
     MODE_LOSSLESS,
     MODE_LOSSY,
@@ -183,39 +181,6 @@ class TestStreamingDecoderEquivalence:
         with pytest.raises(CodecError):
             for _ in decoder.iter_chunks(97):
                 pass
-
-
-class TestStreamingHierarchyEquivalence:
-    CONFIGS = [
-        CacheConfig(num_sets=16, associativity=2, name="L1"),
-        CacheConfig(num_sets=64, associativity=4, name="L2"),
-    ]
-
-    @pytest.fixture(scope="class")
-    def blocks(self):
-        rng = np.random.default_rng(42)
-        return rng.integers(0, 2_000, size=5_000, dtype=np.uint64)
-
-    @pytest.fixture(scope="class")
-    def serial_misses(self, blocks):
-        """Reference behaviour: the per-access serial loop."""
-        hierarchy = CacheHierarchy(self.CONFIGS)
-        misses = [int(b) for b in blocks.tolist() if not hierarchy.access_block(int(b))]
-        return np.array(misses, dtype=np.uint64), hierarchy.stats()
-
-    def test_batch_miss_stream_matches_serial(self, blocks, serial_misses):
-        expected, expected_stats = serial_misses
-        hierarchy = CacheHierarchy(self.CONFIGS)
-        assert np.array_equal(hierarchy.miss_stream(blocks), expected)
-        assert hierarchy.stats() == expected_stats
-
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_miss_stream_chunks_match_serial(self, blocks, serial_misses, chunk_size):
-        expected, expected_stats = serial_misses
-        hierarchy = CacheHierarchy(self.CONFIGS)
-        chunks = hierarchy.miss_stream_chunks(chunk_array(blocks, chunk_size))
-        assert np.array_equal(concat_chunks(chunks), expected)
-        assert hierarchy.stats() == expected_stats
 
 
 class TestRawFileChunkStreaming:

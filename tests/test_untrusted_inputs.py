@@ -28,6 +28,8 @@ checksum, not a signature, so anyone can rewrite a metadata field and
 keep the footer valid.  Whatever JSON value a field holds,
 ``AtcDecoder(...).read_all()`` raises a ``ReproError`` or decodes what
 the undamaged container decodes, and ``repro inspect`` exits with a code.
+Interval records whose lengths do not add up to ``original_length`` are
+refused before any chunk file is read.
 The same holds for a chunk file rewritten with any lossless header (address
 count, buffer size) and any payload bytes under a recomputed digest, and
 the decode stays within a fixed memory bound: a header's count bounds how
@@ -56,7 +58,8 @@ from repro.core.atc import AtcDecoder, compress_trace
 from repro.core.container import AtcContainer
 from repro.core.integrity import chunk_digest
 from repro.core.lossy import LossyConfig
-from repro.errors import ReproError, TraceFormatError
+from repro.core.intervals import IntervalRecord
+from repro.errors import ContainerError, ReproError, TraceFormatError
 from repro.experiments.store import ResultStore
 from repro.service.cache import pack_container, unpack_container
 from repro.service.http import HttpError, Request, read_request
@@ -481,6 +484,32 @@ def test_info_metadata_values_yield_typed_errors_or_the_original_decode(mode, ke
         else:
             assert np.array_equal(decoded, expected)
         assert repro_main(["inspect", str(directory)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("mode", ["c", "k"])
+def test_info_records_that_outgrow_original_length_are_refused_before_any_chunk(
+    mode, tmp_path, monkeypatch
+):
+    """One more imitate record under a recomputed footer, ``original_length`` left alone."""
+    directory = tmp_path / "trace"
+    compress_trace(_CONTAINER_TRACE, directory, mode=mode, config=_CONTAINER_CONFIG)
+    container = AtcContainer(directory)
+    metadata, records = container.read_info()
+    extra = IntervalRecord(
+        kind="imitate",
+        chunk_id=records[0].chunk_id,
+        length=records[0].length,
+        active_bytes=np.zeros(8, dtype=bool),
+        translations=np.tile(np.arange(256, dtype=np.uint8), (8, 1)),
+    )
+    container.write_info(metadata, records + [extra])
+
+    def refuse(self, chunk_id, expected_digest=None):
+        raise AssertionError(f"chunk {chunk_id} was read before INFO was checked")
+
+    monkeypatch.setattr(AtcContainer, "read_chunk", refuse)
+    with pytest.raises(ContainerError, match="original_length is 2100"):
+        AtcDecoder(directory)
 
 
 #: ``bz2.compress(bytes(160 MiB))``: 144 bytes that inflate to 160 MiB.
