@@ -7,6 +7,7 @@ import pytest
 
 from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, CacheStats, SetAssociativeCache
 from repro.errors import ConfigurationError
+from repro.traces.spec_like import generate_reference_stream
 
 
 class TestCacheConfig:
@@ -215,3 +216,37 @@ class TestAccessBatchEquivalence:
         cache = SetAssociativeCache(CacheConfig(num_sets=4, associativity=2))
         hits = cache.access_batch([1, 1, 2])
         assert hits.tolist() == [False, True, False]
+
+
+class TestLruBounds:
+    """Bounds every LRU geometry obeys, whichever batch path runs it."""
+
+    @pytest.mark.parametrize("name", ["429.mcf", "403.gcc", "433.milc", "470.lbm"])
+    def test_more_ways_never_miss_more(self, name):
+        """LRU is a stack algorithm per set: at a fixed set count, the
+        misses of ``w`` ways are a superset of those of ``2w`` ways."""
+        blocks = generate_reference_stream(name, 20_000, seed=1).addresses >> np.uint64(6)
+        previous = None
+        for ways in (1, 2, 4, 8):
+            cache = SetAssociativeCache(CacheConfig(num_sets=32, associativity=ways))
+            misses = ~cache.access_batch(blocks)
+            if previous is not None:
+                assert not np.any(misses & ~previous), f"{ways} ways missed where fewer hit"
+            previous = misses
+
+    @pytest.mark.parametrize("associativity", [1, 2, 4, 8])
+    def test_misses_bounded_below_by_cold_misses(self, associativity):
+        rng = np.random.default_rng(11)
+        blocks = rng.integers(0, 3_000, size=6_000, dtype=np.uint64)
+        cache = SetAssociativeCache(CacheConfig(num_sets=64, associativity=associativity))
+        misses = cache.miss_stream(blocks)
+        assert misses.size >= np.unique(blocks).size
+        # every block misses on its first reference
+        assert set(np.unique(misses).tolist()) == set(np.unique(blocks).tolist())
+
+    @pytest.mark.parametrize("associativity", [1, 4])
+    def test_sequential_scan_never_hits(self, associativity):
+        cache = SetAssociativeCache(CacheConfig(num_sets=16, associativity=associativity))
+        blocks = np.arange(1_000, dtype=np.uint64)
+        assert not cache.access_batch(blocks).any()
+        assert cache.stats.misses == blocks.size

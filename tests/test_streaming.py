@@ -1,7 +1,8 @@
 """Streaming-vs-in-memory equivalence tests.
 
 The streaming pipeline's hard invariant is byte-identity: for every stage
-(chunk plumbing, cache filter, ATC encoder and decoder) and for every
+(chunk plumbing, cache miss stream, cache filter, ATC encoder and
+decoder) and for every
 chunk size and worker count, the
 concatenated streaming output must equal the in-memory output exactly.
 These tests pin that invariant for chunk sizes 1 (every boundary between
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cache.cache import CacheConfig, SetAssociativeCache
 from repro.core.atc import (
     MODE_LOSSLESS,
     MODE_LOSSY,
@@ -181,6 +183,44 @@ class TestStreamingDecoderEquivalence:
         with pytest.raises(CodecError):
             for _ in decoder.iter_chunks(97):
                 pass
+
+
+class TestStreamingMissStreamEquivalence:
+    # a 1-way, a 2-way and a 4-way geometry: all three run the LRU kernel
+    CONFIGS = [
+        CacheConfig(num_sets=16, associativity=1),
+        CacheConfig(num_sets=16, associativity=2),
+        CacheConfig(num_sets=64, associativity=4),
+    ]
+    CONFIG_IDS = ["16x1", "16x2", "64x4"]
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        rng = np.random.default_rng(42)
+        return rng.integers(0, 2_000, size=5_000, dtype=np.uint64)
+
+    @staticmethod
+    def _serial(config, blocks):
+        """Reference behaviour: the per-access serial loop."""
+        cache = SetAssociativeCache(config)
+        misses = [int(b) for b in blocks.tolist() if not cache.access_block(int(b))]
+        return np.array(misses, dtype=np.uint64), cache.stats
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_batch_miss_stream_matches_serial(self, blocks, config):
+        expected, expected_stats = self._serial(config, blocks)
+        cache = SetAssociativeCache(config)
+        assert np.array_equal(cache.miss_stream(blocks), expected)
+        assert cache.stats == expected_stats
+
+    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_miss_stream_chunks_match_serial(self, blocks, config, chunk_size):
+        expected, expected_stats = self._serial(config, blocks)
+        cache = SetAssociativeCache(config)
+        chunks = (cache.miss_stream(chunk) for chunk in chunk_array(blocks, chunk_size))
+        assert np.array_equal(concat_chunks(chunks), expected)
+        assert cache.stats == expected_stats
 
 
 class TestRawFileChunkStreaming:

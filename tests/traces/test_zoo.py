@@ -9,7 +9,10 @@ from repro.errors import ConfigurationError
 from repro.experiments import SweepRunner
 from repro.traces.spec_like import SPEC_LIKE_NAMES, generate_reference_stream, get_workload
 from repro.traces.zoo import (
+    _COMPONENTS,
+    _MIXES,
     ZOO_NAMES,
+    _interleave_cores,
     get_zoo_workload,
     measure_mpki,
     zoo_suite,
@@ -70,6 +73,49 @@ class TestStreams:
             data = get_zoo_workload(name).workload.build_data(1003, 0)
             assert data.size == 1003
             assert data.dtype == np.uint64
+
+
+class TestInterleaveCores:
+    """The round-robin merger behind ``mix1``..``mix7``."""
+
+    def test_single_core_passes_through(self):
+        part = np.arange(5, dtype=np.uint64) * np.uint64(64)
+        assert np.array_equal(_interleave_cores([part]), part)
+
+    def test_two_equal_cores_alternate(self):
+        merged = _interleave_cores(
+            [np.array([1, 2, 3], dtype=np.uint64), np.array([10, 20, 30], dtype=np.uint64)]
+        )
+        assert merged.tolist() == [1, 10, 2, 20, 3, 30]
+
+    def test_uneven_split_leads_with_the_first_cores(self):
+        parts = [np.array([1, 2], dtype=np.uint64), np.array([10, 20], dtype=np.uint64)]
+        parts.append(np.array([100], dtype=np.uint64))
+        assert _interleave_cores(parts).tolist() == [1, 10, 100, 2, 20]
+
+    def test_cores_without_references_are_absorbed(self):
+        parts = [np.array([7], dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * 3
+        merged = _interleave_cores(parts)
+        assert merged.dtype == np.uint64
+        assert merged.tolist() == [7]
+
+    @pytest.mark.parametrize("name,components", _MIXES, ids=[name for name, _ in _MIXES])
+    def test_each_core_replays_its_own_component(self, name, components):
+        """Per-core order survives the merge: core ``c`` is ``data[c::cores]``."""
+        length, seed = 1001, 2
+        data = get_zoo_workload(name).workload.build_data(length, seed)
+        cores = len(components)
+        for core, component in enumerate(components):
+            expected = _COMPONENTS[component](len(range(core, length, cores)), seed + core)
+            offset = np.uint64(core * _CORE_STRIDE)
+            assert np.array_equal(data[core::cores] - offset, expected), component
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_mix_shorter_than_its_core_count(self, length):
+        data = get_zoo_workload("mix3").workload.build_data(length, 0)
+        assert data.size == length
+        assert data.dtype == np.uint64
+        assert (data // np.uint64(_CORE_STRIDE)).tolist() == list(range(length))
 
 
 class TestSweepIntegration:
