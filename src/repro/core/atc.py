@@ -29,18 +29,28 @@ import contextlib
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.container import FORMAT_VERSION, AtcContainer
 from repro.core.integrity import chunk_digest, parse_chunk_digests
-from repro.core.intervals import IntervalRecord, chunk_lengths, materialize_interval
+from repro.core.intervals import (
+    IntervalRecord,
+    _check_source,
+    chunk_lengths,
+    materialize_interval,
+)
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 from repro.core.parallel import Executor, OrderedChunkWriter, executor_scope, resolve_workers
 from repro.errors import CodecError, ConfigurationError, IntegrityError
-from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES, AddressTrace, as_address_array
+from repro.traces.trace import (
+    DEFAULT_CHUNK_ADDRESSES,
+    AddressTrace,
+    as_address_array,
+    check_chunk_addresses,
+)
 
 __all__ = [
     "MODE_LOSSY",
@@ -344,12 +354,15 @@ class AtcDecoder:
         as :class:`~repro.errors.IntegrityError` naming the file and chunk
         rather than leaking a codec exception.  The chunk's header must
         declare the address count its interval record gives, and bounds
-        decompression to that many addresses.
+        decompression to that many addresses.  The decoded chunk is
+        read-only: the LRU cache hands it to every later record, so a
+        caller writing into an :meth:`iter_intervals` view must fail rather
+        than corrupt later decodes.
         """
         container = self.container
         payload = container.read_chunk(chunk_id, expected_digest=self._chunk_digests.get(chunk_id))
         try:
-            return self._chunk_codec.decompress(payload, self._chunk_lengths.get(chunk_id))
+            decoded = self._chunk_codec.decompress(payload, self._chunk_lengths.get(chunk_id))
         except CodecError as exc:
             target = container.path / f"{chunk_id + 1}.{container.suffix}"
             raise IntegrityError(
@@ -357,6 +370,8 @@ class AtcDecoder:
                 path=target,
                 chunk_id=chunk_id,
             ) from exc
+        decoded.flags.writeable = False
+        return decoded
 
     def _store_chunk(self, chunk_id: int, decoded: np.ndarray) -> None:
         cache = self._chunk_cache
@@ -374,9 +389,6 @@ class AtcDecoder:
         self._store_chunk(chunk_id, decoded)
         return decoded
 
-    def _interval_piece(self, record: IntervalRecord, source: np.ndarray) -> np.ndarray:
-        return materialize_interval(record, source)
-
     def _prefetch_wanted(self) -> bool:
         """True when iteration should prefetch chunks on a thread pool."""
         if len(self.records) <= 1:
@@ -385,21 +397,19 @@ class AtcDecoder:
             return self._executor.is_async
         return self._workers > 1
 
-    def iter_intervals(self) -> Iterator[np.ndarray]:
-        """Yield the decoded address array of every interval, in order.
+    def _iter_sources(self) -> Iterator[Tuple[IntervalRecord, np.ndarray]]:
+        """Yield every record with its decoded source chunk, in order.
 
-        With ``workers > 1`` (or a shared thread executor) the chunks of
-        upcoming intervals are prefetched — read and decompressed — on the
-        thread pool while earlier intervals are being consumed; the
-        yielded sequence is identical to the serial one.
+        Chunks come through the bounded LRU cache.  With ``workers > 1`` (or
+        a shared thread executor) the chunks of upcoming records are
+        prefetched — read and decompressed — on the thread pool while
+        earlier records are being replayed; the pairs are the same either
+        way.
         """
-        if self._prefetch_wanted():
-            yield from self._iter_intervals_prefetch()
+        if not self._prefetch_wanted():
+            for record in self.records:
+                yield record, self._chunk_addresses(record.chunk_id)
             return
-        for record in self.records:
-            yield self._interval_piece(record, self._chunk_addresses(record.chunk_id))
-
-    def _iter_intervals_prefetch(self) -> Iterator[np.ndarray]:
         with executor_scope(self._executor, self._workers) as engine:
             handles = {}
             try:
@@ -411,61 +421,76 @@ class AtcDecoder:
                     handle = handles.pop(record.chunk_id, None)
                     if handle is not None:
                         self._store_chunk(record.chunk_id, handle.result())
-                    yield self._interval_piece(record, self._chunk_addresses(record.chunk_id))
+                    yield record, self._chunk_addresses(record.chunk_id)
             finally:
                 for handle in handles.values():
                     handle.cancel()
 
+    def _fill(self, sources, chunk_addresses: int) -> Iterator[np.ndarray]:
+        """Write every record of ``sources`` into owned output arrays.
+
+        Yields arrays of exactly ``chunk_addresses`` addresses (the last one
+        shorter), each newly allocated and never touched again, so callers
+        may keep or write into them.  A record that fits the current array
+        is materialized straight into it; one that straddles arrays is
+        materialized once and copied across.  Each allocation is capped at
+        the addresses the records still promise, never sized from
+        ``chunk_addresses`` alone; the records must add up to the INFO
+        ``original_length`` (as ``read_info`` checks) before anything is
+        allocated.
+        """
+        remaining = sum(record.length for record in self.records)
+        expected = self.metadata.get("original_length", remaining)
+        if remaining != expected:
+            raise CodecError(
+                f"container decodes to {remaining} addresses but INFO records {expected}"
+            )
+        chunk = np.empty(min(chunk_addresses, remaining), dtype=np.uint64)
+        filled = 0
+        for record, source in sources:
+            length = record.length
+            if length <= chunk.size - filled:
+                materialize_interval(record, source, out=chunk[filled : filled + length])
+                filled += length
+            else:
+                piece = materialize_interval(record, source)
+                offset = chunk.size - filled
+                chunk[filled:] = piece[:offset]
+                while offset < length:
+                    yield chunk
+                    remaining -= chunk.size
+                    chunk = np.empty(min(chunk_addresses, remaining), dtype=np.uint64)
+                    filled = min(chunk.size, length - offset)
+                    chunk[:filled] = piece[offset : offset + filled]
+                    offset += filled
+            if filled and filled == chunk.size:
+                yield chunk
+                remaining -= chunk.size
+                chunk = np.empty(min(chunk_addresses, remaining), dtype=np.uint64)
+                filled = 0
+
+    def iter_intervals(self) -> Iterator[np.ndarray]:
+        """Yield the decoded address array of every interval, in order.
+
+        With ``workers > 1`` (or a shared thread executor) the chunks of
+        upcoming intervals are prefetched on the thread pool; the yielded
+        sequence is identical to the serial one.  A chunk interval is a
+        read-only view of the decoder's cached chunk.
+        """
+        for record, source in self._iter_sources():
+            yield materialize_interval(record, source)
+
     def iter_chunks(self, chunk_addresses: int = DEFAULT_CHUNK_ADDRESSES) -> Iterator[np.ndarray]:
         """Yield the decoded trace as fixed-size address chunks, in order.
 
-        A bounded-memory re-chunking of :meth:`iter_intervals`: every chunk
-        except possibly the last has exactly ``chunk_addresses`` addresses,
-        and the concatenated chunks are byte-identical to :meth:`read_all`
-        (for a lossy container, the approximate decoded trace) without ever
-        materialising the whole trace.  Peak memory is bounded by the chunk
-        size plus one decoded interval.
-
-        Like :meth:`read_all`, the stream is checked against the INFO
-        metadata: a container that decodes to a different number of
-        addresses than it records raises :class:`CodecError` at
-        exhaustion rather than ending a short stream silently.
+        Every chunk except possibly the last has exactly ``chunk_addresses``
+        addresses and owns its memory, and the concatenated chunks are
+        byte-identical to :meth:`read_all` (for a lossy container, the
+        approximate decoded trace) without ever materialising the whole
+        trace.  Peak memory is bounded by one output chunk (at most the
+        container's length), one decoded interval and the chunk cache.
         """
-        from repro.core.stream import rechunk
-        from repro.traces.trace import check_chunk_addresses
-
-        chunk_addresses = check_chunk_addresses(chunk_addresses)
-
-        def checked() -> Iterator[np.ndarray]:
-            produced = 0
-            for chunk in rechunk(self.iter_intervals(), chunk_addresses):
-                produced += int(chunk.size)
-                yield chunk
-            expected = self.metadata.get("original_length", produced)
-            if produced != expected:
-                raise CodecError(
-                    f"container decodes to {produced} addresses but INFO records {expected}"
-                )
-
-        return checked()
-
-    def _read_all_pieces(self) -> List[np.ndarray]:
-        """Bulk decode path: load (read + decompress) every referenced chunk
-        exactly once, pipelined per chunk on the thread pool when
-        ``workers > 1``, then replay the interval trace against the decoded
-        chunks."""
-        needed = list(dict.fromkeys(record.chunk_id for record in self.records))
-        decoded = {
-            chunk_id: self._chunk_cache[chunk_id]
-            for chunk_id in needed
-            if chunk_id in self._chunk_cache
-        }
-        missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
-        if missing:
-            with executor_scope(self._executor, self._workers) as engine:
-                loaded = engine.map_ordered(self._load_chunk, missing)
-            decoded.update(zip(missing, loaded))
-        return [self._interval_piece(record, decoded[record.chunk_id]) for record in self.records]
+        return self._fill(self._iter_sources(), check_chunk_addresses(chunk_addresses))
 
     def __iter__(self) -> Iterator[int]:
         """Iterate over individual decoded values (the paper's ``atc_decode`` loop)."""
@@ -481,18 +506,25 @@ class AtcDecoder:
         materialises the whole trace anyway, so holding each decoded chunk
         for the duration of the call costs no extra asymptotic memory and
         avoids re-decoding when a container references more chunks than the
-        cache holds.
+        cache holds.  Every record is checked against its decoded chunk
+        before the result is allocated; each is then written straight into
+        it.
         """
-        intervals = self._read_all_pieces() if len(self.records) > 1 else list(self.iter_intervals())
-        if not intervals:
-            return np.empty(0, dtype=np.uint64)
-        result = np.concatenate(intervals)
-        expected = self.metadata.get("original_length", result.size)
-        if int(result.size) != expected:
-            raise CodecError(
-                f"container decodes to {result.size} addresses but INFO records {expected}"
-            )
-        return result
+        needed = list(dict.fromkeys(record.chunk_id for record in self.records))
+        decoded = {
+            chunk_id: self._chunk_cache[chunk_id]
+            for chunk_id in needed
+            if chunk_id in self._chunk_cache
+        }
+        missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
+        if missing:
+            with executor_scope(self._executor, self._workers) as engine:
+                decoded.update(zip(missing, engine.map_ordered(self._load_chunk, missing)))
+        sources = [(record, decoded[record.chunk_id]) for record in self.records]
+        for record, source in sources:
+            _check_source(record, source)
+        total = sum(record.length for record in self.records)
+        return next(self._fill(sources, total), np.empty(0, dtype=np.uint64))
 
     # -- diagnostics ---------------------------------------------------------------------
     @property

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.backend import CompressionBackend, get_backend
 from repro.core.integrity import FOOTER_BYTES, footer_digest, parse_chunk_digests, verify_chunk_payload
-from repro.core.intervals import IntervalRecord
+from repro.core.intervals import IntervalRecord, chunk_lengths
 from repro.errors import CodecError, ContainerError, IntegrityError
 
 __all__ = [
@@ -285,8 +285,10 @@ class AtcContainer:
         before anything is parsed, so a corrupted INFO raises
         :class:`~repro.errors.IntegrityError`; a stream that is not an ATC
         INFO at all (bad magic, truncated header), whose metadata fails
-        :func:`_check_metadata`, or whose interval records do not add up
-        to ``original_length`` raises a plain
+        :func:`_check_metadata`, whose interval records do not add up to
+        ``original_length``, or whose imitate records replay more addresses
+        than the chunk record they imitate stores (or a chunk no record
+        stores) raises a plain
         :class:`~repro.errors.ContainerError` naming the file, before any
         chunk is read.
         """
@@ -331,6 +333,20 @@ class AtcContainer:
                 raise ContainerError(
                     f"{target}: INFO interval records cover {recorded} addresses but "
                     f"original_length is {metadata['original_length']}"
+                )
+        stored = chunk_lengths(records)
+        for index, record in enumerate(records):
+            if record.kind != "imitate":
+                continue
+            if record.chunk_id not in stored:
+                raise ContainerError(
+                    f"{target}: INFO record {index} imitates chunk {record.chunk_id + 1}, "
+                    f"which no chunk record stores"
+                )
+            if record.length > stored[record.chunk_id]:
+                raise ContainerError(
+                    f"{target}: INFO record {index} imitates {record.length} addresses of "
+                    f"chunk {record.chunk_id + 1}, which stores only {stored[record.chunk_id]}"
                 )
         return metadata, records
 

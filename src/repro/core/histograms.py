@@ -182,29 +182,54 @@ def translation_active_mask(
 
 
 def apply_translation(
-    addresses, translations: np.ndarray, active: Optional[Sequence[bool]] = None
+    addresses,
+    translations: np.ndarray,
+    active: Optional[Sequence[bool]] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply byte translations ``t[j]`` to every address of a chunk.
+
+    The addresses are copied once into the output, and each active byte
+    column of that copy is then looked up in its row of the table; the
+    input is never written.
 
     Args:
         addresses: The chunk's addresses (the imitating interval ``A``).
         translations: ``(8, 256)`` byte translation table.
         active: Optional per-byte-order mask; inactive orders are untouched.
+        out: Optional C-contiguous ``uint64`` array of the input's length to
+            write the result into.
 
     Returns:
-        The translated addresses (same length, dtype ``uint64``).
+        The translated addresses (same length, dtype ``uint64``): ``out``
+        when given, else a new array.
     """
     values = as_address_array(addresses)
-    if values.size == 0:
-        return values.copy()
     if translations.shape != (ADDRESS_BYTES, 256):
         raise CodecError(f"expected an (8, 256) translation table, got {translations.shape}")
-    columns = values.view(np.uint8).reshape(values.size, ADDRESS_BYTES).copy()
     active_mask = np.ones(ADDRESS_BYTES, dtype=bool) if active is None else np.asarray(active, dtype=bool)
     if active_mask.shape != (ADDRESS_BYTES,):
         raise CodecError("active mask must have one flag per byte order")
-    translation_table = translations.astype(np.uint8, copy=False)
-    for j in range(ADDRESS_BYTES):
-        if active_mask[j]:
-            columns[:, j] = translation_table[j][columns[:, j]]
-    return np.ascontiguousarray(columns).view("<u8").reshape(values.size).copy()
+    if out is None:
+        out = values.copy()
+    else:
+        _check_out(out, values.size)
+        out[...] = values
+    if values.size:
+        columns = out.view(np.uint8).reshape(values.size, ADDRESS_BYTES)
+        table = translations.astype(np.uint8, copy=False)
+        for j in np.flatnonzero(active_mask):
+            columns[:, j] = table[j].take(columns[:, j])
+    return out
+
+
+def _check_out(out: np.ndarray, size: int) -> None:
+    """Refuse an ``out=`` array that cannot hold ``size`` addresses in place."""
+    if (
+        not isinstance(out, np.ndarray)
+        or out.dtype != np.uint64
+        or out.shape != (size,)
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+    ):
+        raise CodecError(f"out must be a writable contiguous uint64 array of {size} addresses")

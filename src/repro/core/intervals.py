@@ -22,28 +22,49 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.core.histograms import IntervalSummary, apply_translation, interval_distance
+from repro.core.histograms import (
+    IntervalSummary,
+    _check_out,
+    apply_translation,
+    interval_distance,
+)
 from repro.errors import CodecError, ConfigurationError
 
 __all__ = ["ChunkMatch", "ChunkTable", "IntervalRecord", "chunk_lengths", "materialize_interval"]
 
 
-def materialize_interval(record: "IntervalRecord", source: np.ndarray) -> np.ndarray:
-    """Regenerate one interval from its (decoded) source chunk.
-
-    This is the decoder's single replay step: truncate the chunk to the
-    interval length and, for imitation records, apply the stored byte
-    translations.
-    """
+def _check_source(record: "IntervalRecord", source: np.ndarray) -> None:
+    """Refuse a record longer than the decoded chunk it replays."""
     if record.length > source.size:
         raise CodecError(
             f"interval of length {record.length} references a chunk with only "
             f"{source.size} addresses"
         )
+
+
+def materialize_interval(
+    record: "IntervalRecord", source: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Regenerate one interval from its (decoded) source chunk.
+
+    This is the decoder's single replay step: truncate the chunk to the
+    interval length and, for imitation records, apply the stored byte
+    translations.  ``source`` is never written (the decoder caches it).
+
+    With ``out`` (a writable contiguous ``uint64`` array of ``record.length``
+    addresses) the interval is written there and ``out`` is returned.
+    Without it, a chunk record returns a view of ``source`` and an
+    imitation record a new array.
+    """
+    _check_source(record, source)
     piece = source[: record.length]
     if record.kind == "imitate":
-        piece = apply_translation(piece, record.translations, record.active_bytes)
-    return piece
+        return apply_translation(piece, record.translations, record.active_bytes, out=out)
+    if out is None:
+        return piece
+    _check_out(out, piece.size)
+    out[...] = piece
+    return out
 
 
 @dataclass(frozen=True)

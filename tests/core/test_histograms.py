@@ -223,3 +223,68 @@ class TestByteTranslation:
             most_frequent_a = summary_a.permutations[j][0]
             most_frequent_b = summary_b.permutations[j][0]
             assert translations[j][most_frequent_a] == most_frequent_b
+
+
+def _translate_by_hand(values, table, active):
+    """Per-address, per-byte oracle of :func:`apply_translation`."""
+    translated = []
+    for value in values:
+        result = 0
+        for j in range(8):
+            byte = (value >> (8 * j)) & 0xFF
+            if active[j]:
+                byte = int(table[j][byte])
+            result |= byte << (8 * j)
+        translated.append(result)
+    return translated
+
+
+_masks = st.one_of(
+    st.just([False] * 8), st.just([True] * 8), st.lists(st.booleans(), min_size=8, max_size=8)
+)
+
+
+class TestTranslationOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=64),
+        table_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        table_dtype=st.sampled_from([np.uint8, np.int64]),
+        active=_masks,
+        layout=st.sampled_from(["contiguous", "strided", "reversed", "read-only"]),
+        into_out=st.booleans(),
+    )
+    def test_kernel_matches_a_per_address_byte_mapping(
+        self, values, table_seed, table_dtype, active, layout, into_out
+    ):
+        table = np.random.default_rng(table_seed).integers(0, 256, size=(8, 256))
+        translations = table.astype(table_dtype)
+        if layout == "strided":
+            addresses = np.repeat(np.array(values, dtype=np.uint64), 2)[::2]
+        elif layout == "reversed":
+            addresses = np.array(values[::-1], dtype=np.uint64)[::-1]
+        else:
+            addresses = np.array(values, dtype=np.uint64)
+            if layout == "read-only":
+                addresses.setflags(write=False)
+        before = addresses.copy()
+        out = np.full(len(values), 0xA5A5, dtype=np.uint64) if into_out else None
+        result = apply_translation(addresses, translations, np.array(active), out=out)
+        assert result.dtype == np.uint64
+        assert result.tolist() == _translate_by_hand(values, translations.tolist(), active)
+        assert np.array_equal(addresses, before)
+        if into_out:
+            assert result is out
+        else:
+            assert not np.shares_memory(result, addresses)
+
+    def test_out_must_hold_the_interval_in_place(self, random_addresses):
+        values = random_addresses[:10]
+        for out in (
+            np.empty(9, dtype=np.uint64),
+            np.empty(1, dtype=np.uint64),
+            np.empty(10, dtype=np.int64),
+            np.empty(20, dtype=np.uint64)[::2],
+        ):
+            with pytest.raises(CodecError):
+                apply_translation(values, identity_translation(), out=out)

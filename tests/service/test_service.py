@@ -93,6 +93,18 @@ class TestCompressDecompressRoundTrip:
         assert len(decoded) == trace.size * 8
         assert headers["X-Atc-Addresses"] == str(trace.size)
 
+    def test_chunk_addresses_past_the_trace_decodes_the_same_bytes(self, call):
+        trace = make_trace(12_000, 300)
+        status, _, container = call(
+            "POST", "/v1/compress?mode=k&interval_length=5000&threshold=0.2", trace.tobytes()
+        )
+        assert status == 200
+        status, _, decoded = call("POST", "/v1/decompress", container)
+        assert status == 200
+        status, _, huge = call("POST", "/v1/decompress?chunk_addresses=1099511627776", container)
+        assert status == 200
+        assert huge == decoded and len(decoded) == trace.size * 8
+
     def test_identical_request_hits_the_dedup_cache(self, call):
         raw = make_trace(9_000, 123).tobytes()
         path = "/v1/compress?mode=c&backend=zlib"

@@ -169,6 +169,78 @@ class TestStreamingDecoderEquivalence:
         expected = AtcDecoder(lossy_container).read_all()
         assert np.array_equal(concat_chunks(decompress_stream(lossy_container, 97)), expected)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_iter_chunks_are_exact_and_owned(self, lossy_container, workers):
+        """Writing into yielded chunks must not reach the chunk cache or later chunks."""
+        expected = AtcDecoder(lossy_container).read_all()
+        total = int(expected.size)
+        decoder = AtcDecoder(lossy_container, workers=workers)
+        assert {record.kind for record in decoder.records} == {"chunk", "imitate"}
+        for size in (1, 7, 699, 701, 65536, total + 5):
+            chunks = list(decoder.iter_chunks(size))
+            assert [int(chunk.size) for chunk in chunks] == [
+                min(size, total - start) for start in range(0, total, size)
+            ]
+            assert np.array_equal(concat_chunks(chunks), expected)
+            for chunk in chunks:
+                chunk[:] = 0xDEADBEEF
+            assert np.array_equal(concat_chunks(decoder.iter_chunks(size)), expected)
+            fresh = AtcDecoder(lossy_container, workers=workers)
+            assert np.array_equal(concat_chunks(fresh.iter_chunks(size)), expected)
+        result = decoder.read_all()
+        result[:] = 0
+        assert np.array_equal(decoder.read_all(), expected)
+
+    def test_cached_chunks_cannot_be_written_through_iter_intervals(self, lossy_container):
+        expected = AtcDecoder(lossy_container).read_all()
+        decoder = AtcDecoder(lossy_container)
+        first = next(decoder.iter_intervals())
+        assert decoder.records[0].is_chunk
+        with pytest.raises(ValueError):
+            first[:] = 0
+        assert np.array_equal(concat_chunks(decoder.iter_chunks(97)), expected)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["read_all", "iter_chunks-1-97", "iter_chunks-2-97", "iter_chunks-1-1000", "iter_chunks-2-1000"],
+    )
+    def test_one_materialize_call_per_record(self, lossy_container, monkeypatch, path):
+        """Per-layer tracing wraps ``repro.core.atc.materialize_interval``: one span per record."""
+        from repro.core import atc
+
+        expected = AtcDecoder(lossy_container).read_all()
+        replayed = []
+        original = atc.materialize_interval
+
+        def counting(record, source, *args, **kwargs):
+            replayed.append(record)
+            return original(record, source, *args, **kwargs)
+
+        monkeypatch.setattr(atc, "materialize_interval", counting)
+        if path == "read_all":
+            decoder = AtcDecoder(lossy_container)
+            decoded = decoder.read_all()
+        else:
+            _, workers, size = path.split("-")
+            decoder = AtcDecoder(lossy_container, workers=int(workers))
+            decoded = concat_chunks(decoder.iter_chunks(int(size)))
+        assert np.array_equal(decoded, expected)
+        assert [id(record) for record in replayed] == [id(record) for record in decoder.records]
+
+    def test_huge_chunk_size_allocates_only_the_trace(self, lossy_container):
+        import tracemalloc
+
+        expected = AtcDecoder(lossy_container).read_all()
+        decoder = AtcDecoder(lossy_container)
+        tracemalloc.start()
+        try:
+            chunks = list(decoder.iter_chunks(2**40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 1 and np.array_equal(chunks[0], expected)
+        assert peak < 8 * expected.nbytes + (1 << 20), f"peaked at {peak} bytes"
+
     def test_iter_chunks_detects_truncated_container(self, tmp_path, filtered_addresses):
         """Like read_all, the chunk stream must not end short silently."""
         from repro.errors import CodecError

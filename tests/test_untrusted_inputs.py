@@ -512,6 +512,43 @@ def test_info_records_that_outgrow_original_length_are_refused_before_any_chunk(
         AtcDecoder(directory)
 
 
+@pytest.mark.parametrize(
+    "imitated, match",
+    [(0, "imitates 1600 addresses of chunk 1, which stores only 500"), (7, "which no chunk record stores")],
+)
+def test_imitate_records_longer_than_their_chunk_are_refused_before_any_chunk(
+    imitated, match, tmp_path, monkeypatch
+):
+    """A 500-address chunk imitated for 1600 addresses, ``original_length`` kept honest."""
+    from repro.core.fsck import scrub_container
+
+    directory = tmp_path / "trace"
+    compress_trace(_CONTAINER_TRACE, directory, mode="k", config=_CONTAINER_CONFIG)
+    container = AtcContainer(directory)
+    metadata, records = container.read_info()
+    assert records[0].is_chunk and records[0].length == 500
+    forged = IntervalRecord(
+        kind="imitate",
+        chunk_id=imitated,
+        length=metadata["original_length"] - 500,
+        active_bytes=np.zeros(8, dtype=bool),
+        translations=np.tile(np.arange(256, dtype=np.uint8), (8, 1)),
+    )
+    container.write_info(metadata, [records[0], forged])
+
+    def refuse(self, chunk_id, expected_digest=None):
+        raise AssertionError(f"chunk {chunk_id} was read before INFO was checked")
+
+    monkeypatch.setattr(AtcContainer, "read_chunk", refuse)
+    with pytest.raises(ContainerError, match=match):
+        AtcDecoder(directory).read_all()
+    with pytest.raises(ContainerError, match=match):
+        list(AtcDecoder(directory).iter_chunks(64))
+    scrub = scrub_container(directory)
+    assert scrub.info_status == "malformed" and re.search(match, scrub.info_detail)
+    assert repro_main(["inspect", str(directory)]) == 2
+
+
 #: ``bz2.compress(bytes(160 MiB))``: 144 bytes that inflate to 160 MiB.
 _BZ2_BOMB = bytes.fromhex(
     "425a68393141592653590e09e2df015f8e4000c0000008200030804d4642a025a90a8097"
