@@ -209,7 +209,6 @@ class EvaluationHarness:
                 config.num_sets == PAPER_L1_CONFIG.num_sets
                 and config.associativity == PAPER_L1_CONFIG.associativity
                 and config.block_bytes == PAPER_L1_CONFIG.block_bytes
-                and config.policy == PAPER_L1_CONFIG.policy
             )
             same_scale = (
                 workload.references == self.scale.references_per_workload

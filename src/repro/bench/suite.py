@@ -159,9 +159,7 @@ def _bench_filter_assoc(ctx: _SuiteContext) -> Tuple[int, Optional[int], Optiona
     from repro.cache.cache import CacheConfig
     from repro.traces.filter import CacheFilter
 
-    config = CacheConfig.from_capacity(
-        64 * 1024, associativity=8, policy="lru", name="L1-8way"
-    )
+    config = CacheConfig.from_capacity(64 * 1024, associativity=8, name="L1-8way")
     cache_filter = CacheFilter(config, config)
     result = cache_filter.filter(ctx.require_stream())
     return int(result.trace.addresses.size), None, None

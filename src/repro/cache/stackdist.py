@@ -18,23 +18,21 @@ every reference's capped stack distance, so the entire
 miss-ratio-vs-associativity curve costs a single array sweep instead of
 one Python ``list.index`` per reference; :meth:`~LruStackSimulator.access_block`
 remains the per-reference serial oracle and both produce identical
-counters and stack state.
+counters and stack state.  The per-set stacks are the same
+:class:`~repro.cache.cache.LruStacks` an LRU cache keeps, only deeper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from repro.cache.cache import LruStacks
 from repro.errors import ConfigurationError
 
 __all__ = ["MissRatioCurve", "LruStackSimulator", "simulate_miss_curve"]
-
-#: Traces shorter than this are simulated by the serial per-block loop;
-#: below a few hundred references the kernel's sort/pack setup dominates.
-KERNEL_MIN_TRACE = 192
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,7 @@ class LruStackSimulator:
             raise ConfigurationError("max_associativity must be >= 1")
         self.num_sets = num_sets
         self.max_associativity = max_associativity
-        self._set_mask = num_sets - 1
-        # Per-set MRU-first stacks truncated to max depth, in one of two
-        # forms, each built lazily from the other and dropped when the other
-        # is mutated: ``_stack_lists`` (one list per set, the serial
-        # oracle's form) or ``_table`` (a ``(num_sets, max_associativity)``
-        # block matrix plus per-set depth, the kernel's form).
-        self._stack_lists: Optional[List[List[int]]] = [[] for _ in range(num_sets)]
-        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._lru = LruStacks(num_sets, max_associativity)
         self._accesses = 0
         # distance_hits[d] counts references found at stack depth d (1-based);
         # references not found within max_associativity are "deep misses".
@@ -111,25 +102,13 @@ class LruStackSimulator:
         associativity >= ``d``.  Depth 0 means the block was not within the
         tracked depth (miss at every simulated associativity).
         """
-        block = int(block)
-        stack = self._stacks[block & self._set_mask]
-        self._table = None
+        depth, _ = self._lru.touch(int(block))
         self._accesses += 1
-        try:
-            position = stack.index(block)
-        except ValueError:
-            position = -1
-        if position >= 0:
-            depth = position + 1
-            del stack[position]
-            stack.insert(0, block)
+        if depth:
             self._distance_hits[depth] += 1
-            return depth
-        stack.insert(0, block)
-        if len(stack) > self.max_associativity:
-            stack.pop()
-        self._deep_misses += 1
-        return 0
+        else:
+            self._deep_misses += 1
+        return depth
 
     def access_trace(self, blocks: Iterable[int]) -> None:
         """Feed every block address of ``blocks`` through the simulator.
@@ -155,60 +134,14 @@ class LruStackSimulator:
             self._access_array(piece)
 
     def _access_array(self, blocks) -> None:
-        """Kernel-simulate one materialised batch (state carries across)."""
+        """Simulate one materialised batch (state carries across)."""
         from repro.traces.trace import as_address_array
 
-        array = as_address_array(blocks)
-        count = int(array.size)
-        if count < KERNEL_MIN_TRACE:
-            for block in array.tolist():
-                self.access_block(block)
-            return
-        from repro.core.kernels import simulate_batch
-        from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES
-
-        for start in range(0, count, DEFAULT_CHUNK_ADDRESSES):
-            piece = array[start : start + DEFAULT_CHUNK_ADDRESSES]
-            stacks, depth = self._kernel_table()
-            result = simulate_batch(
-                piece,
-                (piece & np.uint64(self._set_mask)).astype(np.int32),
-                self._set_mask,
-                self.max_associativity,
-                stacks,
-                depth,
-                want_depths=True,
-                track_stamps=False,
-            )
-            counts = np.bincount(result.depths, minlength=self.max_associativity + 1)
-            self._deep_misses += int(counts[0])
-            self._distance_hits[1:] += counts[1 : self.max_associativity + 1]
-            self._accesses += int(piece.size)
-            stacks[result.rows] = result.stacks
-            depth[result.rows] = result.occupancy
-            self._stack_lists = None
-
-    @property
-    def _stacks(self) -> List[List[int]]:
-        """The per-set MRU-first block lists (materialised on demand)."""
-        if self._stack_lists is None:
-            stacks, depth = self._table
-            self._stack_lists = [
-                row[:held] for row, held in zip(stacks.tolist(), depth.tolist())
-            ]
-        return self._stack_lists
-
-    def _kernel_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(stacks, depth)`` matrices, built on demand from the lists."""
-        if self._table is None:
-            stacks = np.zeros((self.num_sets, self.max_associativity), dtype=np.uint64)
-            depth = np.zeros(self.num_sets, dtype=np.int64)
-            for index, stack in enumerate(self._stack_lists):
-                if stack:
-                    stacks[index, : len(stack)] = stack
-                    depth[index] = len(stack)
-            self._table = (stacks, depth)
-        return self._table
+        depths, _ = self._lru.access(as_address_array(blocks), want_depths=True)
+        counts = np.bincount(depths, minlength=self.max_associativity + 1)
+        self._deep_misses += int(counts[0])
+        self._distance_hits[1:] += counts[1:]
+        self._accesses += int(depths.size)
 
     def curve(self) -> MissRatioCurve:
         """Return the miss-ratio curve accumulated so far."""

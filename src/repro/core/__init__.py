@@ -44,10 +44,7 @@ from repro.core.kernels import KernelBatchResult, simulate_batch
 from repro.core.stream import (
     DEFAULT_CHUNK_ADDRESSES,
     chunk_array,
-    concat_chunks,
-    count_addresses,
     map_chunks,
-    rechunk,
 )
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 
@@ -62,9 +59,6 @@ __all__ = [
     "DEFAULT_CHUNK_ADDRESSES",
     "chunk_array",
     "map_chunks",
-    "rechunk",
-    "concat_chunks",
-    "count_addresses",
     "KernelBatchResult",
     "simulate_batch",
     "AtcContainer",

@@ -46,18 +46,17 @@ the cache filter emits.
 State crosses the kernel boundary as arrays.  A caller holds a
 ``(rows, ways)`` ``uint64`` block matrix, each row most recently used
 first, plus a per-row occupancy; the kernel gathers the touched rows as
-its seeds and hands back the same layout for exactly those rows,
-together with each entry's *stamp source* (the batch position of its
-last touch, or the seed slot it was carried from untouched).  Callers
-scatter the rows back into their matrices and carry them into the next
-batch, which is what makes chunked streaming byte-identical to one-shot
-simulation without any per-set Python work.
+its seeds and hands back the same layout for exactly those rows; the
+stacks are the whole LRU state.  Callers scatter the rows back into
+their matrices and carry them into the next batch, which is what makes
+chunked streaming byte-identical to one-shot simulation without any
+per-set Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -79,17 +78,12 @@ class KernelBatchResult:
         depths: Per-reference LRU stack depth (1-based), ``0`` when the
             block was beyond the tracked ``ways`` (a cold or deep miss).
             ``None`` unless depths were requested.
-        rows: The touched row ids, ascending; the three state fields
+        rows: The touched row ids, ascending; the two state fields
             below have one row per entry, in this order.
         stacks: ``(len(rows), ways)`` ``uint64`` recency stacks after the
             batch, most recently used first; only the first
             ``occupancy[i]`` entries of row ``i`` are meaningful.
         occupancy: Resident blocks per touched row.
-        sources: ``(len(rows), ways)`` ``int64`` stamp source of each
-            entry: ``p >= 0`` is the input-batch position of the block's
-            last touch; ``-1 - k`` means the block was carried untouched
-            from slot ``k`` of the row's seed, so its old stamp still
-            stands.  ``None`` when stamp tracking is disabled.
     """
 
     hits: np.ndarray
@@ -97,7 +91,6 @@ class KernelBatchResult:
     rows: np.ndarray
     stacks: np.ndarray
     occupancy: np.ndarray
-    sources: Optional[np.ndarray]
 
 
 def simulate_batch(
@@ -108,7 +101,6 @@ def simulate_batch(
     stacks: Optional[np.ndarray] = None,
     occupancy: Optional[np.ndarray] = None,
     want_depths: bool = False,
-    track_stamps: bool = True,
 ) -> KernelBatchResult:
     """Simulate one batch of references against per-row LRU stacks.
 
@@ -128,9 +120,6 @@ def simulate_batch(
         occupancy: Valid entries per row of ``stacks`` (required with it;
             no row may hold more than ``ways``).
         want_depths: Also return per-reference stack depths.
-        track_stamps: Report each surviving block's stamp source (disable
-            when the caller does not keep stamps, e.g. the stack-distance
-            simulator — it skips pass 1's stamp recovery).
 
     Returns:
         A :class:`KernelBatchResult`; see its attributes for layout.
@@ -144,8 +133,8 @@ def simulate_batch(
         [False, False, True, False, True]
         >>> result.rows.tolist(), result.occupancy.tolist()   # sets 0 and 1
         ([0, 1], [1, 2])
-        >>> result.stacks[1].tolist(), result.sources[1].tolist()  # MRU first
-        ([9, 17], [4, 3])
+        >>> result.stacks[1].tolist()           # MRU first
+        [9, 17]
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
     rows = np.ascontiguousarray(rows, dtype=np.int32)
@@ -166,7 +155,7 @@ def simulate_batch(
         return KernelBatchResult(
             np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if want_depths else None,
             np.zeros(0, dtype=np.int64), np.zeros((0, width), dtype=np.uint64),
-            np.zeros(0, dtype=np.int64), np.zeros((0, width), dtype=np.int64) if track_stamps else None,
+            np.zeros(0, dtype=np.int64),
         )
 
     order = np.argsort(rows, kind="stable")
@@ -185,9 +174,6 @@ def simulate_batch(
     keep = np.flatnonzero(~dup)
     collapsed = int(keep.size)
     cblocks = sorted_blocks[keep]
-    run_last = np.empty(collapsed, dtype=np.int64)
-    run_last[:-1] = keep[1:] - 1
-    run_last[-1] = count - 1
     cbounds = np.flatnonzero(new_row[keep])
     # -- seed each touched row from the carried-in state
     held = np.zeros(groups, dtype=np.int64)
@@ -201,15 +187,11 @@ def simulate_batch(
     seed[:] = sentinel[:, None]
     if carried is not None:
         np.copyto(seed[:, :columns], carried, where=np.arange(columns) < held[:, None])
-    batch = _Rows(
-        cblocks, cbounds, np.diff(np.append(cbounds, collapsed)), row_ids, sentinel, seed, held
-    )
+    batch = _Rows(cblocks, np.diff(np.append(cbounds, collapsed)), row_ids, sentinel, seed, held)
 
     hits_c = np.empty(collapsed, dtype=bool)
     depths_c = np.empty(collapsed, dtype=np.int64) if want_depths else None
-    # stamp codes are collapsed indices, or ``-1 - k`` for an entry carried
-    # untouched from seed slot ``k``
-    final, codes = _march_segments(batch, width, hits_c, depths_c, track_stamps)
+    final = _march_segments(batch, width, hits_c, depths_c)
     final_held = (final != sentinel[:, None]).sum(axis=1)
 
     hits_sorted = np.empty(count, dtype=bool)
@@ -224,12 +206,7 @@ def simulate_batch(
         depths_sorted[dup] = 1
         depths = np.empty(count, dtype=np.int64)
         depths[order] = depths_sorted
-    sources = None
-    if track_stamps:
-        # a collapsed run's stamp is its *last* touch in the input batch
-        last_touch = order[run_last]
-        sources = np.where(codes >= 0, last_touch[np.maximum(codes, 0)], codes)
-    return KernelBatchResult(hits, depths, row_ids.astype(np.int64), final, final_held, sources)
+    return KernelBatchResult(hits, depths, row_ids.astype(np.int64), final, final_held)
 
 
 def _sentinels(cblocks, cbounds, set_mask: int, carried, held) -> np.ndarray:
@@ -254,15 +231,14 @@ def _sentinels(cblocks, cbounds, set_mask: int, carried, held) -> np.ndarray:
 class _Rows(NamedTuple):
     """A collapsed batch sorted by row.
 
-    Row group ``g`` (row id ``ids[g]``) owns the collapsed references
-    ``blocks[bounds[g] : bounds[g] + counts[g]]``; ``sentinel[g]`` is a
+    Row group ``g`` (row id ``ids[g]``) owns the next ``counts[g]``
+    collapsed references of ``blocks``; ``sentinel[g]`` is a
     value no block of the row (nor of its carried stack) takes, and
     ``seed[g]`` is the row's carried-in stack, its first
     ``held[g]`` entries valid and the rest ``sentinel[g]``.
     """
 
     blocks: np.ndarray
-    bounds: np.ndarray
     counts: np.ndarray
     ids: np.ndarray
     sentinel: np.ndarray
@@ -284,7 +260,6 @@ class _Packed(NamedTuple):
     matrix: np.ndarray
     sentinel: np.ndarray  # per column
     group: np.ndarray  # per column: its row group
-    start: np.ndarray  # per column: collapsed index of step 0
     cells: np.ndarray  # each collapsed reference's cell of the column-major flattened matrix
     pads: np.ndarray
     pad_column: np.ndarray
@@ -299,7 +274,6 @@ def _pack(batch: _Rows, span: int) -> _Packed:
     first = np.cumsum(per_row) - per_row
     group = np.repeat(np.arange(counts.size), per_row)
     pad = per_row * span - counts
-    start = np.repeat(batch.bounds - pad - first * span, per_row) + np.arange(columns) * span
     sentinel = batch.sentinel[group]
     values = batch.blocks
     # fill column-major, where each row's cells are contiguous, then transpose
@@ -310,7 +284,7 @@ def _pack(batch: _Rows, span: int) -> _Packed:
     pads = (np.arange(int(pad.sum())) - np.repeat(np.cumsum(pad) - pad, pad)) * columns + pad_column
     matrix = np.ascontiguousarray(by_column.reshape(columns, span).T)
     matrix.reshape(-1)[pads] = sentinel[pad_column]
-    return _Packed(matrix, sentinel, group, start, cells, pads, pad_column)
+    return _Packed(matrix, sentinel, group, cells, pads, pad_column)
 
 
 def _march(matrix: np.ndarray, stack: np.ndarray, record: Optional[np.ndarray] = None) -> None:
@@ -346,30 +320,16 @@ def _march(matrix: np.ndarray, stack: np.ndarray, record: Optional[np.ndarray] =
             record[t] = recorded
 
 
-def _last_step(stack: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Step of each stack entry's last matching reference, ``-1`` if none.
-
-    One ``(width, steps, columns)`` comparison against the reversed
-    reference matrix recovers every stamp source after the fact instead
-    of shifting stamps per step.
-    """
-    matches = stack[:, None, :] == matrix[::-1][None, :, :]
-    reversed_step = matches.argmax(axis=1)
-    found = np.take_along_axis(matches, reversed_step[:, None, :], axis=1)[:, 0, :]
-    return np.where(found, int(matrix.shape[0]) - 1 - reversed_step, -1)
-
-
-def _merge(front, front_stamps, back, back_stamps, sentinel) -> Tuple[np.ndarray, np.ndarray]:
+def _merge(front, back, sentinel) -> np.ndarray:
     """First ``width`` distinct, non-sentinel entries of ``front ++ back``.
 
-    Row-wise over ``(n, width)`` stacks (MRU first), carrying their
-    stamps.  Each stack holds distinct blocks, so duplicates only arise
-    between the halves.  The merge is associative: a newer history's
-    stack merged in front of an older one's is the stack of both in turn.
+    Row-wise over ``(n, width)`` stacks (MRU first).  Each stack holds
+    distinct blocks, so duplicates only arise between the halves.  The
+    merge is associative: a newer history's stack merged in front of an
+    older one's is the stack of both in turn.
     """
     width = int(front.shape[1])
     joined = np.concatenate((front, back), axis=1)
-    joined_stamps = np.concatenate((front_stamps, back_stamps), axis=1)
     keep = joined != sentinel[:, None]
     keep[:, width:] &= ~(back[:, :, None] == front[:, None, :]).any(axis=2)
     slot = np.cumsum(keep, axis=1) - 1
@@ -378,15 +338,13 @@ def _merge(front, front_stamps, back, back_stamps, sentinel) -> Tuple[np.ndarray
     slots = slot[rows, cols]
     merged = np.empty_like(front)
     merged[:] = sentinel[:, None]
-    merged_stamps = np.full_like(front_stamps, -1)
     merged[rows, slots] = joined[rows, cols]
-    merged_stamps[rows, slots] = joined_stamps[rows, cols]
-    return merged, merged_stamps
+    return merged
 
 
 def _march_segments(
-    batch: _Rows, width: int, hits_c: np.ndarray, depths_c: Optional[np.ndarray], track_stamps: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
+    batch: _Rows, width: int, hits_c: np.ndarray, depths_c: Optional[np.ndarray]
+) -> np.ndarray:
     """Simulate every LRU row as :data:`MARCH_SEGMENT_STEPS`-long segments.
 
     Pass 1 marches each segment from an empty stack; its final stack is
@@ -395,7 +353,7 @@ def _march_segments(
     gives every segment its *seed* — the true stack at its start — and the
     row's final stack.  Pass 2 marches each segment from its seed and
     records hits (and depths) into the collapsed-order outputs.  Returns
-    every row group's final ``(groups, width)`` stack and its stamp codes.
+    every row group's final ``(groups, width)`` stack.
     """
     groups = int(batch.ids.size)
     packed = _pack(batch, MARCH_SEGMENT_STEPS)
@@ -403,11 +361,6 @@ def _march_segments(
     stack = np.empty((width, columns), dtype=np.uint64)
     stack[:] = packed.sentinel
     _march(packed.matrix, stack)
-    # summary stamps are collapsed indices; sentinel entries get garbage
-    # stamps that no merge keeps
-    summary_stamps = np.full((width, columns), -1, dtype=np.int64)
-    if track_stamps:
-        summary_stamps = packed.start + _last_step(stack, packed.matrix)
 
     # scan elements: row g owns elements first[g] .. first[g] + its segment
     # count, its carried-in stack followed by its segments' summaries
@@ -419,21 +372,15 @@ def _march_segments(
     sentinel = batch.sentinel[element_group]
     elements = np.empty((int(element_group.size), width), dtype=np.uint64)
     elements[:] = sentinel[:, None]
-    stamps = np.full(elements.shape, -1, dtype=np.int64)
     elements[first] = batch.seed
-    stamps[first] = -1 - np.arange(width)
     elements[seed_at + 1] = stack.T
-    stamps[seed_at + 1] = summary_stamps.T
     # Hillis-Steele inclusive scan: element i becomes the merge of elements
     # i, i-1, ..., 0 of its row in O(log segments) rounds; a full front
     # stack is its own merge, so only short ones are merged
     distance = 1
     while distance <= int(per_row.max()):
         later = np.flatnonzero((element_position >= distance) & (elements[:, -1] == sentinel))
-        elements[later], stamps[later] = _merge(
-            elements[later], stamps[later],
-            elements[later - distance], stamps[later - distance], sentinel[later],
-        )
+        elements[later] = _merge(elements[later], elements[later - distance], sentinel[later])
         distance *= 2
 
     stack = np.ascontiguousarray(elements[seed_at].T)
@@ -448,4 +395,4 @@ def _march_segments(
         depths_c[:] = record.sum(axis=1).T.reshape(-1)[packed.cells] + 1
         depths_c[depths_c > width] = 0
     final_at = first + per_row
-    return elements[final_at], stamps[final_at]
+    return elements[final_at]

@@ -106,7 +106,6 @@ class ExperimentUnit:
                 "capacity_bytes": self.filter.capacity_bytes,
                 "associativity": self.filter.associativity,
                 "block_bytes": self.filter.block_bytes,
-                "policy": self.filter.policy,
             },
             "codec": self.codec.resolved_params(self.scale),
         }

@@ -190,7 +190,6 @@ class FilterSpec:
         capacity_bytes: Total capacity of each filter cache.
         associativity: Ways per set.
         block_bytes: Cache block size in bytes.
-        policy: Replacement policy (``"lru"``, ``"fifo"``, ``"random"``).
 
     Example:
         >>> FilterSpec().name
@@ -203,7 +202,6 @@ class FilterSpec:
     capacity_bytes: int = 32 * 1024
     associativity: int = 4
     block_bytes: int = 64
-    policy: str = "lru"
 
     def __post_init__(self) -> None:
         # Validate eagerly: a bad geometry should fail at spec-load time,
@@ -223,7 +221,6 @@ class FilterSpec:
             capacity_bytes=self.capacity_bytes,
             associativity=self.associativity,
             block_bytes=self.block_bytes,
-            policy=self.policy,
             name=self.name,
         )
 
@@ -233,7 +230,6 @@ class FilterSpec:
             "capacity_bytes": self.capacity_bytes,
             "associativity": self.associativity,
             "block_bytes": self.block_bytes,
-            "policy": self.policy,
         }
         if self.label:
             out["label"] = self.label
@@ -243,9 +239,7 @@ class FilterSpec:
     def from_dict(cls, data: Dict) -> "FilterSpec":
         """Inverse of :meth:`to_dict`."""
         data = dict(data)
-        _reject_unknown_keys(
-            data, ("label", "capacity_bytes", "associativity", "block_bytes", "policy"), "filter"
-        )
+        _reject_unknown_keys(data, ("label", "capacity_bytes", "associativity", "block_bytes"), "filter")
         return cls(**data)
 
 

@@ -17,7 +17,6 @@ from repro.traces.formats import (
     format_names,
     get_format,
 )
-from repro.traces.records import RecordKind, tag_addresses, untag_addresses
 from repro.traces.spec_like import (
     SPEC_LIKE_NAMES,
     SpecLikeWorkload,
@@ -69,9 +68,6 @@ __all__ = [
     "filter_reference_stream",
     "filtered_spec_like_trace",
     "iter_filtered_spec_like_chunks",
-    "RecordKind",
-    "tag_addresses",
-    "untag_addresses",
     "TraceRecords",
     "get_format",
     "format_names",

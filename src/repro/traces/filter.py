@@ -13,7 +13,7 @@ exactly the input format of the ATC compressor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,7 +37,7 @@ __all__ = [
 
 #: The paper's filter cache geometry: 32 KB, 4-way, 64-byte blocks, LRU.
 PAPER_L1_CONFIG = CacheConfig.from_capacity(
-    capacity_bytes=32 * 1024, associativity=4, block_bytes=64, policy="lru", name="L1"
+    capacity_bytes=32 * 1024, associativity=4, block_bytes=64, name="L1"
 )
 
 
@@ -99,9 +99,8 @@ class CacheFilter:
         """
         from repro.cache.cache import access_batches
 
-        addresses = stream.addresses
-        is_instruction = stream.is_instruction.astype(bool)
-        blocks = (addresses >> np.uint64(self._block_shift)).astype(np.uint64)
+        is_instruction = stream.is_instruction
+        blocks = stream.addresses >> np.uint64(self._block_shift)
         miss_mask = np.zeros(blocks.size, dtype=bool)
         instruction_positions = np.flatnonzero(is_instruction)
         data_positions = np.flatnonzero(~is_instruction)
@@ -114,58 +113,19 @@ class CacheFilter:
         return blocks[miss_mask]
 
     def filter(self, stream: ReferenceStream) -> FilterResult:
-        """Filter one reference stream and return the miss trace and stats."""
-        trace = AddressTrace(self.miss_blocks(stream), name=stream.name)
-        return FilterResult(
-            trace=trace,
-            instruction_stats=self.instruction_cache.stats,
-            data_stats=self.data_cache.stats,
-        )
+        """Filter one reference stream and return the miss trace and stats.
 
-    def filter_tagged(self, stream: ReferenceStream) -> FilterResult:
-        """Filter a stream, emitting demand misses *and* write-backs, tagged.
-
-        The paper notes that the six spare high bits of a 64-byte-block
-        address "may be used to store some extra information, e.g., whether
-        the address corresponds to a demand miss or a write-back"
-        (Section 2).  This method models a write-allocate / write-back data
-        cache: data writes mark blocks dirty, and evicting a dirty block
-        appends a :class:`~repro.traces.records.RecordKind.WRITE_BACK`
-        record to the filtered trace right after the demand miss that caused
-        the eviction.  Instruction misses are tagged
-        ``INSTRUCTION_MISS`` and data misses ``DEMAND_MISS``.
+        The stats count this call's references only; cache contents still
+        carry over from earlier calls.
         """
-        from repro.traces.records import RecordKind, tag_addresses
-
-        addresses = stream.addresses
-        is_instruction = stream.is_instruction
-        is_write = stream.is_write
-        blocks = (addresses >> np.uint64(self._block_shift)).astype(np.uint64)
-        records: list = []
-        kinds: list = []
-        icache = self.instruction_cache
-        dcache = self.data_cache
-        iterator = zip(blocks.tolist(), is_instruction.tolist(), is_write.tolist())
-        for block, instruction, write in iterator:
-            if instruction:
-                if not icache.access_block(block):
-                    records.append(block)
-                    kinds.append(int(RecordKind.INSTRUCTION_MISS))
-                continue
-            hit, writeback = dcache.access_block_rw(block, is_write=write)
-            if not hit:
-                records.append(block)
-                kinds.append(int(RecordKind.DEMAND_MISS))
-            if writeback is not None:
-                records.append(writeback)
-                kinds.append(int(RecordKind.WRITE_BACK))
-        tagged = tag_addresses(np.array(records, dtype=np.uint64), kinds)
-        trace = AddressTrace(tagged, name=stream.name)
-        return FilterResult(
-            trace=trace,
-            instruction_stats=self.instruction_cache.stats,
-            data_stats=self.data_cache.stats,
+        caches = (self.instruction_cache, self.data_cache)
+        before = [astuple(cache.stats) for cache in caches]
+        trace = AddressTrace(self.miss_blocks(stream), name=stream.name)
+        instruction_stats, data_stats = (
+            CacheStats(*(now - then for now, then in zip(astuple(cache.stats), old)))
+            for cache, old in zip(caches, before)
         )
+        return FilterResult(trace=trace, instruction_stats=instruction_stats, data_stats=data_stats)
 
     def reset(self) -> None:
         """Reset both filter caches (contents and statistics)."""
@@ -176,7 +136,7 @@ class CacheFilter:
 class StreamingCacheFilter:
     """Chunked cache filter: reference-stream chunks in, miss chunks out.
 
-    The filter caches carry their state (contents, LRU stamps, counters)
+    The filter caches carry their state (contents, recency order, counters)
     across chunks, so for any chunking of a reference stream the
     concatenated output of :meth:`filter_chunks` is byte-identical to
     ``CacheFilter().filter(stream).trace.addresses`` on the whole stream —

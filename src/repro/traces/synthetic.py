@@ -62,15 +62,11 @@ class ReferenceStream:
         addresses: Byte addresses in program order.
         is_instruction: Boolean mask, ``True`` for instruction fetches.
         name: Label of the workload that generated the stream.
-        is_write: Optional boolean mask, ``True`` for data writes (stores).
-            Defaults to all-reads; instruction fetches are never writes.
-            Used by the cache filter's write-back mode.
     """
 
     addresses: np.ndarray
     is_instruction: np.ndarray
     name: str = ""
-    is_write: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "addresses", as_address_array(self.addresses))
@@ -78,15 +74,6 @@ class ReferenceStream:
         if mask.shape != self.addresses.shape:
             raise ConfigurationError("is_instruction mask must match addresses length")
         object.__setattr__(self, "is_instruction", mask)
-        if self.is_write is None:
-            write_mask = np.zeros(self.addresses.shape, dtype=bool)
-        else:
-            write_mask = np.asarray(self.is_write, dtype=bool)
-            if write_mask.shape != self.addresses.shape:
-                raise ConfigurationError("is_write mask must match addresses length")
-            if bool((write_mask & mask).any()):
-                raise ConfigurationError("instruction fetches cannot be writes")
-        object.__setattr__(self, "is_write", write_mask)
 
     def __len__(self) -> int:
         return int(self.addresses.size)
@@ -106,7 +93,6 @@ class ReferenceStream:
                 self.addresses[start:stop],
                 self.is_instruction[start:stop],
                 name=self.name,
-                is_write=self.is_write[start:stop],
             )
 
     @property
@@ -118,11 +104,6 @@ class ReferenceStream:
     def instruction_addresses(self) -> np.ndarray:
         """Byte addresses of instruction fetches only."""
         return self.addresses[self.is_instruction]
-
-    @property
-    def write_addresses(self) -> np.ndarray:
-        """Byte addresses of data writes only."""
-        return self.addresses[self.is_write]
 
 
 def _check_positive(name: str, value: int) -> int:
@@ -378,7 +359,6 @@ def make_reference_stream(
     instruction_ratio: float = 1.0,
     code_kwargs: Optional[dict] = None,
     seed: int = 0,
-    write_fraction: float = 0.0,
 ) -> ReferenceStream:
     """Interleave a data stream with a synthetic instruction stream.
 
@@ -390,12 +370,7 @@ def make_reference_stream(
             rule of thumb without bloating the stream).
         code_kwargs: Extra arguments forwarded to :func:`code_stream`.
         seed: RNG seed for the instruction stream.
-        write_fraction: Fraction of data references marked as writes
-            (stores), drawn uniformly at random; used by the cache filter's
-            write-back mode.
     """
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ConfigurationError("write_fraction must lie in [0, 1]")
     data_addresses = as_address_array(data_addresses)
     num_data = int(data_addresses.size)
     num_code = int(round(num_data * instruction_ratio))
@@ -405,11 +380,9 @@ def make_reference_stream(
     total = num_data + num_code
     addresses = np.empty(total, dtype=np.uint64)
     is_instruction = np.zeros(total, dtype=bool)
-    rng = np.random.default_rng(seed + 7)
-    data_is_write = rng.random(num_data) < write_fraction
     if num_code == 0:
         addresses[:] = data_addresses
-        return ReferenceStream(addresses, is_instruction, name=name, is_write=data_is_write)
+        return ReferenceStream(addresses, is_instruction, name=name)
     # Interleave proportionally: place instruction fetches at evenly spaced
     # positions so the two streams mix like a real fetch/execute interleaving.
     positions = np.linspace(0, total - 1, num_code).astype(np.int64)
@@ -420,6 +393,4 @@ def make_reference_stream(
     is_instruction[positions] = True
     addresses[is_instruction] = code_addresses
     addresses[~is_instruction] = data_addresses
-    is_write = np.zeros(total, dtype=bool)
-    is_write[~is_instruction] = data_is_write
-    return ReferenceStream(addresses, is_instruction, name=name, is_write=is_write)
+    return ReferenceStream(addresses, is_instruction, name=name)

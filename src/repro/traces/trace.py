@@ -13,8 +13,8 @@ This module provides:
 * Helpers converting between byte addresses and cache-block addresses.
 
 The paper works with 64-byte cache blocks, so block addresses have their six
-most significant bits free; the :mod:`repro.traces.records` module uses that
-room for tagging.
+most significant bits free; the cache filter leaves them zero, and the
+codecs store any 64-bit value.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class TestCacheConfig:
             {"num_sets": 3, "associativity": 1},
             {"num_sets": 4, "associativity": 0},
             {"num_sets": 4, "associativity": 1, "block_bytes": 33},
-            {"num_sets": 4, "associativity": 1, "policy": "plru"},
+            {"num_sets": 4, "associativity": 1, "block_bytes": 0},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -79,28 +79,13 @@ class TestSetAssociativeCacheBasics:
         assert cache.stats.evictions >= 1
 
     def test_lru_evicts_least_recently_used(self):
-        cache = SetAssociativeCache(CacheConfig(num_sets=1, associativity=2, policy="lru"))
+        cache = SetAssociativeCache(CacheConfig(num_sets=1, associativity=2))
         cache.access_block(0)
         cache.access_block(1)
         cache.access_block(0)       # 1 is now LRU
         cache.access_block(2)       # evicts 1
         assert cache.access_block(0) is True
         assert cache.access_block(1) is False
-
-    def test_fifo_ignores_reuse(self):
-        cache = SetAssociativeCache(CacheConfig(num_sets=1, associativity=2, policy="fifo"))
-        cache.access_block(0)
-        cache.access_block(1)
-        cache.access_block(0)       # reuse must NOT refresh FIFO order
-        cache.access_block(2)       # evicts 0 (the oldest fill)
-        assert cache.access_block(1) is True
-        assert cache.access_block(0) is False
-
-    def test_random_policy_keeps_capacity_bounded(self):
-        cache = SetAssociativeCache(CacheConfig(num_sets=2, associativity=2, policy="random"))
-        for block in range(100):
-            cache.access_block(block)
-        assert len(cache.resident_blocks()) <= 4
 
     def test_set_mapping_uses_low_bits(self):
         cache = SetAssociativeCache(CacheConfig(num_sets=4, associativity=1))
@@ -166,26 +151,24 @@ class TestAccessBatchEquivalence:
 
     # both sides of the kernel cut-off, at the default thresholds
     @pytest.mark.parametrize("batch_size", [1, KERNEL_MIN_BATCH - 1, KERNEL_MIN_BATCH, 800])
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("associativity", [1, 2, 4])
-    def test_hits_stats_and_state_match_serial(self, policy, associativity, batch_size):
+    def test_hits_stats_and_state_match_serial(self, associativity, batch_size):
         rng = np.random.default_rng(2009)
-        config = CacheConfig(num_sets=16, associativity=associativity, policy=policy)
-        batched = SetAssociativeCache(config, seed=5)
-        serial = SetAssociativeCache(config, seed=5)
+        config = CacheConfig(num_sets=16, associativity=associativity)
+        batched = SetAssociativeCache(config)
+        serial = SetAssociativeCache(config)
         trace = rng.integers(0, 150, size=2400, dtype=np.uint64)
         for start in range(0, trace.size, batch_size):
             blocks = trace[start : start + batch_size]
             assert np.array_equal(batched.access_batch(blocks), _serial_hits(serial, blocks))
             assert batched.stats == serial.stats
-            assert batched._sets == serial._sets
-            assert batched._clock == serial._clock
+            assert batched._lru.lists == serial._lru.lists
 
     @pytest.mark.parametrize("associativity", [1, 4])
     def test_batch_interoperates_with_serial_accesses(self, associativity):
         """A batch phase followed by single accesses behaves like all-serial."""
         rng = np.random.default_rng(7)
-        config = CacheConfig(num_sets=8, associativity=associativity, policy="lru")
+        config = CacheConfig(num_sets=8, associativity=associativity)
         mixed = SetAssociativeCache(config)
         reference = SetAssociativeCache(config)
         blocks = rng.integers(0, 64, size=500, dtype=np.uint64)
@@ -195,17 +178,6 @@ class TestAccessBatchEquivalence:
         for block in follow_up.tolist():
             assert mixed.access_block(block) == reference.access_block(block)
         assert mixed.stats == reference.stats
-
-    def test_dirty_blocks_fall_back_to_exact_writeback_accounting(self):
-        config = CacheConfig(num_sets=1, associativity=1, policy="lru")
-        batched = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
-        for cache in (batched, serial):
-            cache.access_block_rw(0, is_write=True)  # block 0 is dirty
-        blocks = np.array([1, 2, 1], dtype=np.uint64)
-        assert np.array_equal(batched.access_batch(blocks), _serial_hits(serial, blocks))
-        assert batched.stats == serial.stats
-        assert batched.stats.writebacks == 1  # evicting dirty block 0
 
     def test_empty_batch(self):
         cache = SetAssociativeCache(CacheConfig(num_sets=4, associativity=2))

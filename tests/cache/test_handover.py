@@ -1,8 +1,8 @@
 """Hand-over between the cache's two state forms.
 
-:class:`~repro.cache.cache.SetAssociativeCache` keeps its replacement
-state either as per-set ``{block: stamp}`` dicts (the serial oracle's
-form) or as ``(sets x ways)`` block/stamp matrices (the kernel's form),
+:class:`~repro.cache.cache.LruStacks` keeps a cache's recency state
+either as per-set MRU-first lists (the serial oracle's form) or as a
+``(sets x ways)`` block matrix plus occupancy (the kernel's form),
 building each lazily from the other.  A state machine interleaves every
 access path and introspection call against an all-serial twin and checks
 that the two caches agree after every step; a streaming filter must stay
@@ -18,7 +18,13 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, SetAssociativeCache, access_batches
+from repro.cache.cache import (
+    KERNEL_MIN_BATCH,
+    CacheConfig,
+    LruStacks,
+    SetAssociativeCache,
+    access_batches,
+)
 from repro.traces.filter import CacheFilter, StreamingCacheFilter
 from repro.traces.spec_like import get_workload
 
@@ -32,8 +38,8 @@ def _tiled(pattern, length):
 
 # A short pattern repeated to kernel size (at least the batch length below
 # which access_batch goes serial) touches few sets and leaves older
-# residents untouched, so the kernel must carry their stamps; it also
-# shrinks fast.
+# residents untouched, so the kernel must carry their recency order; it
+# also shrinks fast.
 _pattern = st.lists(_block, min_size=1, max_size=12)
 _kernel_batch = st.builds(
     _tiled, _pattern, st.integers(min_value=KERNEL_MIN_BATCH, max_value=KERNEL_MIN_BATCH + 64)
@@ -48,15 +54,11 @@ def _serial_hits(cache: SetAssociativeCache, blocks) -> list:
 class CacheHandover(RuleBasedStateMachine):
     """Two kernel-driven lanes against two serial twins."""
 
-    @initialize(
-        policy=st.sampled_from(["lru", "fifo"]),
-        ways=st.sampled_from([1, 2, 4]),
-        sets=st.sampled_from([1, 2, 4, 8]),
-    )
-    def build(self, policy, ways, sets):
+    @initialize(ways=st.sampled_from([1, 2, 4]), sets=st.sampled_from([1, 2, 4, 8]))
+    def build(self, ways, sets):
         configs = (
-            CacheConfig(num_sets=sets, associativity=ways, policy=policy),
-            CacheConfig(num_sets=8, associativity=2, policy="lru"),
+            CacheConfig(num_sets=sets, associativity=ways),
+            CacheConfig(num_sets=8, associativity=2),
         )
         self.subject = [SetAssociativeCache(config) for config in configs]
         self.twin = [SetAssociativeCache(config) for config in configs]
@@ -64,11 +66,6 @@ class CacheHandover(RuleBasedStateMachine):
     @rule(lane=_lane, block=_block)
     def access_block(self, lane, block):
         assert self.subject[lane].access_block(block) == self.twin[lane].access_block(block)
-
-    @rule(lane=_lane, block=_block)
-    def write_block(self, lane, block):
-        expected = self.twin[lane].access_block_rw(block, is_write=True)
-        assert self.subject[lane].access_block_rw(block, is_write=True) == expected
 
     @rule(lane=_lane, blocks=_kernel_batch)
     def access_batch(self, lane, blocks):
@@ -101,19 +98,13 @@ class CacheHandover(RuleBasedStateMachine):
     def resident_blocks(self, lane):
         assert self.subject[lane].resident_blocks() == self.twin[lane].resident_blocks()
 
-    @rule(lane=_lane)
-    def dirty_blocks(self, lane):
-        assert self.subject[lane].dirty_blocks() == self.twin[lane].dirty_blocks()
-
     @invariant()
     def same_state(self):
         for subject, twin in zip(self.subject, self.twin):
             assert subject.stats == twin.stats
-            # read the dicts off a copy, so checking never changes which
-            # state form the next step starts from
-            assert copy.deepcopy(subject)._sets == twin._sets
-            assert subject._dirty == twin._dirty
-            assert subject._clock == twin._clock
+            # read the MRU-first lists off a copy, so checking never
+            # changes which state form the next step starts from
+            assert copy.deepcopy(subject)._lru.lists == twin._lru.lists
 
 
 CacheHandover.TestCase.settings = settings(
@@ -126,7 +117,7 @@ TestCacheHandover = CacheHandover.TestCase
 
 
 def test_streaming_filter_stays_on_the_matrices(monkeypatch):
-    """After the first chunk, no handoff builds a per-set dict."""
+    """After the first chunk, no handoff builds the per-set lists."""
     stream = get_workload("433.milc").reference_stream(6 * 8192, seed=0)
     chunks = list(stream.iter_chunks(8192))
     assert len(chunks) >= 5
@@ -134,9 +125,9 @@ def test_streaming_filter_stays_on_the_matrices(monkeypatch):
     misses = [streaming.filter_chunk(chunks[0])]
 
     def refuse(self):
-        raise AssertionError("a kernel handoff materialised the per-set dicts")
+        raise AssertionError("a kernel handoff materialised the per-set lists")
 
-    monkeypatch.setattr(SetAssociativeCache, "_materialise_sets", refuse)
+    monkeypatch.setattr(LruStacks, "lists", property(refuse))
     for chunk in chunks[1:]:
         misses.append(streaming.filter_chunk(chunk))
     monkeypatch.undo()

@@ -1,18 +1,19 @@
 """Equivalence suite for the set-parallel cache-simulation kernels.
 
-The kernel layer (:mod:`repro.core.kernels`) must be *bit-identical* to the
-serial per-reference simulators it replaces: same hit masks, same
-:class:`~repro.cache.cache.CacheStats` counters, same resident blocks and
-replacement stamps, for any trace, chunking and policy.  This suite drives
-random traces through the serial loop (the semantics oracle) and the
-kernel and asserts exact agreement, including the dirty/write-back and
-RANDOM-replacement traces that must take the serial fallback, and chunked
-streaming at chunk sizes 1/7/4096.
+The kernel layer (:mod:`repro.core.kernels`) must be *bit-identical* to a
+per-reference LRU: same hit masks, same
+:class:`~repro.cache.cache.CacheStats` counters, same recency stacks, for
+any trace and chunking.  This suite drives random traces through the
+kernel and through :class:`OracleLru`, a per-set ``OrderedDict`` LRU
+written here that shares no code with
+:class:`~repro.cache.cache.LruStacks`, and asserts exact agreement,
+including chunked streaming at chunk sizes 1/7/4096.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -20,10 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.cache.cache as cache_module
-import repro.cache.stackdist as stackdist_module
 import repro.core.kernels as kernels
-from repro.cache.cache import CacheConfig, SetAssociativeCache, access_batches
-from repro.cache.stackdist import LruStackSimulator
+from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_batches
+from repro.cache.stackdist import LruStackSimulator, MissRatioCurve
 from repro.errors import ConfigurationError
 from repro.traces.filter import CacheFilter, StreamingCacheFilter
 from repro.traces.spec_like import generate_reference_stream, get_workload
@@ -31,31 +31,71 @@ from repro.traces.spec_like import generate_reference_stream, get_workload
 
 @pytest.fixture(autouse=True)
 def _always_kernel(monkeypatch):
-    """Remove the small-batch cutoffs so every batch exercises the kernel."""
+    """Remove the small-batch cutoff so every batch exercises the kernel."""
     monkeypatch.setattr(cache_module, "KERNEL_MIN_BATCH", 0)
-    monkeypatch.setattr(stackdist_module, "KERNEL_MIN_TRACE", 0)
 
 
-def _serial_reference(config: CacheConfig, blocks) -> SetAssociativeCache:
-    cache = SetAssociativeCache(config)
-    for block in blocks:
-        cache.access_block(int(block))
-    return cache
+class OracleLru:
+    """Per-set LRU over ``OrderedDict`` s (least recently used first).
+
+    ``ways`` bounds each set; :meth:`access_block` returns the block's
+    1-based recency depth before the reference, ``0`` when absent, and
+    records it in :attr:`depths`.
+    """
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.ways = ways
+        self.stats = CacheStats()
+        self.depths: list = []
+
+    @classmethod
+    def of(cls, config: CacheConfig) -> "OracleLru":
+        return cls(config.num_sets, config.associativity)
+
+    def access_block(self, block: int) -> int:
+        entries = self.sets[block % len(self.sets)]
+        self.stats.accesses += 1
+        depth = 0
+        if block in entries:
+            depth = len(entries) - list(entries).index(block)
+            entries.move_to_end(block)
+            self.stats.hits += 1
+        else:
+            self.stats.misses += 1
+            if len(entries) == self.ways:
+                entries.popitem(last=False)
+                self.stats.evictions += 1
+            entries[block] = None
+        self.depths.append(depth)
+        return depth
+
+    def hits(self, blocks) -> np.ndarray:
+        return np.array([self.access_block(int(block)) > 0 for block in blocks], dtype=bool)
+
+    def stacks(self) -> list:
+        """Every set's blocks, most recently used first."""
+        return [list(reversed(entries)) for entries in self.sets]
+
+    def curve(self) -> MissRatioCurve:
+        """The stack-distance curve of every reference so far."""
+        return MissRatioCurve(
+            num_sets=len(self.sets),
+            accesses=len(self.depths),
+            miss_counts={
+                ways: sum(1 for depth in self.depths if depth == 0 or depth > ways)
+                for ways in range(1, self.ways + 1)
+            },
+        )
 
 
-def _serial_hits(cache: SetAssociativeCache, blocks) -> np.ndarray:
-    return np.array([cache.access_block(int(block)) for block in blocks], dtype=bool)
-
-
-def _assert_same_state(left: SetAssociativeCache, right: SetAssociativeCache) -> None:
-    assert left.stats == right.stats
-    assert left._sets == right._sets
-    assert left._dirty == right._dirty
-    assert left._clock == right._clock
+def _assert_same_state(cache: SetAssociativeCache, oracle: OracleLru) -> None:
+    assert cache.stats == oracle.stats
+    assert cache._lru.lists == oracle.stacks()
 
 
 # Traces mix tight reuse, duplicate runs (instruction-stream shape) and
-# cold streaming so every kernel regime (collapse, march, serial) fires.
+# cold streaming so every kernel regime (collapse, march) fires.
 _blocks = st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=400)
 _repeats = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=400)
 
@@ -68,74 +108,53 @@ def _build_trace(values, repeats) -> np.ndarray:
 
 
 class TestKernelEquivalence:
-    """Serial loop vs kernel, across the policy grid."""
+    """Kernel vs the oracle, across geometries."""
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     @pytest.mark.parametrize("ways", [1, 2, 4, 8])
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats, sets_exp=st.integers(min_value=0, max_value=5))
-    def test_access_batch_matches_serial(self, policy, ways, sets_exp, values, repeats):
+    def test_access_batch_matches_serial(self, ways, sets_exp, values, repeats):
         trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=2**sets_exp, associativity=ways, policy=policy)
-        batched = SetAssociativeCache(config, seed=7)
-        serial = SetAssociativeCache(config, seed=7)
+        config = CacheConfig(num_sets=2**sets_exp, associativity=ways)
+        batched = SetAssociativeCache(config)
+        oracle = OracleLru.of(config)
         for chunk in np.array_split(trace, 3):
-            assert np.array_equal(batched.access_batch(chunk), _serial_hits(serial, chunk))
-        _assert_same_state(batched, serial)
+            assert np.array_equal(batched.access_batch(chunk), oracle.hits(chunk))
+        _assert_same_state(batched, oracle)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats)
-    def test_chunked_streaming_is_identical(self, chunk_size, policy, values, repeats):
-        """Any chunking of a batch leaves mask, stats and stamps unchanged."""
+    def test_chunked_streaming_is_identical(self, chunk_size, values, repeats):
+        """Any chunking of a batch leaves mask, stats and stacks unchanged."""
         trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=8, associativity=4, policy=policy)
+        config = CacheConfig(num_sets=8, associativity=4)
         chunked = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
+        oracle = OracleLru.of(config)
         pieces = [
             chunked.access_batch(trace[start : start + chunk_size])
             for start in range(0, trace.size, chunk_size)
         ]
-        assert np.array_equal(np.concatenate(pieces), _serial_hits(serial, trace))
-        _assert_same_state(chunked, serial)
-
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        values=_blocks,
-        repeats=_repeats,
-        writes=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=20),
-    )
-    def test_dirty_caches_fall_back_and_count_writebacks(self, values, repeats, writes):
-        """Dirty blocks force the serial fallback with exact write-backs."""
-        trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=4, associativity=2, policy="lru")
-        batched = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
-        for cache in (batched, serial):
-            for block in writes:
-                cache.access_block_rw(block, is_write=True)
-        assert batched._dirty_block_count == sum(len(d) for d in batched._dirty)
-        assert np.array_equal(batched.access_batch(trace), _serial_hits(serial, trace))
-        _assert_same_state(batched, serial)
+        assert np.array_equal(np.concatenate(pieces), oracle.hits(trace))
+        _assert_same_state(chunked, oracle)
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(values=_blocks, repeats=_repeats)
     def test_mixed_serial_and_batch_phases(self, values, repeats):
         """Kernel batches interleave freely with single-reference accesses."""
         trace = _build_trace(values, repeats)
-        config = CacheConfig(num_sets=8, associativity=4, policy="lru")
+        config = CacheConfig(num_sets=8, associativity=4)
         mixed = SetAssociativeCache(config)
-        serial = SetAssociativeCache(config)
+        oracle = OracleLru.of(config)
         third = max(1, trace.size // 3)
         mixed.access_batch(trace[:third])
-        _serial_hits(serial, trace[:third])
+        oracle.hits(trace[:third])
         for block in trace[third : 2 * third].tolist():
-            assert mixed.access_block(block) == serial.access_block(block)
+            assert mixed.access_block(block) == (oracle.access_block(block) > 0)
         assert np.array_equal(
-            mixed.access_batch(trace[2 * third :]), _serial_hits(serial, trace[2 * third :])
+            mixed.access_batch(trace[2 * third :]), oracle.hits(trace[2 * third :])
         )
-        _assert_same_state(mixed, serial)
+        _assert_same_state(mixed, oracle)
 
 
 class TestFusedBatches:
@@ -155,11 +174,11 @@ class TestFusedBatches:
             CacheConfig(num_sets=8, associativity=second_ways),
         )
         fused = [SetAssociativeCache(config) for config in configs]
-        solo = [SetAssociativeCache(config) for config in configs]
+        oracles = [OracleLru.of(config) for config in configs]
         masks = access_batches(fused, batches)
-        for cache, reference, mask, batch in zip(fused, solo, masks, batches):
-            assert np.array_equal(mask, _serial_hits(reference, batch))
-            _assert_same_state(cache, reference)
+        for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
+            assert np.array_equal(mask, oracle.hits(batch))
+            _assert_same_state(cache, oracle)
 
     def test_lane_count_mismatch_rejected(self):
         config = CacheConfig(num_sets=4, associativity=2)
@@ -172,31 +191,41 @@ class TestFusedBatches:
         rng = np.random.default_rng(5)
         batches = [rng.integers(0, 64, size=300, dtype=np.uint64) for _ in range(2)]
         fused = [SetAssociativeCache(config) for _ in batches]
-        solo = [SetAssociativeCache(config) for _ in batches]
+        oracles = [OracleLru.of(config) for _ in batches]
 
         def refuse(self, blocks):
             raise AssertionError("a 1-way lane fell back to access_batch")
 
         monkeypatch.setattr(SetAssociativeCache, "access_batch", refuse)
         masks = access_batches(fused, batches)
-        for cache, reference, mask, batch in zip(fused, solo, masks, batches):
-            assert np.array_equal(mask, _serial_hits(reference, batch))
-            _assert_same_state(cache, reference)
+        for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
+            assert np.array_equal(mask, oracle.hits(batch))
+            _assert_same_state(cache, oracle)
 
-    def test_ineligible_caches_fall_back(self):
-        """A RANDOM-policy lane routes through plain per-cache batches."""
+    def test_ineligible_caches_fall_back(self, monkeypatch):
+        """A single-set lane has no set bits to build a row sentinel from,
+        so the pair routes through plain per-cache batches."""
         configs = (
-            CacheConfig(num_sets=4, associativity=2, policy="random"),
-            CacheConfig(num_sets=4, associativity=2, policy="lru"),
+            CacheConfig(num_sets=1, associativity=2),
+            CacheConfig(num_sets=4, associativity=2),
         )
         rng = np.random.default_rng(3)
         batches = [rng.integers(0, 50, size=300, dtype=np.uint64) for _ in configs]
-        fused = [SetAssociativeCache(config, seed=1) for config in configs]
-        solo = [SetAssociativeCache(config, seed=1) for config in configs]
+        fused = [SetAssociativeCache(config) for config in configs]
+        oracles = [OracleLru.of(config) for config in configs]
+        solo = SetAssociativeCache.access_batch
+        calls = []
+
+        def counted(cache, blocks):
+            calls.append(cache)
+            return solo(cache, blocks)
+
+        monkeypatch.setattr(SetAssociativeCache, "access_batch", counted)
         masks = access_batches(fused, batches)
-        for cache, reference, mask, batch in zip(fused, solo, masks, batches):
-            assert np.array_equal(mask, _serial_hits(reference, batch))
-            _assert_same_state(cache, reference)
+        assert calls == fused
+        for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
+            assert np.array_equal(mask, oracle.hits(batch))
+            _assert_same_state(cache, oracle)
 
 
 class TestStackDistanceKernel:
@@ -210,12 +239,11 @@ class TestStackDistanceKernel:
     def test_access_trace_matches_serial_loop(self, values, repeats, depth, sets_exp):
         trace = _build_trace(values, repeats)
         kernel = LruStackSimulator(2**sets_exp, max_associativity=depth)
-        serial = LruStackSimulator(2**sets_exp, max_associativity=depth)
+        oracle = OracleLru(2**sets_exp, depth)
         kernel.access_trace(trace)
-        for block in trace.tolist():
-            serial.access_block(block)
-        assert kernel.curve() == serial.curve()
-        assert kernel._stacks == serial._stacks
+        oracle.hits(trace)
+        assert kernel.curve() == oracle.curve()
+        assert kernel._lru.lists == oracle.stacks()
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
     def test_chunked_trace_is_identical(self, chunk_size):
@@ -227,7 +255,7 @@ class TestStackDistanceKernel:
             chunked.access_trace(trace[start : start + chunk_size])
         oneshot.access_trace(trace)
         assert chunked.curve() == oneshot.curve()
-        assert chunked._stacks == oneshot._stacks
+        assert chunked._lru.lists == oneshot._lru.lists
 
     def test_generator_input_still_streams(self):
         lazy = LruStackSimulator(8, max_associativity=4)
@@ -253,16 +281,15 @@ class TestKernelArguments:
             np.concatenate([rng.integers(0, n + 1, size=300, dtype=np.uint64), cover[::-1]]),
         ]
         kernel = LruStackSimulator(1, max_associativity=ways)
-        serial = LruStackSimulator(1, max_associativity=ways)
+        oracle = OracleLru(1, ways)
         for batch in batches:
             kernel.access_trace(batch)
-            for block in batch.tolist():
-                serial.access_block(block)
-            assert kernel.curve() == serial.curve()
-            assert kernel._stacks == serial._stacks
+            oracle.hits(batch)
+            assert kernel.curve() == oracle.curve()
+            assert kernel._lru.lists == oracle.stacks()
         if ways > 1:
             # the second batch's seed is a full carried stack of low blocks
-            _assert_matches_serial(CacheConfig(num_sets=1, associativity=ways), batches)
+            _assert_matches_oracle(CacheConfig(num_sets=1, associativity=ways), batches)
 
     def test_kernel_rejects_bad_arguments(self):
         blocks = np.arange(10, dtype=np.uint64)
@@ -286,13 +313,13 @@ class TestFilterKernelPaths:
     def test_filter_matches_per_reference_caches(self):
         stream = generate_reference_stream("403.gcc", 3_000, seed=1)
         fast = CacheFilter()
-        blocks = (stream.addresses >> np.uint64(6)).astype(np.uint64)
-        instruction = SetAssociativeCache(fast.instruction_cache.config)
-        data = SetAssociativeCache(fast.data_cache.config)
+        blocks = stream.addresses >> np.uint64(6)
+        instruction = OracleLru.of(fast.instruction_cache.config)
+        data = OracleLru.of(fast.data_cache.config)
         misses = []
         for block, is_instr in zip(blocks.tolist(), stream.is_instruction.tolist()):
-            cache = instruction if is_instr else data
-            if not cache.access_block(block):
+            oracle = instruction if is_instr else data
+            if not oracle.access_block(block):
                 misses.append(block)
         result = fast.filter(stream)
         assert result.trace.addresses.tolist() == misses
@@ -311,12 +338,12 @@ def _one_set_walk(length: int, sets: int = 16, distinct: int = 11, seed: int = 0
     return (np.cumsum(steps) % distinct).astype(np.uint64) * np.uint64(sets)
 
 
-def _assert_matches_serial(config: CacheConfig, batches) -> None:
+def _assert_matches_oracle(config: CacheConfig, batches) -> None:
     kernel = SetAssociativeCache(config)
-    serial = SetAssociativeCache(config)
+    oracle = OracleLru.of(config)
     for batch in batches:
-        assert np.array_equal(kernel.access_batch(batch), _serial_hits(serial, batch))
-    _assert_same_state(kernel, serial)
+        assert np.array_equal(kernel.access_batch(batch), oracle.hits(batch))
+    _assert_same_state(kernel, oracle)
 
 
 class TestSegmentMarch:
@@ -328,9 +355,9 @@ class TestSegmentMarch:
     def test_one_row_at_segment_edges(self, ways, length):
         walk = _one_set_walk(length)
         assert int(np.count_nonzero(walk[1:] != walk[:-1])) == length - 1
-        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
+        config = CacheConfig(num_sets=16, associativity=ways)
         # the second batch starts from the first one's carried stacks
-        _assert_matches_serial(config, [walk, _one_set_walk(length, seed=1)])
+        _assert_matches_oracle(config, [walk, _one_set_walk(length, seed=1)])
 
     @pytest.mark.parametrize("ways", [4, 8])
     def test_one_set_holds_most_of_the_batch(self, ways):
@@ -340,8 +367,8 @@ class TestSegmentMarch:
         trace = np.concatenate([hot, background])
         rng.shuffle(trace)
         assert np.count_nonzero(trace % np.uint64(16) == 0) >= 0.9 * trace.size
-        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
-        _assert_matches_serial(config, [trace[:12_000], trace[12_000:]])
+        config = CacheConfig(num_sets=16, associativity=ways)
+        _assert_matches_oracle(config, [trace[:12_000], trace[12_000:]])
 
     @pytest.mark.parametrize("ways, back", [(8, 3), (32, 14)])
     def test_sparse_segments_seed_from_far_back(self, ways, back):
@@ -353,8 +380,8 @@ class TestSegmentMarch:
             revisit = np.uint64(16 * 2 * max(j - back, 0))
             segments.append(np.concatenate([[revisit], np.tile(pair, S // 2)])[:S])
         walk = np.concatenate(segments)
-        config = CacheConfig(num_sets=16, associativity=ways, policy="lru")
-        _assert_matches_serial(config, [walk, walk[::-1].copy()])
+        config = CacheConfig(num_sets=16, associativity=ways)
+        _assert_matches_oracle(config, [walk, walk[::-1].copy()])
 
     @pytest.mark.parametrize("chunk_size", [1, 7, S, 4096])
     @pytest.mark.parametrize("ways", [4, 8])
@@ -364,14 +391,14 @@ class TestSegmentMarch:
             rng.integers(0, 160, size=1_200, dtype=np.uint64),
             rng.integers(1, 3, size=1_200),
         )
-        config = CacheConfig(num_sets=8, associativity=ways, policy="lru")
+        config = CacheConfig(num_sets=8, associativity=ways)
         pieces = [trace[start : start + chunk_size] for start in range(0, trace.size, chunk_size)]
-        _assert_matches_serial(config, pieces)
+        _assert_matches_oracle(config, pieces)
 
     @pytest.mark.parametrize("chunk_size", [1, 7, S, 4096])
     def test_chunked_fused_mixed_lanes(self, chunk_size):
         """A 4-way and an 8-way lane cannot share a row space, so they run
-        per cache; chunking still matches the serial loop."""
+        per cache; chunking still matches the oracle."""
         rng = np.random.default_rng(17)
         streams = [rng.integers(0, 300, size=1_200, dtype=np.uint64) for _ in range(2)]
         configs = (
@@ -379,27 +406,26 @@ class TestSegmentMarch:
             CacheConfig(num_sets=16, associativity=8),
         )
         fused = [SetAssociativeCache(config) for config in configs]
-        solo = [SetAssociativeCache(config) for config in configs]
+        oracles = [OracleLru.of(config) for config in configs]
         for start in range(0, 1_200, chunk_size):
             pieces = [stream[start : start + chunk_size] for stream in streams]
             masks = access_batches(fused, pieces)
-            for reference, mask, piece in zip(solo, masks, pieces):
-                assert np.array_equal(mask, _serial_hits(reference, piece))
-        for cache, reference in zip(fused, solo):
-            _assert_same_state(cache, reference)
+            for oracle, mask, piece in zip(oracles, masks, pieces):
+                assert np.array_equal(mask, oracle.hits(piece))
+        for cache, oracle in zip(fused, oracles):
+            _assert_same_state(cache, oracle)
 
     @pytest.mark.parametrize("sets", [1, 4, 32])
     def test_depths_at_width_32(self, sets):
         rng = np.random.default_rng(21)
         trace = rng.integers(0, 60 * sets, size=6_000, dtype=np.uint64)
         kernel = LruStackSimulator(sets, max_associativity=32)
-        serial = LruStackSimulator(sets, max_associativity=32)
+        oracle = OracleLru(sets, 32)
         kernel.access_trace(trace[:2_500])
         kernel.access_trace(trace[2_500:])
-        for block in trace.tolist():
-            serial.access_block(block)
-        assert kernel.curve() == serial.curve()
-        assert kernel._stacks == serial._stacks
+        oracle.hits(trace)
+        assert kernel.curve() == oracle.curve()
+        assert kernel._lru.lists == oracle.stacks()
 
 
 #: SHA-256 of the concatenated ``StreamingCacheFilter`` miss blocks

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,23 @@ from hypothesis import strategies as st
 from repro.cache.cache import CacheConfig, SetAssociativeCache
 from repro.cache.stackdist import LruStackSimulator, simulate_miss_curve
 from repro.errors import ConfigurationError
+
+
+def _oracle_misses(blocks, num_sets: int, ways: int) -> int:
+    """Misses of a per-set ``OrderedDict`` LRU written independently of
+    :class:`~repro.cache.cache.LruStacks` (least recently used first)."""
+    sets = [OrderedDict() for _ in range(num_sets)]
+    misses = 0
+    for block in map(int, blocks):
+        entries = sets[block % num_sets]
+        if block in entries:
+            entries.move_to_end(block)
+            continue
+        misses += 1
+        if len(entries) == ways:
+            entries.popitem(last=False)
+        entries[block] = None
+    return misses
 
 
 class TestLruStackSimulator:
@@ -57,11 +76,10 @@ class TestLruStackSimulator:
         blocks = working_set_addresses[:8_000]
         num_sets = 32
         curve = simulate_miss_curve(blocks, num_sets=num_sets, max_associativity=8)
-        direct = SetAssociativeCache(
-            CacheConfig(num_sets=num_sets, associativity=associativity, policy="lru")
-        )
+        direct = SetAssociativeCache(CacheConfig(num_sets=num_sets, associativity=associativity))
         direct.access_trace(blocks.tolist())
         assert curve.miss_counts[associativity] == direct.stats.misses
+        assert direct.stats.misses == _oracle_misses(blocks, num_sets, associativity)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -71,8 +89,7 @@ class TestLruStackSimulator:
     )
     def test_matches_direct_simulation_property(self, blocks, num_sets, associativity):
         curve = simulate_miss_curve(blocks, num_sets=num_sets, max_associativity=4)
-        direct = SetAssociativeCache(
-            CacheConfig(num_sets=num_sets, associativity=associativity, policy="lru")
-        )
+        direct = SetAssociativeCache(CacheConfig(num_sets=num_sets, associativity=associativity))
         direct.access_trace(blocks)
         assert curve.miss_counts[associativity] == direct.stats.misses
+        assert direct.stats.misses == _oracle_misses(blocks, num_sets, associativity)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 import pytest
@@ -93,6 +94,20 @@ class TestSpecParsing:
             sweep_spec_from_dict(
                 {"name": "s", "workloads": ["a"], "codecs": [{"kind": "raw", "level": 9}]}
             )
+
+    def test_removed_policy_key_rejected(self):
+        """Filters are LRU-only; a ``policy`` key fails at load time, named."""
+        with pytest.raises(ConfigurationError, match=r"unknown filter keys: \['policy'\]"):
+            FilterSpec.from_dict({"policy": "lru"})
+        spec = {"workloads": ["429.mcf"], "codecs": ["raw"], "filters": [{"policy": "fifo"}]}
+        with pytest.raises(ConfigurationError, match="policy"):
+            loads_sweep_spec(json.dumps(spec), format="json")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+    def test_removed_policy_key_rejected_in_toml(self):
+        text = _TOML_SPEC + '\n[[filters]]\nassociativity = 8\npolicy = "lru"\n'
+        with pytest.raises(ConfigurationError, match="policy"):
+            loads_sweep_spec(text)
 
     def test_roundtrip_through_dict(self):
         spec = loads_sweep_spec(_JSON_SPEC, format="json")

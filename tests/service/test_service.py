@@ -179,6 +179,11 @@ class TestInspectAndSweep:
         status, _, body = call("POST", "/v1/sweep", json.dumps({"name": "x"}).encode())
         assert status == 400  # a sweep needs workloads and codecs
 
+    def test_sweep_rejects_a_replacement_policy(self, call):
+        spec = {"workloads": ["429.mcf"], "codecs": ["raw"], "filters": [{"policy": "lru"}]}
+        status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())
+        assert status == 400 and b"policy" in body
+
 
 class TestClientErrors:
     def test_misaligned_trace_body_is_a_400(self, call):

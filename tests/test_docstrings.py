@@ -43,7 +43,7 @@ _MUST_HAVE_EXAMPLE = (
     "repro.core.lossless.LosslessCodec",
     "repro.core.atc.compress_trace",
     "repro.core.backend.get_backend",
-    "repro.core.stream.rechunk",
+    "repro.core.stream.chunk_array",
     "repro.traces.trace.as_address_array",
     "repro.traces.spec_like.get_workload",
     "repro.traces.filter.filtered_spec_like_trace",

@@ -25,7 +25,7 @@ from repro.core.atc import (
     decompress_stream,
 )
 from repro.core.lossy import LossyConfig
-from repro.core.stream import chunk_array, concat_chunks, count_addresses, rechunk
+from repro.core.stream import chunk_array
 from repro.errors import ConfigurationError
 from repro.traces.filter import CacheFilter, StreamingCacheFilter, iter_filtered_spec_like_chunks
 from repro.traces.spec_like import get_workload
@@ -34,6 +34,11 @@ from repro.traces.trace import iter_raw_chunks, read_raw_trace, write_raw_trace
 CHUNK_SIZES = (1, 7, 4096)
 
 WORKER_COUNTS = (1, 2, 4)
+
+
+def concat_chunks(chunks) -> np.ndarray:
+    """Materialise a chunk stream (no chunks give an empty trace)."""
+    return np.concatenate([np.empty(0, dtype=np.uint64), *chunks])
 
 
 def _container_files(directory) -> dict:
@@ -58,39 +63,11 @@ class TestChunkPlumbing:
         for size in CHUNK_SIZES:
             assert np.array_equal(concat_chunks(chunk_array(array, size)), array)
 
-    def test_rechunk_produces_fixed_sizes(self):
-        pieces = [np.arange(n, dtype=np.uint64) for n in (0, 3, 500, 1, 0, 97)]
-        flat = concat_chunks(pieces)
-        for size in CHUNK_SIZES:
-            out = list(rechunk(iter(pieces), size))
-            assert np.array_equal(concat_chunks(out), flat)
-            assert all(int(chunk.size) == size for chunk in out[:-1])
-            assert 0 < int(out[-1].size) <= size
-
-    def test_rechunk_chunks_own_their_memory(self):
-        """Re-chunked output must survive the producer reusing its buffer."""
-        buffer = np.zeros(10, dtype=np.uint64)
-
-        def producer():
-            for value in range(5):
-                buffer[:] = value
-                yield buffer
-
-        out = list(rechunk(producer(), 7))
-        expected = np.repeat(np.arange(5, dtype=np.uint64), 10)
-        assert np.array_equal(concat_chunks(out), expected)
-
-    def test_count_addresses_drains_into_sink(self):
-        seen = []
-        total = count_addresses(chunk_array(np.arange(100, dtype=np.uint64), 7), seen.append)
-        assert total == 100
-        assert np.array_equal(concat_chunks(seen), np.arange(100, dtype=np.uint64))
-
     def test_invalid_chunk_size_rejected(self):
         with pytest.raises(ConfigurationError):
             list(chunk_array(np.arange(4, dtype=np.uint64), 0))
         with pytest.raises(ConfigurationError):
-            list(rechunk([np.arange(4, dtype=np.uint64)], -1))
+            list(chunk_array(np.arange(4, dtype=np.uint64), -1))
 
 
 class TestStreamingFilterEquivalence:

@@ -14,6 +14,7 @@ from repro.traces.filter import (
     filter_reference_stream,
     filtered_spec_like_trace,
 )
+from repro.traces.spec_like import get_workload
 from repro.traces.synthetic import make_reference_stream
 
 
@@ -22,7 +23,6 @@ class TestPaperL1Config:
         assert PAPER_L1_CONFIG.capacity_bytes == 32 * 1024
         assert PAPER_L1_CONFIG.associativity == 4
         assert PAPER_L1_CONFIG.block_bytes == 64
-        assert PAPER_L1_CONFIG.policy == "lru"
         assert PAPER_L1_CONFIG.num_sets == 128
 
 
@@ -79,6 +79,20 @@ class TestCacheFilter:
         cache_filter.reset()
         second = cache_filter.filter(stream)
         assert len(first.trace) == len(second.trace)
+
+    def test_each_result_counts_only_its_own_call(self):
+        """A later call on the same filter leaves earlier results alone."""
+        stream = get_workload("429.mcf").reference_stream(20_000, seed=0)
+        cache_filter = CacheFilter()
+        first = cache_filter.filter(stream)
+        counts = (first.total_references, first.filter_ratio, first.data_stats.misses)
+        second = cache_filter.filter(stream)
+        assert (first.total_references, first.filter_ratio, first.data_stats.misses) == counts
+        assert first.total_references == second.total_references == len(stream)
+        # the caches stay warm: the replay misses less, and the live
+        # counters hold both calls
+        assert len(second.trace) < len(first.trace)
+        assert cache_filter.data_cache.stats == first.data_stats.merge(second.data_stats)
 
 
 class TestFilteredSpecLikeTrace:
