@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.cache import KERNEL_MIN_BATCH, CacheConfig, CacheStats, SetAssociativeCache
+import repro.cache.cache as cache_module
+from repro.cache.cache import (
+    KERNEL_MIN_BATCH,
+    CacheConfig,
+    CacheStats,
+    SetAssociativeCache,
+    access_batches,
+)
 from repro.errors import ConfigurationError
 from repro.traces.spec_like import generate_reference_stream
 
@@ -178,6 +185,42 @@ class TestAccessBatchEquivalence:
         for block in follow_up.tolist():
             assert mixed.access_block(block) == reference.access_block(block)
         assert mixed.stats == reference.stats
+
+    @pytest.mark.parametrize("name", ["429.mcf", "403.gcc", "433.milc", "410.bwaves", "470.lbm"])
+    def test_workload_streams_match_serial(self, name):
+        """The paper's L1 geometry on workload-shaped block streams."""
+        blocks = generate_reference_stream(name, 12_000, seed=2).addresses >> np.uint64(6)
+        config = CacheConfig.from_capacity(32 * 1024, associativity=4)
+        batched = SetAssociativeCache(config)
+        serial = SetAssociativeCache(config)
+        for piece in np.array_split(blocks, 4):
+            assert np.array_equal(batched.access_batch(piece), _serial_hits(serial, piece))
+        assert batched.stats == serial.stats
+        assert batched._lru.lists == serial._lru.lists
+
+    @pytest.mark.parametrize("slice_blocks", [KERNEL_MIN_BATCH, 500, 1_999])
+    def test_fused_slices_match_one_shot(self, monkeypatch, slice_blocks):
+        """Fused lanes of unequal length march in joint slices; a lane
+        that runs out early must keep its state through the later ones."""
+        rng = np.random.default_rng(31)
+        batches = [
+            rng.integers(0, 600, size=5_000, dtype=np.uint64),
+            rng.integers(0, 600, size=1_200, dtype=np.uint64),
+        ]
+        configs = (
+            CacheConfig(num_sets=32, associativity=4),
+            CacheConfig(num_sets=8, associativity=4),
+        )
+        oneshot = [SetAssociativeCache(config) for config in configs]
+        expected = access_batches(oneshot, batches)
+        monkeypatch.setattr(cache_module, "KERNEL_SLICE_BLOCKS", slice_blocks)
+        sliced = [SetAssociativeCache(config) for config in configs]
+        for cache, reference, mask, want in zip(
+            sliced, oneshot, access_batches(sliced, batches), expected
+        ):
+            assert np.array_equal(mask, want)
+            assert cache.stats == reference.stats
+            assert cache._lru.lists == reference._lru.lists
 
     def test_empty_batch(self):
         cache = SetAssociativeCache(CacheConfig(num_sets=4, associativity=2))

@@ -7,9 +7,14 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.cache.cache import CacheConfig, SetAssociativeCache
+from repro.core.kernels import simulate_batch
+from repro.experiments.spec import FilterSpec
+from repro.traces.synthetic import ReferenceStream, make_reference_stream
 
 # Every module of the package, found by walking it, so a new or deleted
 # module needs no edit here.  Importing each is side-effect free: the
@@ -18,6 +23,9 @@ import repro
 ALL_MODULES = sorted(
     ["repro"] + [module.name for module in pkgutil.walk_packages(repro.__path__, "repro.")]
 )
+
+_BLOCKS = np.arange(3, dtype=np.uint64)
+_ROWS = np.zeros(3, dtype=np.int64)
 
 
 class TestPublicApi:
@@ -59,6 +67,34 @@ class TestPublicApi:
         assert hasattr(module, "__all__")
         for name in module.__all__:
             assert hasattr(module, name), f"{module_name}.{name} missing"
+
+    @pytest.mark.parametrize(
+        "removed, call",
+        [
+            ("policy", lambda: CacheConfig(num_sets=4, associativity=2, policy="lru")),
+            ("seed", lambda: SetAssociativeCache(CacheConfig(num_sets=4, associativity=2), seed=1)),
+            ("access_block_rw", lambda: SetAssociativeCache(CacheConfig(4, 2)).access_block_rw),
+            ("policy", lambda: FilterSpec(policy="lru")),
+            ("track_stamps", lambda: simulate_batch(_BLOCKS, _ROWS, 0, 2, track_stamps=False)),
+            ("is_write", lambda: ReferenceStream(_BLOCKS, _BLOCKS > 0, is_write=_BLOCKS > 1)),
+            ("write_fraction", lambda: make_reference_stream(_BLOCKS, write_fraction=0.5)),
+        ],
+        ids=[
+            "CacheConfig.policy",
+            "SetAssociativeCache.seed",
+            "access_block_rw",
+            "FilterSpec.policy",
+            "simulate_batch.track_stamps",
+            "ReferenceStream.is_write",
+            "make_reference_stream.write_fraction",
+        ],
+    )
+    def test_removed_write_and_policy_settings_fail_loudly(self, removed, call):
+        """The cache model is LRU-only and read-only: an old policy, seed,
+        stamp or write setting raises, naming itself, instead of being
+        silently ignored."""
+        with pytest.raises((TypeError, AttributeError), match=removed):
+            call()
 
     def test_error_hierarchy(self):
         assert issubclass(repro.TraceFormatError, repro.ReproError)

@@ -11,6 +11,7 @@ from repro.traces import synthetic
 from repro.traces.filter import (
     PAPER_L1_CONFIG,
     CacheFilter,
+    StreamingCacheFilter,
     filter_reference_stream,
     filtered_spec_like_trace,
 )
@@ -93,6 +94,35 @@ class TestCacheFilter:
         # counters hold both calls
         assert len(second.trace) < len(first.trace)
         assert cache_filter.data_cache.stats == first.data_stats.merge(second.data_stats)
+
+
+    @pytest.mark.parametrize("name", ["429.mcf", "403.gcc", "433.milc", "410.bwaves"])
+    def test_result_counts_split_the_stream(self, name):
+        """Each reference lands in exactly one cache's counters, and every
+        counted miss is one block of the filtered trace."""
+        stream = get_workload(name).reference_stream(20_000, seed=0)
+        result = CacheFilter().filter(stream)
+        instructions = int(np.count_nonzero(stream.is_instruction))
+        assert result.instruction_stats.accesses == instructions
+        assert result.data_stats.accesses == len(stream) - instructions
+        for stats in (result.instruction_stats, result.data_stats):
+            assert stats.hits + stats.misses == stats.accesses
+        misses = result.instruction_stats.misses + result.data_stats.misses
+        assert len(result.trace) == misses
+
+    def test_streaming_stats_stay_cumulative(self):
+        """Unlike a :class:`FilterResult`, the streaming filter's counters
+        are the caches' live ones and add up over every chunk."""
+        stream = get_workload("403.gcc").reference_stream(30_000, seed=0)
+        streaming = StreamingCacheFilter()
+        seen = misses = 0
+        for chunk in stream.iter_chunks(7_000):
+            misses += int(streaming.filter_chunk(chunk).size)
+            seen += len(chunk)
+            total = streaming.instruction_stats.merge(streaming.data_stats)
+            assert total.accesses == seen
+            assert total.misses == misses
+        assert streaming.data_stats is streaming.cache_filter.data_cache.stats
 
 
 class TestFilteredSpecLikeTrace:
