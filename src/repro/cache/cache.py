@@ -38,7 +38,7 @@ def _as_block_array(blocks) -> np.ndarray:
 
     return as_address_array(blocks)
 
-__all__ = ["CacheConfig", "CacheStats", "LruStacks", "SetAssociativeCache", "access_batches"]
+__all__ = ["CacheConfig", "CacheStats", "LruStacks", "SetAssociativeCache", "access_batches", "access_lanes"]
 
 #: Batches shorter than this skip the array kernel: below a few hundred
 #: references the kernel's sort/pack setup costs more than the serial
@@ -252,38 +252,38 @@ class LruStacks:
         from repro.core.kernels import simulate_batch
 
         out = np.empty(count, dtype=np.int64 if want_depths else bool)
-        evicted = 0
+        growth = 0
         for start in range(0, count, KERNEL_SLICE_BLOCKS):
             piece = blocks[start : start + KERNEL_SLICE_BLOCKS]
             stacks, occupancy = self.table()
             result = simulate_batch(
                 piece,
-                (piece & np.uint64(self.set_mask)).astype(np.int32),
+                piece & np.uint64(self.set_mask),
                 self.set_mask,
                 self.depth,
                 stacks,
                 occupancy,
                 want_depths=want_depths,
             )
-            evicted += self.commit(result.rows, result.stacks, result.occupancy, result.hits)
+            growth += self.commit(result.rows, result.stacks, result.occupancy)
             out[start : start + int(piece.size)] = result.depths if want_depths else result.hits
-        return out, evicted
+        # a depth is nonzero exactly on a hit; evictions are misses less growth
+        return out, count - int(np.count_nonzero(out)) - growth
 
-    def commit(self, rows, stacks, occupancy, hits) -> int:
+    def commit(self, rows, stacks, occupancy) -> int:
         """Scatter a kernel result's touched rows into :meth:`table`.
 
-        ``hits`` is the batch's hit mask; returns the eviction count,
-        the misses less the occupancy growth.
+        Returns the occupancy growth: a batch's evictions are its misses
+        less that growth.
         """
-        misses = int(hits.size) - int(np.count_nonzero(hits))
         if not rows.size:
-            return misses
+            return 0
         table, held = self._table
         growth = int(occupancy.sum()) - int(held[rows].sum())
         table[rows] = stacks
         held[rows] = occupancy
         self._lists = None
-        return misses - growth
+        return growth
 
 
 class SetAssociativeCache:
@@ -345,13 +345,11 @@ class SetAssociativeCache:
         stack with whole-array operations.
         """
         hits, evicted = self._lru.access(_as_block_array(blocks))
-        self._count(hits, evicted)
+        self._count(int(hits.size), int(np.count_nonzero(hits)), evicted)
         return hits
 
-    def _count(self, hits: np.ndarray, evicted: int) -> None:
-        """Add one batch's hit mask and eviction count to :attr:`stats`."""
-        count = int(hits.size)
-        hit_count = int(np.count_nonzero(hits))
+    def _count(self, count: int, hit_count: int, evicted: int) -> None:
+        """Add one batch's access, hit and eviction counts to :attr:`stats`."""
         self.stats.accesses += count
         self.stats.hits += hit_count
         self.stats.misses += count - hit_count
@@ -377,17 +375,80 @@ class SetAssociativeCache:
         self.stats = CacheStats()
 
 
-def access_batches(caches, block_batches) -> List[np.ndarray]:
-    """Batch-access several *independent* caches in one fused kernel call.
+def access_lanes(caches, blocks, lanes) -> np.ndarray:
+    """Access several *independent* caches through one interleaved stream.
 
-    The set-parallel kernel amortises its per-time-step cost over every
-    simulated set, so independent caches of one associativity — the
-    filter's L1I and L1D pair — simulate fastest when their sets share one
-    row space and march together.  Each cache's counters, recency stacks
-    and hit mask come out exactly as if ``cache.access_batch(blocks)`` had
-    been called per cache (the fallback this function takes whenever the
-    caches cannot fuse: mixed associativities, single-set geometry, or a
-    tiny total batch).
+    Reference ``i`` goes to ``caches[lanes[i]]`` (boolean lanes read as
+    0/1); returns the hit mask aligned with ``blocks``.  The kernel
+    amortises its per-step cost over every set, so caches of one
+    associativity (the filter's L1I/L1D pair) march as one row space, a
+    row being its lane's row base plus its set index, in
+    :data:`KERNEL_SLICE_BLOCKS` slices of the unsplit stream.  Counters,
+    stacks and hits come out exactly as if each cache had run
+    ``access_batch`` on its own references, which is the fallback for
+    mixed associativities, a single-set cache or a short batch.
+
+    Example:
+        >>> config = CacheConfig(num_sets=4, associativity=2)
+        >>> pair = [SetAssociativeCache(config), SetAssociativeCache(config)]
+        >>> blocks = np.array([1, 2, 1, 2], dtype=np.uint64)
+        >>> access_lanes(pair, blocks, [0, 1, 0, 0]).tolist()
+        [False, False, True, False]
+    """
+    caches = list(caches)
+    blocks = _as_block_array(blocks)
+    lanes = np.asarray(lanes)
+    if lanes.shape != blocks.shape or not np.all((lanes >= 0) & (lanes < len(caches))):
+        raise ConfigurationError(f"lanes must give one cache index below {len(caches)} per block")
+    ways = caches[0].config.associativity if caches else 0
+    if len(caches) < 2 or blocks.size < KERNEL_MIN_BATCH or any(
+        cache.config.associativity != ways or cache.config.num_sets < 2 for cache in caches
+    ):
+        hits = np.empty(blocks.size, dtype=bool)
+        for lane, cache in enumerate(caches):
+            positions = np.flatnonzero(lanes == lane)
+            hits[positions] = cache.access_batch(blocks[positions])
+        return hits
+    from repro.core.kernels import row_dtype, simulate_batch
+
+    # every lane gets ``stride`` rows: row = lane * stride + (block & lane's set mask)
+    stride = max(cache.config.num_sets for cache in caches)
+    row_type = row_dtype(len(caches) * stride)
+    masks = np.array([cache._lru.set_mask for cache in caches], dtype=np.uint64)
+    mask = masks[0] if (masks == masks[0]).all() else masks.take(lanes)
+    rows = (blocks & mask).astype(row_type) + lanes.astype(row_type) * row_type(stride)
+    hits = np.empty(blocks.size, dtype=bool)
+    growth = [0] * len(caches)
+    for start in range(0, blocks.size, KERNEL_SLICE_BLOCKS):
+        stop = start + KERNEL_SLICE_BLOCKS
+        stacks = np.zeros((len(caches) * stride, ways), dtype=np.uint64)
+        occupancy = np.zeros(len(caches) * stride, dtype=np.int64)
+        for lane, cache in enumerate(caches):
+            lane_rows = slice(lane * stride, lane * stride + cache.config.num_sets)
+            stacks[lane_rows], occupancy[lane_rows] = cache._lru.table()
+        result = simulate_batch(
+            blocks[start:stop], rows[start:stop], int(masks.max()), ways, stacks, occupancy
+        )
+        hits[start:stop] = result.hits
+        # the touched rows come back ascending, so each lane's are one run
+        cuts = np.searchsorted(result.rows, np.arange(len(caches) + 1) * stride).tolist()
+        for lane, cache in enumerate(caches):
+            run = slice(cuts[lane], cuts[lane + 1])
+            growth[lane] += cache._lru.commit(
+                result.rows[run] - lane * stride, result.stacks[run], result.occupancy[run]
+            )
+    for lane, cache in enumerate(caches):
+        mine = lanes == lane
+        count, hit_count = int(np.count_nonzero(mine)), int(np.count_nonzero(hits & mine))
+        cache._count(count, hit_count, count - hit_count - growth[lane])
+    return hits
+
+
+def access_batches(caches, block_batches) -> List[np.ndarray]:
+    """Batch-access several independent caches, one block batch each.
+
+    A wrapper over :func:`access_lanes`: the batches are concatenated with
+    their cache index as lane, and the hit mask is split back.
 
     Args:
         caches: The :class:`SetAssociativeCache` instances to access.
@@ -400,7 +461,6 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
     Example:
         >>> config = CacheConfig(num_sets=4, associativity=2)
         >>> pair = [SetAssociativeCache(config), SetAssociativeCache(config)]
-        >>> import numpy as np
         >>> masks = access_batches(pair, [np.array([1, 1], dtype=np.uint64),
         ...                               np.array([2], dtype=np.uint64)])
         >>> [mask.tolist() for mask in masks]
@@ -412,70 +472,11 @@ def access_batches(caches, block_batches) -> List[np.ndarray]:
         raise ConfigurationError(
             f"got {len(caches)} caches but {len(arrays)} block batches"
         )
-    total = sum(int(array.size) for array in arrays)
-    ways = caches[0].config.associativity if caches else 0
-    fusable = (
-        len(caches) >= 2
-        and total >= KERNEL_MIN_BATCH
-        and all(
-            cache.config.associativity == ways and cache.config.num_sets >= 2
-            for cache in caches
-        )
+    sizes = [int(array.size) for array in arrays]
+    hits = access_lanes(
+        caches,
+        np.concatenate(arrays) if arrays else np.empty(0, dtype=np.uint64),
+        np.repeat(np.arange(len(caches)), sizes),
     )
-    if not fusable:
-        return [cache.access_batch(array) for cache, array in zip(caches, arrays)]
-    row_bases: List[int] = []
-    base = 0
-    for cache in caches:
-        row_bases.append(base)
-        base += cache.config.num_sets
-    set_mask = max(cache._lru.set_mask for cache in caches)
-    # march in bounded joint slices: each cache's recency stacks carry
-    # from one slice to the next, so the result is identical to one shot
-    # while the kernel's scratch matrices stay slice-sized
-    masks = [np.empty(int(array.size), dtype=bool) for array in arrays]
-    for start in range(0, max(int(array.size) for array in arrays), KERNEL_SLICE_BLOCKS):
-        pieces = [array[start : start + KERNEL_SLICE_BLOCKS] for array in arrays]
-        slice_hits = _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask)
-        for mask, piece_hits in zip(masks, slice_hits):
-            mask[start : start + piece_hits.size] = piece_hits
-    return masks
-
-
-def _fused_kernel_slice(caches, pieces, row_bases, ways, set_mask) -> List[np.ndarray]:
-    """One fused kernel pass over aligned per-cache batch slices.
-
-    The lanes' stack matrices stack into one row space and the touched
-    rows split back by row range.
-    """
-    from repro.core.kernels import simulate_batch
-
-    offsets = np.cumsum([0] + [int(piece.size) for piece in pieces])
-    rows = np.concatenate(
-        [
-            (piece & np.uint64(cache._lru.set_mask)).astype(np.int32) + row_base
-            for cache, piece, row_base in zip(caches, pieces, row_bases)
-        ]
-    )
-    row_count = row_bases[-1] + caches[-1].config.num_sets
-    stacks = np.empty((row_count, ways), dtype=np.uint64)
-    occupancy = np.empty(row_count, dtype=np.int64)
-    for cache, row_base in zip(caches, row_bases):
-        lane_stacks, held = cache._lru.table()
-        stacks[row_base : row_base + cache.config.num_sets] = lane_stacks
-        occupancy[row_base : row_base + cache.config.num_sets] = held
-    result = simulate_batch(np.concatenate(pieces), rows, set_mask, ways, stacks, occupancy)
-    cuts = np.searchsorted(result.rows, row_bases + [row_count]).tolist()
-    slice_hits: List[np.ndarray] = []
-    for lane, cache in enumerate(caches):
-        lo, hi = cuts[lane], cuts[lane + 1]
-        lane_hits = result.hits[offsets[lane] : offsets[lane + 1]]
-        evicted = cache._lru.commit(
-            result.rows[lo:hi] - row_bases[lane],
-            result.stacks[lo:hi],
-            result.occupancy[lo:hi],
-            lane_hits,
-        )
-        cache._count(lane_hits, evicted)
-        slice_hits.append(lane_hits)
-    return slice_hits
+    offsets = np.cumsum([0] + sizes).tolist()
+    return [hits[lo:hi] for lo, hi in zip(offsets, offsets[1:])]

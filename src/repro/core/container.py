@@ -123,6 +123,7 @@ _METADATA_TYPES = {
     "chunk_buffer_addresses": int,
     "chunk_digests": dict,
     "format_version": int,
+    "interval_length": int,
     "original_length": int,
 }
 
@@ -286,11 +287,11 @@ class AtcContainer:
         :class:`~repro.errors.IntegrityError`; a stream that is not an ATC
         INFO at all (bad magic, truncated header), whose metadata fails
         :func:`_check_metadata`, whose interval records do not add up to
-        ``original_length``, or whose imitate records replay more addresses
-        than the chunk record they imitate stores (or a chunk no record
-        stores) raises a plain
-        :class:`~repro.errors.ContainerError` naming the file, before any
-        chunk is read.
+        ``original_length``, whose chunk records outgrow the chunk unit,
+        or whose imitate records replay more addresses than the chunk
+        record they imitate stores (or a chunk no record stores) raises a
+        plain :class:`~repro.errors.ContainerError` naming the file, before
+        any chunk is read.
         """
         target = self._info_path()
         if not target.exists():
@@ -334,9 +335,17 @@ class AtcContainer:
                     f"{target}: INFO interval records cover {recorded} addresses but "
                     f"original_length is {metadata['original_length']}"
                 )
+        # a chunk holds one interval (lossy) or one bytesort buffer (lossless)
+        unit_key = "interval_length" if metadata.get("mode") == "lossy" else "chunk_buffer_addresses"
+        unit = metadata.get(unit_key)
         stored = chunk_lengths(records)
         for index, record in enumerate(records):
             if record.kind != "imitate":
+                if unit is not None and record.length > unit:
+                    raise ContainerError(
+                        f"{target}: INFO record {index} stores {record.length} addresses in "
+                        f"chunk {record.chunk_id + 1}, more than the {unit_key} of {unit}"
+                    )
                 continue
             if record.chunk_id not in stored:
                 raise ContainerError(

@@ -62,11 +62,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["KernelBatchResult", "simulate_batch"]
+__all__ = ["KernelBatchResult", "row_dtype", "simulate_batch"]
 
 #: LRU rows are cut into segments of this many collapsed references; both
 #: passes of the segment march take this many steps per batch.
-MARCH_SEGMENT_STEPS = 64
+MARCH_SEGMENT_STEPS = 32
+
+
+def row_dtype(row_count: int) -> type:
+    """The narrowest row-index type for ``row_count`` rows: NumPy's stable
+    sort is a radix sort, one pass per byte, for 8- and 16-bit integers
+    (the paper's filter pair is 256 rows, one byte)."""
+    return np.uint8 if row_count <= 1 << 8 else np.uint16 if row_count <= 1 << 16 else np.int32
 
 
 @dataclass
@@ -137,7 +144,7 @@ def simulate_batch(
         [9, 17]
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    rows = np.asarray(rows)
     if blocks.shape != rows.shape or blocks.ndim != 1:
         raise ConfigurationError("blocks and rows must be 1-D arrays of equal length")
     if (stacks is None) != (occupancy is None):
@@ -145,11 +152,8 @@ def simulate_batch(
     width = int(ways)
     if width < 1:
         raise ConfigurationError(f"ways must be >= 1, got {width}")
-    if rows.size and int(rows.max()) < np.iinfo(np.int16).max:
-        # NumPy's stable sort is a radix sort for 16-bit integers (an
-        # order of magnitude faster than the 32-bit merge sort), and any
-        # cache-filter row space fits easily
-        rows = rows.astype(np.int16)
+    if rows.dtype not in (np.uint8, np.uint16):
+        rows = rows.astype(row_dtype(int(rows.max()) + 1 if rows.size else 0))
     count = int(blocks.size)
     if count == 0:
         return KernelBatchResult(
@@ -194,16 +198,14 @@ def simulate_batch(
     final = _march_segments(batch, width, hits_c, depths_c)
     final_held = (final != sentinel[:, None]).sum(axis=1)
 
-    hits_sorted = np.empty(count, dtype=bool)
+    hits_sorted = np.ones(count, dtype=bool)
     hits_sorted[keep] = hits_c
-    hits_sorted[dup] = True
     hits = np.empty(count, dtype=bool)
     hits[order] = hits_sorted
     depths = None
     if want_depths:
-        depths_sorted = np.empty(count, dtype=np.int64)
+        depths_sorted = np.ones(count, dtype=np.int64)
         depths_sorted[keep] = depths_c
-        depths_sorted[dup] = 1
         depths = np.empty(count, dtype=np.int64)
         depths[order] = depths_sorted
     return KernelBatchResult(hits, depths, row_ids.astype(np.int64), final, final_held)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache
+from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_lanes
 from repro.errors import ConfigurationError
 from repro.traces.synthetic import ReferenceStream
 from repro.traces.trace import DEFAULT_CHUNK_ADDRESSES, AddressTrace
@@ -87,30 +87,17 @@ class CacheFilter:
         """Filter one reference stream and return its miss-block array.
 
         The instruction and data caches never interact, so the interleaved
-        reference stream is split into the two per-cache subsequences and
-        both are simulated in one *fused* call to
-        :func:`~repro.cache.cache.access_batches` — the set-parallel array
-        kernel marches the L1I and L1D sets in a single row space, about
-        3x the throughput of simulating the pair with per-reference
-        replays.  The two miss masks are merged back so the filtered
-        trace keeps the original miss order.  Cache state persists across
+        stream goes whole to :func:`~repro.cache.cache.access_lanes`, its
+        ``is_instruction`` flags as the lane index: the set-parallel array
+        kernel marches the L1D and L1I sets as one row space and returns
+        the hit mask in stream order, so the misses are the blocks where
+        it is clear, with no split or merge.  Cache state persists across
         calls, which is what makes chunked filtering byte-identical to
         one-shot filtering (see :class:`StreamingCacheFilter`).
         """
-        from repro.cache.cache import access_batches
-
-        is_instruction = stream.is_instruction
         blocks = stream.addresses >> np.uint64(self._block_shift)
-        miss_mask = np.zeros(blocks.size, dtype=bool)
-        instruction_positions = np.flatnonzero(is_instruction)
-        data_positions = np.flatnonzero(~is_instruction)
-        instruction_hits, data_hits = access_batches(
-            (self.instruction_cache, self.data_cache),
-            (blocks[instruction_positions], blocks[data_positions]),
-        )
-        miss_mask[instruction_positions] = ~instruction_hits
-        miss_mask[data_positions] = ~data_hits
-        return blocks[miss_mask]
+        hits = access_lanes((self.data_cache, self.instruction_cache), blocks, stream.is_instruction)
+        return np.compress(~hits, blocks)
 
     def filter(self, stream: ReferenceStream) -> FilterResult:
         """Filter one reference stream and return the miss trace and stats.

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 import repro.cache.cache as cache_module
 import repro.core.kernels as kernels
-from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_batches
+from repro.cache.cache import (
+    CacheConfig,
+    CacheStats,
+    SetAssociativeCache,
+    access_batches,
+    access_lanes,
+)
 from repro.cache.stackdist import LruStackSimulator, MissRatioCurve
 from repro.errors import ConfigurationError
 from repro.traces.filter import CacheFilter, StreamingCacheFilter
@@ -226,6 +232,107 @@ class TestFusedBatches:
         for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
             assert np.array_equal(mask, oracle.hits(batch))
             _assert_same_state(cache, oracle)
+
+
+def _oracle_lanes(configs, blocks, lanes):
+    """Per-cache oracles fed the interleaved stream lane by lane."""
+    oracles = [OracleLru.of(config) for config in configs]
+    hits = [oracles[lane].access_block(block) > 0 for block, lane in zip(blocks.tolist(), lanes.tolist())]
+    return oracles, np.array(hits, dtype=bool)
+
+
+_lane_flags = st.lists(st.booleans(), min_size=1, max_size=64)
+
+
+class TestInterleavedLanes:
+    """``access_lanes``: one interleaved stream, a lane index per reference,
+    one hit mask in stream order; each cache must end exactly where an
+    ``OrderedDict`` LRU fed only its own references ends."""
+
+    @staticmethod
+    def _run(configs, blocks, lanes, chunk_size):
+        caches = [SetAssociativeCache(config) for config in configs]
+        oracles, expected = _oracle_lanes(configs, blocks, lanes)
+        got = [
+            access_lanes(caches, blocks[start : start + chunk_size], lanes[start : start + chunk_size])
+            for start in range(0, blocks.size, chunk_size)
+        ]
+        assert np.array_equal(np.concatenate(got), expected)
+        for cache, oracle in zip(caches, oracles):
+            _assert_same_state(cache, oracle)
+            assert cache.resident_blocks() == set().union(*oracle.sets)
+        return caches
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values=_blocks, repeats=_repeats, flags=_lane_flags)
+    def test_lanes_with_different_set_counts(self, chunk_size, values, repeats, flags):
+        """A 16-set and an 8-set lane of one associativity share the row space."""
+        blocks = _build_trace(values, repeats)
+        lanes = np.resize(np.array(flags), blocks.size)
+        configs = (CacheConfig(num_sets=16, associativity=4), CacheConfig(num_sets=8, associativity=4))
+        self._run(configs, blocks, lanes, chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+    def test_the_same_blocks_in_both_lanes(self, chunk_size):
+        """Each block is referenced by both lanes, so only the lane keeps
+        their recency stacks apart."""
+        rng = np.random.default_rng(41)
+        blocks = np.repeat(rng.integers(0, 120, size=1_500, dtype=np.uint64), 2)
+        lanes = np.tile([True, False], 1_500)
+        config = CacheConfig(num_sets=8, associativity=2)
+        self._run((config, config), blocks, lanes, chunk_size)
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    def test_handoffs_of_one_lane_only(self, lane):
+        """All-data and all-instruction handoffs between mixed ones."""
+        rng = np.random.default_rng(43 + lane)
+        blocks = rng.integers(0, 400, size=3_000, dtype=np.uint64)
+        lanes = rng.random(3_000) < 0.5
+        lanes[1_000:2_000] = bool(lane)
+        config = CacheConfig(num_sets=16, associativity=4)
+        self._run((config, config), blocks, lanes, 1_000)
+
+    @pytest.mark.parametrize("slice_blocks", [None, 1_000])
+    def test_a_handoff_cut_across_slices(self, monkeypatch, slice_blocks):
+        """A handoff longer than ``KERNEL_SLICE_BLOCKS`` marches in slices
+        whose state carries over."""
+        if slice_blocks:
+            monkeypatch.setattr(cache_module, "KERNEL_SLICE_BLOCKS", slice_blocks)
+        rng = np.random.default_rng(47)
+        size = cache_module.KERNEL_SLICE_BLOCKS + 3_001
+        blocks = rng.integers(0, 2_000, size=size, dtype=np.uint64)
+        lanes = rng.random(size) < 0.4
+        configs = (CacheConfig(num_sets=32, associativity=4), CacheConfig(num_sets=16, associativity=4))
+        self._run(configs, blocks, lanes, size - 2_000)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+    def test_mixed_associativity_falls_back_per_cache(self, monkeypatch, chunk_size):
+        """A 4-way and an 8-way lane cannot share a row space: each cache
+        gets its own ``access_batch`` and the kernel never sees both."""
+        solo = SetAssociativeCache.access_batch
+        calls = []
+
+        def counted(cache, blocks):
+            calls.append(cache)
+            return solo(cache, blocks)
+
+        monkeypatch.setattr(SetAssociativeCache, "access_batch", counted)
+        rng = np.random.default_rng(53)
+        blocks = rng.integers(0, 300, size=1_200, dtype=np.uint64)
+        lanes = rng.random(1_200) < 0.5
+        configs = (CacheConfig(num_sets=8, associativity=4), CacheConfig(num_sets=8, associativity=8))
+        caches = self._run(configs, blocks, lanes, chunk_size)
+        assert calls == caches * -(-1_200 // chunk_size)
+
+    def test_lane_index_out_of_range_rejected(self):
+        config = CacheConfig(num_sets=4, associativity=2)
+        pair = [SetAssociativeCache(config), SetAssociativeCache(config)]
+        blocks = np.arange(4, dtype=np.uint64)
+        with pytest.raises(ConfigurationError, match="lanes"):
+            access_lanes(pair, blocks, [0, 1, 2, 0])
+        with pytest.raises(ConfigurationError, match="lanes"):
+            access_lanes(pair, blocks, [0, 1])
 
 
 class TestStackDistanceKernel:
@@ -443,3 +550,49 @@ def test_streaming_filter_golden():
             misses = streaming.filter_chunk(chunk)
             digest.update(np.ascontiguousarray(misses, dtype="<u8").tobytes())
     assert digest.hexdigest() == FILTER_GOLDEN_SHA256
+
+
+#: SHA-256 of each source's ``StreamingCacheFilter`` miss blocks
+#: (little-endian uint64) at the benchmark's scale: 1.1M data references
+#: (2.2M references) in 65 536-reference handoffs, seed 1; pinned before the
+#: filter stopped splitting its stream by lane.
+FILTER_TRAFFIC_SHA256 = {
+    "433.milc": "9a845892a4a83b981f550e7d2a8cb1e8a79dc1d04365d0f2e5517fdb958f97f4",
+    "410.bwaves": "07a66061fb2a6482c32365b0d7c92541e7601c4c93be25a69c8ad5a846b1496d",
+    "429.mcf": "2062060bdc4dbdcc1cd29f1381a2ae8b2728bfd54a25129b3bbd6ccb91944379",
+    "403.gcc": "f1b890db747f95b7ca5dfc9c22b5342e8472e045f720a1665183432582c4ef9a",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(FILTER_TRAFFIC_SHA256))
+def test_streaming_filter_traffic_at_benchmark_scale(name):
+    digest = hashlib.sha256()
+    streaming = StreamingCacheFilter()
+    for chunk in get_workload(name).reference_stream(1_100_000, seed=1).iter_chunks(65_536):
+        digest.update(np.ascontiguousarray(streaming.filter_chunk(chunk), dtype="<u8").tobytes())
+    assert digest.hexdigest() == FILTER_TRAFFIC_SHA256[name]
+    assert streaming.instruction_stats == CacheStats(1_100_000, 1_097_411, 2_589, 2_077)
+
+
+def test_paper_filter_makes_one_kernel_call_per_slice(monkeypatch):
+    """The paper's L1I/L1D pair marches as one row space: one
+    ``simulate_batch`` call per ``KERNEL_SLICE_BLOCKS`` slice of the
+    interleaved stream, and no per-cache batch."""
+    monkeypatch.setattr(cache_module, "KERNEL_SLICE_BLOCKS", 4_096)
+    kernel = kernels.simulate_batch
+    calls = []
+
+    def counted(blocks, rows, *args, **kwargs):
+        calls.append(int(blocks.size))
+        return kernel(blocks, rows, *args, **kwargs)
+
+    def refuse(cache, blocks):
+        raise AssertionError("a filter lane fell back to access_batch")
+
+    monkeypatch.setattr(kernels, "simulate_batch", counted)
+    monkeypatch.setattr(SetAssociativeCache, "access_batch", refuse)
+    streaming = StreamingCacheFilter()
+    for chunk in generate_reference_stream("403.gcc", 10_000, seed=3).iter_chunks(9_000):
+        streaming.filter_chunk(chunk)
+    assert calls == [4_096, 4_096, 808] * 2 + [2_000]

@@ -210,19 +210,19 @@ class TestStateForms:
         table, occupancy = stacks.table()
         assert not occupancy.any() and not table.any()
 
-    def test_commit_without_rows_counts_every_miss(self):
+    def test_commit_without_rows_grows_nothing(self):
         stacks = LruStacks(4, 2)
-        hits = np.array([False, True, False])
         empty = np.empty(0, dtype=np.int64)
-        assert stacks.commit(empty, np.empty((0, 2), np.uint64), empty, hits) == 2
+        assert stacks.commit(empty, np.empty((0, 2), np.uint64), empty) == 0
 
-    def test_commit_counts_misses_less_occupancy_growth(self):
+    def test_commit_returns_occupancy_growth(self):
+        """A batch's evictions are its misses less this growth."""
         stacks = LruStacks(2, 2)
         _touch_all(stacks, [0, 2])  # set 0 full, set 1 empty
         stacks.table()
         rows = np.array([0, 1])
         new = np.array([[4, 2], [1, 0]], dtype=np.uint64)
-        # set 0: miss on 4 evicts (no growth); set 1: miss on 1 grows by one
-        evicted = stacks.commit(rows, new, np.array([2, 1]), np.array([False, False]))
-        assert evicted == 1
+        # set 0: miss on 4 evicts (no growth); set 1: miss on 1 grows by one,
+        # so the two misses made one eviction
+        assert stacks.commit(rows, new, np.array([2, 1])) == 1
         assert stacks.lists == [[4, 2], [1]]

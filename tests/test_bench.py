@@ -258,7 +258,7 @@ class TestRunProfile:
         assert set(tables) == {"filter", "filter_assoc"}
         assert all("cumulative" in table for table in tables.values())
         # the hot path of the associative case is the cache simulation
-        assert "access_batches" in tables["filter_assoc"]
+        assert "access_lanes" in tables["filter_assoc"]
 
     def test_rejects_unknown_case_and_bad_top(self):
         from repro.bench import run_profile

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import bz2
+import dataclasses
 import io
 import re
 import struct
@@ -568,6 +569,43 @@ _DECODE_PEAK_BYTES = 64 << 20
 def test_the_bomb_inflates_past_the_memory_bound():
     decoder = bz2.BZ2Decompressor()
     assert len(decoder.decompress(_BZ2_BOMB, max_length=_DECODE_PEAK_BYTES + 1)) > _DECODE_PEAK_BYTES
+
+
+@pytest.mark.parametrize("mode", ["c", "k"])
+def test_chunk_records_longer_than_the_chunk_unit_are_refused_before_any_chunk(
+    mode, tmp_path, monkeypatch
+):
+    """A 67-byte chunk whose header declares 4 194 304 addresses (32 MiB of
+    zeros through bz2), its digest, its record's length and
+    ``original_length`` rewritten under a recomputed footer.  Every other
+    INFO check passes, so only the container's own chunk unit (500 here)
+    can stop the decode before the chunk inflates."""
+    from repro.core.fsck import scrub_container
+
+    declared = 4_194_304
+    directory = tmp_path / "trace"
+    compress_trace(_CONTAINER_TRACE, directory, mode=mode, config=_CONTAINER_CONFIG)
+    container = AtcContainer(directory)
+    metadata, records = container.read_info()
+    assert records[0].is_chunk and records[0].length == 500
+    forged = _LOSSLESS_HEADER.pack(b"ATCL", 1, declared, 500) + bz2.compress(bytes(8 * declared))
+    assert len(forged) == 67
+    container.write_chunk(records[0].chunk_id, forged)
+    metadata["chunk_digests"][str(records[0].chunk_id)] = chunk_digest(forged)
+    metadata["original_length"] += declared - 500
+    container.write_info(metadata, [dataclasses.replace(records[0], length=declared)] + records[1:])
+
+    def refuse(self, chunk_id, expected_digest=None):
+        raise AssertionError(f"chunk {chunk_id} was read before INFO was checked")
+
+    monkeypatch.setattr(AtcContainer, "read_chunk", refuse)
+    unit = "interval_length" if mode == "k" else "chunk_buffer_addresses"
+    match = f"record 0 stores {declared} addresses in chunk 1, more than the {unit} of 500"
+    with pytest.raises(ContainerError, match=match):
+        AtcDecoder(directory)
+    scrub = scrub_container(directory)
+    assert scrub.info_status == "malformed" and match in scrub.info_detail
+    assert repro_main(["inspect", str(directory)]) == 2
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
