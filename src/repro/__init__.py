@@ -54,7 +54,6 @@ from repro.core.bytesort import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig
-from repro.core.parallel import Executor, SerialExecutor, ThreadExecutor, resolve_executor
 from repro.errors import (
     CodecError,
     ConfigurationError,
@@ -72,7 +71,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.
@@ -113,11 +112,6 @@ __all__ = [
     "filter_spec_like_traces",
     "spec_like_suite",
     "SPEC_LIKE_NAMES",
-    # executor engine
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "resolve_executor",
     # experiments
     "SweepSpec",
     "WorkloadSpec",

@@ -34,6 +34,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.bench.suite import BenchResult, BenchScale
+from repro.core.parallel import usable_cpus
 from repro.errors import BenchmarkError
 
 __all__ = [
@@ -77,16 +78,10 @@ def build_report(
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "cpus": _cpu_count(),
+            "cpus": usable_cpus(),
         },
         "benchmarks": [result.to_dict() for result in results],
     }
-
-
-def _cpu_count() -> int:
-    import os
-
-    return os.cpu_count() or 1
 
 
 def _fail(path: str, message: str) -> None:

@@ -404,7 +404,7 @@ SUITE_BENCHES_NAMES: Tuple[str, ...] = tuple(name for name, _ in SUITE_BENCHES)
 
 
 def resolved_executor_name(workers: int) -> str:
-    """The strategy that runs at ``workers``: ``"serial"`` for one, ``"thread"`` beyond.
+    """How ``workers`` runs: ``"serial"`` (inline) for one, ``"thread"`` (a thread pool) beyond.
 
     Example:
         >>> resolved_executor_name(1), resolved_executor_name(4)

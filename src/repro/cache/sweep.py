@@ -105,7 +105,7 @@ def miss_ratio_sweep(
         max_associativity: Largest associativity of interest.
         trace_name: Label stored in the returned surface.
         workers: Number of set-count passes simulated concurrently
-            (``0``/``None`` = one per CPU, like the rest of the pipeline).
+            (``0``/``None`` = one per usable CPU, like the rest of the pipeline).
 
     Example:
         >>> surface = miss_ratio_sweep(range(4096), set_counts=(64, 128))

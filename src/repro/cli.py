@@ -150,7 +150,7 @@ def _build_bin2atc_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="compress up to N chunks concurrently (0 = one per CPU; default: 1, serial; "
+        help="compress up to N chunks concurrently (0 = one per usable CPU; default: 1, serial; "
         "output is byte-identical for any value)",
     )
     parser.add_argument("--input", default=None, help="read raw trace from this file instead of stdin")
@@ -215,7 +215,7 @@ def _build_atc2bin_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="prefetch and decompress up to N chunks concurrently (0 = one per CPU; default: 1)",
+        help="prefetch and decompress up to N chunks concurrently (0 = one per usable CPU; default: 1)",
     )
     return parser
 
@@ -540,7 +540,7 @@ def _build_convert_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="compress/decompress up to N chunks concurrently (0 = one per CPU; default: 1)",
+        help="compress/decompress up to N chunks concurrently (0 = one per usable CPU; default: 1)",
     )
     return parser
 
@@ -711,7 +711,7 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="evaluate up to N (workload, filter) groups concurrently (0 = one per CPU)",
+        help="evaluate up to N (workload, filter) groups concurrently (0 = one per usable CPU)",
     )
     run.add_argument(
         "--format",
@@ -988,7 +988,7 @@ def _build_bench_parser() -> argparse.ArgumentParser:
         "-j",
         type=int,
         default=1,
-        help="worker count for the parallel benchmark cases (0 = one per CPU; default: 1)",
+        help="worker count for the parallel benchmark cases (0 = one per usable CPU; default: 1)",
     )
     parser.add_argument(
         "--json",

@@ -30,16 +30,7 @@ from repro.core.histograms import (
 )
 from repro.core.intervals import ChunkTable, IntervalRecord
 from repro.core.lossless import LosslessCodec
-from repro.core.parallel import (
-    Executor,
-    OrderedChunkWriter,
-    SerialExecutor,
-    ThreadExecutor,
-    executor_scope,
-    map_ordered,
-    resolve_executor,
-    resolve_workers,
-)
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers, usable_cpus
 from repro.core.kernels import KernelBatchResult, simulate_batch
 from repro.core.stream import (
     DEFAULT_CHUNK_ADDRESSES,
@@ -72,14 +63,10 @@ __all__ = [
     "CompressionBackend",
     "get_backend",
     "available_backends",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "OrderedChunkWriter",
-    "executor_scope",
     "map_ordered",
-    "resolve_executor",
     "resolve_workers",
+    "usable_cpus",
     "bytesort_window",
     "bytesort_inverse_window",
     "bytesort_transform",

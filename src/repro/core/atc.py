@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import tempfile
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -43,7 +44,7 @@ from repro.core.intervals import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
-from repro.core.parallel import Executor, OrderedChunkWriter, executor_scope, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError, IntegrityError
 from repro.traces.trace import (
     DEFAULT_CHUNK_ADDRESSES,
@@ -81,10 +82,10 @@ class AtcEncoder:
             In lossless mode only ``chunk_buffer_addresses`` and ``backend``
             are used (each bytesort buffer becomes a chunk).
         suffix: Chunk file suffix; defaults to the back-end name.
-        executor: A live :class:`~repro.core.parallel.Executor` to share
-            across encoders (the service passes its codec executor);
-            ``None`` creates one from ``config.workers``.  Containers are
-            byte-identical for every executor and worker count.
+        executor: A live thread pool to share across encoders (the
+            service passes its codec pool); ``None`` runs inline for one
+            ``config.workers`` and creates a pool for more.  Containers are
+            byte-identical for every pool and worker count.
         format_version: Container format to write — ``2`` (the default)
             records a digest per chunk plus an INFO footer digest so every
             decode path verifies the bytes it reads; ``1`` reproduces the
@@ -98,7 +99,7 @@ class AtcEncoder:
         mode: str = MODE_LOSSY,
         config: Optional[LossyConfig] = None,
         suffix: Optional[str] = None,
-        executor: Optional[Executor] = None,
+        executor: Optional[ThreadPoolExecutor] = None,
         format_version: int = FORMAT_VERSION,
     ) -> None:
         if mode not in (MODE_LOSSY, MODE_LOSSLESS):
@@ -242,10 +243,10 @@ class AtcEncoder:
             self._records.append(
                 IntervalRecord(kind="chunk", chunk_id=chunk_id, length=int(interval.size))
             )
-        if self._pipeline.is_async:
+        if self._pipeline.pool is not None:
             # A thread pool holds a reference to the caller's memory past
-            # submit; the serial path runs inline, so only the thread path
-            # pays for an owned copy.
+            # submit; the inline path is done with it on return, so only
+            # the thread path pays for an owned copy.
             interval = np.array(interval, dtype=np.uint64, copy=True)
         self._pipeline.submit(chunk_id, self._chunk_codec.compress, interval)
 
@@ -297,9 +298,9 @@ class AtcDecoder:
             containers reference the same chunk from many imitation
             records, so a small bounded cache replaces re-decoding without
             the unbounded memory growth a plain dict would have.
-        executor: A live :class:`~repro.core.parallel.Executor` to share
-            for the prefetch/bulk-decode fan-out; ``None`` creates one from
-            ``workers``.  The decoded output never depends on either.
+        executor: A live thread pool to share for the prefetch/bulk-decode
+            fan-out; ``None`` creates one from ``workers`` when that is
+            more than one.  The decoded output never depends on either.
     """
 
     #: Default capacity of the decoded-chunk LRU cache.
@@ -312,7 +313,7 @@ class AtcDecoder:
         suffix: Optional[str] = None,
         workers: int = 1,
         cache_chunks: int = DEFAULT_CACHE_CHUNKS,
-        executor: Optional[Executor] = None,
+        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         # The chunk-file suffix names the back-end on disk (INFO.bz2,
         # INFO.zlib, ...), so an unspecified back-end is detected from it.
@@ -389,35 +390,29 @@ class AtcDecoder:
         self._store_chunk(chunk_id, decoded)
         return decoded
 
-    def _prefetch_wanted(self) -> bool:
-        """True when iteration should prefetch chunks on a thread pool."""
-        if len(self.records) <= 1:
-            return False
-        if self._executor is not None:
-            return self._executor.is_async
-        return self._workers > 1
-
     def _iter_sources(self) -> Iterator[Tuple[IntervalRecord, np.ndarray]]:
         """Yield every record with its decoded source chunk, in order.
 
         Chunks come through the bounded LRU cache.  With ``workers > 1`` (or
-        a shared thread executor) the chunks of upcoming records are
+        a shared thread pool) the chunks of upcoming records are
         prefetched — read and decompressed — on the thread pool while
         earlier records are being replayed; the pairs are the same either
         way.
         """
-        if not self._prefetch_wanted():
+        if len(self.records) <= 1 or (self._executor is None and self._workers <= 1):
             for record in self.records:
                 yield record, self._chunk_addresses(record.chunk_id)
             return
-        with executor_scope(self._executor, self._workers) as engine:
+        shared = self._executor
+        scope = ThreadPoolExecutor(self._workers) if shared is None else contextlib.nullcontext(shared)
+        with scope as pool:
             handles = {}
             try:
                 for index, record in enumerate(self.records):
                     for upcoming in self.records[index : index + self._lookahead]:
                         chunk_id = upcoming.chunk_id
                         if chunk_id not in handles and chunk_id not in self._chunk_cache:
-                            handles[chunk_id] = engine.submit(self._load_chunk, chunk_id)
+                            handles[chunk_id] = pool.submit(self._load_chunk, chunk_id)
                     handle = handles.pop(record.chunk_id, None)
                     if handle is not None:
                         self._store_chunk(record.chunk_id, handle.result())
@@ -472,7 +467,7 @@ class AtcDecoder:
     def iter_intervals(self) -> Iterator[np.ndarray]:
         """Yield the decoded address array of every interval, in order.
 
-        With ``workers > 1`` (or a shared thread executor) the chunks of
+        With ``workers > 1`` (or a shared thread pool) the chunks of
         upcoming intervals are prefetched on the thread pool; the yielded
         sequence is identical to the serial one.  A chunk interval is a
         read-only view of the decoder's cached chunk.
@@ -517,9 +512,10 @@ class AtcDecoder:
             if chunk_id in self._chunk_cache
         }
         missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
-        if missing:
-            with executor_scope(self._executor, self._workers) as engine:
-                decoded.update(zip(missing, engine.map_ordered(self._load_chunk, missing)))
+        if self._executor is not None:
+            decoded.update(zip(missing, self._executor.map(self._load_chunk, missing)))
+        else:
+            decoded.update(zip(missing, map_ordered(self._load_chunk, missing, self._workers)))
         sources = [(record, decoded[record.chunk_id]) for record in self.records]
         for record, source in sources:
             _check_source(record, source)

@@ -42,13 +42,14 @@ import os
 import sys
 import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.parallel import Executor, SerialExecutor, ThreadExecutor
+from repro.core.parallel import usable_cpus
 from repro.errors import CodecError, ConfigurationError
 
 __all__ = [
@@ -334,26 +335,25 @@ _BZ2_STREAM_START = b"BZh91AY&SY"
 #: Input bytes scanned per step by :func:`bz2_block_starts`.
 _SPLIT_WINDOW = 1 << 18
 
-_pool: Optional[Executor] = None
+_pool: Optional[ThreadPoolExecutor] = None
+_helpers: Optional[int] = None  # threads in _pool; None until first use
 _pool_lock = threading.Lock()
 
 
-def _block_pool() -> Executor:
+def _block_pool() -> Tuple[Optional[ThreadPoolExecutor], int]:
     """Helper threads for the bz2 pieces, one per usable CPU but the caller's.
 
-    Created on first use.  It is not the chunk pipeline's executor: a chunk
-    task waiting on its own pool for its pieces could deadlock.  With one
-    usable CPU there are no helpers and the pieces run inline.
+    Returns the pool and its size.  Created on first use.  It is not the
+    chunk pipeline's pool: a chunk task waiting on its own pool for its
+    pieces could deadlock.  With one usable CPU there is no pool and the
+    pieces run inline.
     """
-    global _pool
+    global _pool, _helpers
     with _pool_lock:
-        if _pool is None:
-            if hasattr(os, "sched_getaffinity"):
-                cpus = len(os.sched_getaffinity(0))
-            else:
-                cpus = os.cpu_count() or 1
-            _pool = ThreadExecutor(cpus - 1) if cpus > 1 else SerialExecutor()
-        return _pool
+        if _helpers is None:
+            _helpers = usable_cpus() - 1
+            _pool = ThreadPoolExecutor(_helpers) if _helpers else None
+        return _pool, _helpers
 
 
 def _map_on_every_core(fn: Callable, items: list) -> list:
@@ -362,7 +362,7 @@ def _map_on_every_core(fn: Callable, items: list) -> list:
     The calling thread works too, rather than waiting on the pool: that
     needs one thread (and one malloc arena of retained bzip2 buffers) fewer.
     """
-    pool = _block_pool()
+    pool, helpers = _block_pool()
     results = [None] * len(items)
     indexes = iter(range(len(items)))
 
@@ -370,19 +370,19 @@ def _map_on_every_core(fn: Callable, items: list) -> list:
         for index in indexes:
             results[index] = fn(items[index])
 
-    helpers = [pool.submit(drain) for _ in range(min(pool.workers, len(items) - 1))]
+    running = [pool.submit(drain) for _ in range(min(helpers, len(items) - 1))]
     try:
         drain()
     finally:
-        for helper in helpers:
+        for helper in running:
             helper.result()
     return results
 
 
 def _forget_block_pool() -> None:
     """Drop the parent's pool in a forked child: its threads did not fork."""
-    global _pool, _pool_lock
-    _pool = None
+    global _pool, _helpers, _pool_lock
+    _pool = _helpers = None
     _pool_lock = threading.Lock()
 
 

@@ -19,7 +19,7 @@ Endpoints (see ``docs/service.md`` for the full contract):
 Three invariants hold everywhere:
 
 1. **The event loop never computes.**  Encoding/decoding runs on worker
-   threads (which in turn drive the shared codec executor); the loop only
+   threads (which in turn drive the shared codec pool); the loop only
    shuttles socket bytes and spools bodies.
 2. **Memory per connection is bounded.**  Request bodies stream to a
    per-request spool file chunk by chunk; decoded traces stream back the
@@ -43,12 +43,13 @@ import socket
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AsyncIterator, Callable, Dict, Optional, Tuple
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
-from repro.core.parallel import resolve_executor
+from repro.core.parallel import resolve_workers
 from repro.core.lossy import LossyConfig
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.service.cache import CONTAINER_MEDIA_TYPE, ContainerCache, pack_container, unpack_container
@@ -85,8 +86,8 @@ class ServiceConfig:
             anything else — the service itself does no authentication).
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
-        workers: Worker count of the codec executor every job shares:
-            inline for one, a thread pool beyond.
+        workers: Size of the codec thread pool every job shares; with one
+            there is no pool and jobs run inline.
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.
@@ -130,9 +131,10 @@ class AtcService:
     """The service itself: routing, request lifecycle, shutdown.
 
     One instance owns one listener, one connection gate, one metrics
-    registry, one dedup cache and one shared codec executor.  Run it with
-    :meth:`run` (blocking, installs signal handlers when possible) or host
-    it in a test/benchmark with :class:`BackgroundServer`.
+    registry, one dedup cache and, with ``workers > 1``, one shared codec
+    thread pool.  Run it with :meth:`run` (blocking, installs signal
+    handlers when possible) or host it in a test/benchmark with
+    :class:`BackgroundServer`.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -143,7 +145,7 @@ class AtcService:
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._executor = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._owned_cache_dir: Optional[str] = None
         if self.config.cache_dir is None:
             self._owned_cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -176,7 +178,9 @@ class AtcService:
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 self._loop.add_signal_handler(signum, self.shutdown)
-        self._executor = resolve_executor(self.config.workers)
+        workers = resolve_workers(self.config.workers)
+        if workers > 1:
+            self._executor = ThreadPoolExecutor(workers, "repro-serve-codec")
         server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -192,8 +196,9 @@ class AtcService:
             return 0 if idle else 1
         finally:
             server.close()
-            self._executor.close()
-            self._executor = None
+            if self._executor is not None:
+                self._executor.shutdown()
+                self._executor = None
             if self._owned_cache_dir is not None:
                 shutil.rmtree(self._owned_cache_dir, ignore_errors=True)
 

@@ -207,7 +207,7 @@ def filter_reference_streams(
         streams: Iterable of :class:`~repro.traces.synthetic.ReferenceStream`.
         instruction_config: L1I geometry applied to every stream.
         data_config: L1D geometry applied to every stream.
-        workers: Concurrent cells (``0``/``None`` = one per CPU).
+        workers: Concurrent cells (``0``/``None`` = one per usable CPU).
 
     Returns:
         ``List[FilterResult]`` in the order the streams were given.
@@ -289,7 +289,7 @@ def filter_spec_like_traces(
             suite).
         instruction_config: L1I geometry (paper default).
         data_config: L1D geometry (paper default).
-        workers: Concurrent workloads (``0``/``None`` = one per CPU).
+        workers: Concurrent workloads (``0``/``None`` = one per usable CPU).
 
     Returns:
         ``Dict[str, AddressTrace]`` keyed by workload name, in input order.

@@ -491,7 +491,7 @@ with AtcEncoder(directory, mode=MODE_LOSSLESS, config=LossyConfig()) as encoder:
     encoder.code_many(addresses)
 for path in sorted(directory.iterdir()):
     print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
-print("pool", backend._block_pool().name)
+print("pool", "serial" if backend._block_pool()[0] is None else "thread")
 """
 
 

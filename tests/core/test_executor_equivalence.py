@@ -1,4 +1,4 @@
-"""Cross-executor equivalence: serial vs thread, byte for byte.
+"""Cross-worker equivalence: inline vs thread pool, byte for byte.
 
 The pipeline's hard invariant is that the worker count is invisible in the
 output: for every mode (lossless, lossy), every chunk/interval size and
@@ -11,13 +11,14 @@ module pins that invariant three ways:
 * the thread encoder reproducing the *committed golden fixtures* byte for
   byte (the strongest anchor: not just self-consistency, but the on-disk
   format as committed);
-* a hypothesis property run under a shared thread executor, the way the
+* a hypothesis property run under a shared thread pool, the way the
   service shares one across requests.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
 from repro.core.lossy import LossyConfig
-from repro.core.parallel import ThreadExecutor
 
 from test_golden_containers import (
     GOLDEN_VARIANTS,
@@ -106,15 +106,15 @@ class TestThreadExecutorMatchesGoldenFixtures:
                 encoder.code_many(golden_addresses())
             expected = {entry.name: entry.read_bytes() for entry in sorted(committed.iterdir())}
             actual = {entry.name: entry.read_bytes() for entry in sorted(fresh.iterdir())}
-            assert actual == expected, f"{mode_name}_{backend} drifted under the thread executor"
+            assert actual == expected, f"{mode_name}_{backend} drifted under the thread pool"
             decoded = AtcDecoder(committed, workers=2).read_all()
             assert np.array_equal(decoded, AtcDecoder(committed, workers=1).read_all())
 
 
 @pytest.fixture(scope="module")
 def property_executor():
-    with ThreadExecutor(2) as executor:
-        yield executor
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -123,7 +123,7 @@ def property_executor():
     interval_length=st.integers(min_value=1, max_value=31),
 )
 def test_thread_roundtrip_property(tmp_path_factory, property_executor, addresses, interval_length):
-    """Lossless encode/decode on a shared thread executor is exact for arbitrary traces."""
+    """Lossless encode/decode on a shared thread pool is exact for arbitrary traces."""
     config = LossyConfig(
         interval_length=interval_length,
         chunk_buffer_addresses=interval_length,

@@ -1,30 +1,24 @@
-"""Tests of the executor engine: selection, ordering, errors, shutdown.
+"""Tests of the fan-out primitives: ordering, errors, cancellation, shutdown.
 
-The worker count alone picks the strategy — serial for one worker, a
-thread pool beyond — and a live executor can be shared through
-``executor_scope`` and ``OrderedChunkWriter`` without being closed by them.
+The worker count alone picks how work runs — inline for one worker, a
+stdlib thread pool beyond — and a live pool can be shared through
+``OrderedChunkWriter`` and the codec facades without being closed by them.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core.parallel import (
-    Executor,
-    OrderedChunkWriter,
-    SerialExecutor,
-    ThreadExecutor,
-    executor_scope,
-    map_ordered,
-    resolve_executor,
-)
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers, usable_cpus
 from repro.errors import ConfigurationError
 
-STRATEGY_WORKERS = {"serial": 1, "thread": 2}
+WORKER_COUNTS = (1, 2)
 
 
 def _double(value):
@@ -40,74 +34,78 @@ def _slow_identity(value):
     return value
 
 
-class TestResolveExecutor:
-    def test_auto_is_serial_for_one_worker_and_threads_beyond(self):
-        assert resolve_executor(1).name == "serial"
-        executor = resolve_executor(3)
+def _writer(workers=2, **kwargs):
+    written = []
+    writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=workers, **kwargs)
+    return writer, written
+
+
+class TestUsableCpus:
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert usable_cpus() == 3
+        assert resolve_workers(0) == resolve_workers(None) == 3
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    def test_booleans_are_not_worker_counts(self):
+        for flag in (True, False):
+            with pytest.raises(ConfigurationError, match="workers"):
+                resolve_workers(flag)
+            with pytest.raises(ConfigurationError, match="workers"):
+                OrderedChunkWriter(lambda cid, payload: None, workers=flag)
+
+    def test_writer_takes_zero_as_one_worker_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        writer, written = _writer(workers=0)
         try:
-            assert executor.name == "thread"
-            assert executor.workers == 3
+            assert writer.workers == 3 and writer.pool is not None
+            writer.submit(0, _double, 1)
         finally:
-            executor.close()
-
-    def test_unknown_name_rejected(self):
-        """Strategy names are gone: only a live Executor instance is accepted."""
-        with pytest.raises(ConfigurationError, match="Executor instance"):
-            with executor_scope("thread", workers=2):
-                pass
-        with pytest.raises(ConfigurationError, match="Executor instance"):
-            OrderedChunkWriter(lambda cid, payload: None, workers=2, executor="process")
-
-    def test_instance_passes_through_and_scope_borrows_it(self):
-        with ThreadExecutor(2) as executor:
-            with executor_scope(executor, workers=8) as scoped:
-                assert scoped is executor
-            # Borrowed: the scope must not have closed it.
-            assert executor.map_ordered(_double, [1, 2]) == [2, 4]
-
-    def test_scope_closes_executors_it_created(self):
-        with executor_scope(None, workers=2) as executor:
-            assert executor.map_ordered(_double, [3]) == [6]
-        with pytest.raises(ConfigurationError):
-            executor.submit(_double, 1)
+            writer.close()
+        assert written == [0]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        writer, _ = _writer(workers=0)
+        assert writer.workers == 1 and writer.pool is None  # one CPU: inline
+        writer.close()
 
 
 class TestOrderingAndErrors:
-    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
-    def test_map_ordered_preserves_input_order(self, name):
-        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
-            assert executor.name == name
-            items = list(range(24))
-            assert executor.map_ordered(_double, items) == [value * 2 for value in items]
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_map_ordered_preserves_input_order(self, workers):
+        items = list(range(24))
+        assert map_ordered(_double, items, workers=workers) == [value * 2 for value in items]
 
-    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
-    def test_imap_ordered_streams_in_order(self, name):
-        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
-            items = list(range(15))
-            assert list(executor.imap_ordered(_double, items, lookahead=3)) == [
-                value * 2 for value in items
-            ]
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_task_exceptions_propagate_unchanged(self, workers):
+        with pytest.raises(ValueError, match="task failure"):
+            map_ordered(_boom, [1, 2], workers=workers)
+        writer, written = _writer(workers=workers)
+        with pytest.raises(ValueError, match="task failure"):
+            writer.submit(0, _boom, 1)
+            writer.close()
+        assert written == []
 
-    @pytest.mark.parametrize("name", sorted(STRATEGY_WORKERS))
-    def test_task_exceptions_propagate_unchanged(self, name):
-        with resolve_executor(STRATEGY_WORKERS[name]) as executor:
-            with pytest.raises(ValueError, match="task failure"):
-                executor.map_ordered(_boom, [1, 2])
-            with pytest.raises(ValueError, match="task failure"):
-                executor.submit(_boom, 1).result()
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_writer_preserves_submission_order(self, workers):
+        writer, written = _writer(workers=workers)
+        with writer:
+            for chunk_id in range(24):
+                writer.submit(chunk_id, _slow_identity if chunk_id % 5 == 0 else _double, chunk_id)
+        assert written == list(range(24))
 
-    def test_serial_submit_runs_inline(self):
-        executor = SerialExecutor()
+    def test_inline_writer_runs_the_task_inside_submit(self):
         ran = []
-        future = executor.submit(ran.append, "now")
-        assert ran == ["now"]  # before result() was ever called
-        assert future.done() and not future.cancel()  # finished: nothing to cancel
-        assert executor.is_async is False
-
-    def test_only_the_thread_path_is_async(self):
-        assert SerialExecutor().is_async is False
-        with ThreadExecutor(2) as threads:
-            assert threads.is_async is True
+        writer, written = _writer(workers=1)
+        assert writer.pool is None
+        writer.submit(0, lambda: ran.append("now") or b"")
+        assert ran == ["now"] and written == [0]  # before close() was ever called
+        writer.close()
 
     def test_map_ordered_helper_uses_threads_beyond_one_worker(self):
         caller = threading.get_ident()
@@ -123,6 +121,83 @@ class TestOrderingAndErrors:
 
         assert map_ordered(local_closure, [1, 2], workers=1) == [1, 2]
         assert calls == [threading.get_ident()] * 2
+
+    def test_map_ordered_joins_its_pool_even_on_failure(self):
+        before = threading.active_count()
+        assert map_ordered(_slow_identity, range(6), workers=3) == list(range(6))
+        assert threading.active_count() <= before
+        with pytest.raises(ValueError):
+            map_ordered(_boom, range(6), workers=3)
+        assert threading.active_count() <= before
+
+    def test_map_ordered_failure_cancels_unstarted_items(self):
+        started = []
+
+        def first_fails(value):
+            started.append(value)
+            if value == 0:
+                raise ValueError("task failure")
+            time.sleep(0.02)
+            return value
+
+        with pytest.raises(ValueError, match="task failure"):
+            map_ordered(first_fails, range(200), workers=2)
+        # 200 items x 20 ms on 2 threads is 2 s; the queued tail is dropped.
+        assert len(started) < 50
+
+
+class TestSharedPool:
+    def test_shared_pool_is_borrowed_not_closed(self):
+        with ThreadPoolExecutor(2) as pool:
+            writer, written = _writer(executor=pool)
+            assert writer.pool is pool
+            writer.submit(0, _double, 1)
+            writer.close()
+            assert written == [0]
+            # Borrowed: the writer must not have shut it down.
+            assert pool.submit(_double, 21).result() == 42
+
+    def test_owned_pool_is_shut_down_on_close(self):
+        writer, _ = _writer(workers=2)
+        pool = writer.pool
+        writer.submit(0, _double, 1)
+        writer.close()
+        with pytest.raises(RuntimeError):
+            pool.submit(_double, 1)
+
+    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self):
+        """Cancelling a writer on a shared pool drops its finished results
+        at once and leaves the pool open for the owner to reuse."""
+        with ThreadPoolExecutor(1) as pool:
+            writer, written = _writer(executor=pool, max_pending=8)
+            for chunk_id in range(3):
+                writer.submit(chunk_id, _double, chunk_id)
+            pool.submit(_double, 1).result()  # barrier: every chunk finished
+            writer.cancel()
+            assert written == []
+            assert not writer._pending
+            assert pool.submit(_double, 21).result() == 42  # pool still usable
+
+    def test_cancel_drops_only_unstarted_work(self):
+        gate = threading.Event()
+        ran = []
+
+        def blocked(value):
+            gate.wait(5)
+            ran.append(value)
+            return value
+
+        with ThreadPoolExecutor(1) as pool:
+            writer, written = _writer(executor=pool, max_pending=8)
+            writer.submit(0, blocked, "first")
+            writer.submit(1, blocked, "second")
+            running, queued = (future for _, future in writer._pending)
+            writer.cancel()
+            gate.set()
+            assert running.result() == "first"
+            assert queued.cancelled()
+            assert pool.submit(_double, 5).result() == 10
+        assert ran == ["first"] and written == []
 
 
 class TestCleanShutdown:
@@ -142,27 +217,28 @@ class TestCleanShutdown:
         assert threading.active_count() <= before
 
     def test_close_is_idempotent_and_rejects_new_work(self):
-        executor = ThreadExecutor(1)
-        assert executor.submit(_double, 4).result() == 8
-        executor.close()
-        executor.close()
+        writer, written = _writer(workers=2)
+        writer.submit(0, _double, 4)
+        writer.close()
+        writer.close()
+        assert written == [0]
         with pytest.raises(ConfigurationError):
-            executor.submit(_double, 1)
+            writer.submit(1, _double, 1)
 
     def test_slow_queue_cancel_returns_promptly(self):
-        executor = ThreadExecutor(1)
+        writer, written = _writer(workers=2, max_pending=100)
         started = time.perf_counter()
-        for value in range(40):
-            executor.submit(_slow_identity, value)
-        executor.close(cancel=True)
-        # 40 tasks x 50 ms would be 2 s serially; cancellation must drop
-        # the unstarted tail instead of draining it.
-        assert time.perf_counter() - started < 1.5
+        for value in range(80):
+            writer.submit(value, _slow_identity, value)
+        writer.cancel()
+        # 80 tasks x 50 ms on 2 threads would take 2 s to drain;
+        # cancellation must drop the unstarted tail instead.
+        assert time.perf_counter() - started < 1.0
+        assert written == []
 
     def test_crash_inside_pipeline_surfaces_and_cleans_up(self):
         before = threading.active_count()
-        written = []
-        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2)
+        writer, written = _writer(workers=2)
         writer.submit(0, _double, 1)
         writer.submit(1, _boom, 2)
         writer.submit(2, _double, 3)
@@ -187,10 +263,7 @@ class TestCleanShutdown:
 
     def test_cancelled_pipeline_discards_results_without_leaks(self):
         before = threading.active_count()
-        written = []
-        writer = OrderedChunkWriter(
-            lambda cid, payload: written.append(cid), workers=2, max_pending=8
-        )
+        writer, written = _writer(workers=2, max_pending=8)
         for chunk_id in range(6):
             writer.submit(chunk_id, _slow_identity, chunk_id)
         writer.cancel()
@@ -199,63 +272,21 @@ class TestCleanShutdown:
         with pytest.raises(ConfigurationError):
             writer.submit(6, _double, 6)
 
-    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self):
-        """Cancelling a writer on a shared pool drops its finished results
-        at once and leaves the pool open for the owner to reuse."""
-        with ThreadExecutor(1) as executor:
-            written = []
-            writer = OrderedChunkWriter(
-                lambda cid, payload: written.append(cid), executor=executor, max_pending=8
-            )
-            for chunk_id in range(3):
-                writer.submit(chunk_id, _double, chunk_id)
-            executor.submit(_double, 1).result()  # barrier: every chunk finished
-            writer.cancel()
-            assert written == []
-            assert not writer._pending
-            assert executor.submit(_double, 21).result() == 42  # pool still usable
 
-    def test_cancelled_future_drops_only_unstarted_work(self):
-        gate = threading.Event()
-        ran = []
-
-        def blocked(value):
-            gate.wait(5)
-            ran.append(value)
-            return value
-
-        with ThreadExecutor(1) as executor:
-            running = executor.submit(blocked, "first")
-            queued = executor.submit(blocked, "second")
-            assert queued.cancel()
-            gate.set()
-            assert running.result() == "first"
-            assert queued.cancelled()
-            assert executor.submit(_double, 5).result() == 10
-        assert ran == ["first"]
-
-    def test_abandoned_imap_stream_cancels_its_window(self):
-        gate = threading.Event()
-        started = []
-
-        def gated(value):
-            started.append(value)
-            if value:
-                gate.wait(5)  # holds the single worker on task 1
-            return value
-
-        with ThreadExecutor(1) as executor:
-            stream = executor.imap_ordered(gated, range(100), lookahead=4)
-            assert next(stream) == 0
-            stream.close()  # consumer walks away: the queued window is cancelled
-            gate.set()
-        assert started in ([0], [0, 1])  # at most the running task; 2..4 never start
-
-
-def test_engine_module_is_exported_from_core():
+def test_only_the_remaining_primitives_are_exported():
     import repro
     import repro.core as core
+    import repro.core.parallel as parallel
 
-    assert core.ThreadExecutor is ThreadExecutor
-    assert repro.resolve_executor is resolve_executor
-    assert issubclass(SerialExecutor, Executor) and issubclass(ThreadExecutor, Executor)
+    assert set(parallel.__all__) == {
+        "usable_cpus",
+        "resolve_workers",
+        "map_ordered",
+        "OrderedChunkWriter",
+    }
+    assert core.OrderedChunkWriter is OrderedChunkWriter
+    assert core.map_ordered is map_ordered and core.usable_cpus is usable_cpus
+    for removed in ("Executor", "SerialExecutor", "ThreadExecutor", "resolve_executor"):
+        assert not hasattr(repro, removed) and not hasattr(core, removed)
+        assert not hasattr(parallel, removed)
+    assert not hasattr(parallel, "imap_ordered") and not hasattr(parallel, "executor_scope")

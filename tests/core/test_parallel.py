@@ -20,7 +20,7 @@ from repro.core.atc import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig
-from repro.core.parallel import OrderedChunkWriter, imap_ordered, map_ordered, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError
 
 
@@ -153,6 +153,25 @@ class TestContainerDeterminism:
             assert np.array_equal(serial, phased_trace)
 
 
+    @pytest.mark.parametrize("mode", [MODE_LOSSY, MODE_LOSSLESS])
+    def test_buffered_intervals_reach_the_pool_as_owned_copies(self, tmp_path, phased_trace, mode):
+        """Pieces shorter than an interval go through the encoder's reusable
+        buffer, which the next piece overwrites while the pool may still be
+        compressing the previous interval: the thread path must copy it."""
+        from repro.core.atc import AtcEncoder
+
+        digests = []
+        for workers in (1, 2):
+            directory = tmp_path / f"pieces-{mode}-{workers}"
+            config = LossyConfig(
+                interval_length=20_000, chunk_buffer_addresses=20_000, backend="zlib", workers=workers
+            )
+            with AtcEncoder(directory, mode=mode, config=config) as encoder:
+                encoder.encode_stream(np.array_split(phased_trace, 360))
+            digests.append(_container_digest(directory))
+        assert digests[0] == digests[1]
+
+
 class TestDecoderChunkCache:
     def test_parallel_read_all_with_tiny_cache_matches_serial(self, tmp_path, phased_trace):
         directory = tmp_path / "container"
@@ -222,39 +241,51 @@ def test_parallel_roundtrip_property(addresses, interval_length, workers):
 
 
 class TestBulkCodecWindow:
-    def test_imap_ordered_serial_pulls_one_at_a_time(self):
-        state = {"pulled": 0, "yielded": 0}
+    @staticmethod
+    def _feed(writer, items):
+        for chunk_id, value in enumerate(items):
+            writer.submit(chunk_id, lambda value=value: value + 100)
+        writer.close()
+
+    def test_inline_writer_pulls_one_at_a_time(self):
+        state = {"pulled": 0, "written": 0}
 
         def items():
             for value in range(32):
                 state["pulled"] += 1
-                assert state["pulled"] <= state["yielded"] + 1
+                assert state["pulled"] <= state["written"] + 1
                 yield value
 
         results = []
-        for value in imap_ordered(lambda v: v * 3, items()):
-            state["yielded"] += 1
-            results.append(value)
-        assert results == [v * 3 for v in range(32)]
 
-    def test_imap_ordered_bounded_window_on_threads(self):
+        def write(chunk_id, payload):
+            state["written"] += 1
+            results.append(payload)
+
+        self._feed(OrderedChunkWriter(write, workers=1), items())
+        assert results == [v + 100 for v in range(32)]
+
+    def test_thread_writer_keeps_a_bounded_window(self):
         workers = 2
-        state = {"pulled": 0, "yielded": 0}
-        # With list(items) up front this trips immediately (pulled == 64 at
-        # yielded == 0); the bounded window keeps pulls within the
-        # submission lookahead (2 * workers) plus slack for in-flight tasks.
-        window_slack = 2 * workers + 2
+        state = {"pulled": 0, "written": 0}
+        # The writer holds at most max_pending (2 * workers) chunks in
+        # flight, so the producer can never run further ahead than that
+        # plus the one chunk being submitted.
+        window_slack = 2 * workers + 1
 
         def items():
             for value in range(64):
                 state["pulled"] += 1
-                assert state["pulled"] <= state["yielded"] + window_slack
+                assert state["pulled"] <= state["written"] + window_slack
                 yield value
 
         results = []
-        for value in imap_ordered(lambda v: v + 100, items(), workers=workers):
-            state["yielded"] += 1
-            results.append(value)
+
+        def write(chunk_id, payload):
+            state["written"] += 1
+            results.append(payload)
+
+        self._feed(OrderedChunkWriter(write, workers=workers), items())
         assert results == [v + 100 for v in range(64)]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -263,9 +294,13 @@ class TestBulkCodecWindow:
         codec = LosslessCodec(buffer_addresses=7_000, backend="zlib")
         windows = [phased_trace[start : start + 25_000] for start in range(0, 100_000, 25_000)]
         serial = [codec.compress(window) for window in windows]
-        fanned = list(imap_ordered(codec.compress, iter(windows), workers=workers))
-        assert fanned == serial
+        fanned = {}
+        with OrderedChunkWriter(fanned.__setitem__, workers=workers) as writer:
+            for chunk_id, window in enumerate(iter(windows)):
+                writer.submit(chunk_id, codec.compress, window)
+        assert list(fanned) == list(range(len(windows)))
+        assert list(fanned.values()) == serial
         assert all(
             np.array_equal(codec.decompress(payload), window)
-            for payload, window in zip(fanned, windows)
+            for payload, window in zip(serial, windows)
         )
