@@ -34,6 +34,18 @@ def _slow_identity(value):
     return value
 
 
+def _container(directory, executor=None, chunks=10):
+    """Write a lossless zlib container of ``chunks`` chunks; return its addresses."""
+    from repro.core.atc import MODE_LOSSLESS, AtcEncoder
+    from repro.core.lossy import LossyConfig
+
+    addresses = np.arange(chunks * 2_000, dtype=np.uint64) * np.uint64(8)
+    config = LossyConfig(interval_length=2_000, chunk_buffer_addresses=2_000, backend="zlib")
+    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config, executor=executor) as encoder:
+        encoder.code_many(addresses)
+    return addresses
+
+
 def _writer(workers=2, **kwargs):
     written = []
     writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=workers, **kwargs)
@@ -200,6 +212,37 @@ class TestSharedPool:
         assert ran == ["first"] and written == []
 
 
+    def test_encoder_borrows_a_shared_pool_without_closing_it(self, tmp_path):
+        from repro.core.atc import AtcDecoder
+
+        with ThreadPoolExecutor(2) as pool:
+            addresses = _container(tmp_path / "shared", executor=pool)
+            assert pool.submit(_double, 21).result() == 42  # still open after close()
+        _container(tmp_path / "inline")
+        for name in ("shared", "inline"):
+            np.testing.assert_array_equal(AtcDecoder(tmp_path / name).read_all(), addresses)
+        assert sorted(p.read_bytes() for p in (tmp_path / "shared").iterdir()) == sorted(
+            p.read_bytes() for p in (tmp_path / "inline").iterdir()
+        )
+
+    def test_decoder_loads_chunks_on_a_shared_pool_and_leaves_it_open(self, tmp_path):
+        from repro.core.atc import AtcDecoder
+
+        addresses = _container(tmp_path / "c")
+        caller = threading.get_ident()
+        with ThreadPoolExecutor(2) as pool:
+            for read in (
+                lambda decoder: decoder.read_all(),
+                lambda decoder: np.concatenate(list(decoder.iter_intervals())),
+            ):
+                decoder = AtcDecoder(tmp_path / "c", executor=pool)
+                loader, idents = decoder._load_chunk, []
+                decoder._load_chunk = lambda cid: idents.append(threading.get_ident()) or loader(cid)
+                np.testing.assert_array_equal(read(decoder), addresses)
+                assert idents and caller not in idents
+                assert pool.submit(_double, 21).result() == 42
+
+
 class TestCleanShutdown:
     def test_aborted_encoder_context_closes_its_thread_pool(self, tmp_path):
         from repro.core.atc import MODE_LOSSLESS, AtcEncoder
@@ -271,6 +314,43 @@ class TestCleanShutdown:
         assert threading.active_count() <= before
         with pytest.raises(ConfigurationError):
             writer.submit(6, _double, 6)
+
+
+    def test_abandoned_prefetch_stream_cancels_its_window(self, tmp_path):
+        """A decoder stream the consumer walks away from cancels its queued
+        prefetches: at most the chunk already running is still loaded."""
+        from repro.core.atc import AtcDecoder
+
+        _container(tmp_path / "c")
+        gate = threading.Event()
+        started = []
+        with ThreadPoolExecutor(1) as pool:
+            decoder = AtcDecoder(tmp_path / "c", workers=4, executor=pool)
+            loader = decoder._load_chunk
+
+            def gated(chunk_id):
+                started.append(chunk_id)
+                if chunk_id:
+                    gate.wait(5)  # holds the single thread on chunk 1
+                return loader(chunk_id)
+
+            decoder._load_chunk = gated
+            stream = decoder.iter_intervals()
+            next(stream)  # chunks 0..7 were queued as the prefetch window
+            stream.close()
+            gate.set()
+        assert started in ([0], [0, 1])  # chunks 2..7 never start
+
+    def test_abandoned_decoder_stream_joins_its_own_pool(self, tmp_path):
+        from repro.core.atc import AtcDecoder
+
+        _container(tmp_path / "c")
+        before = threading.active_count()
+        stream = AtcDecoder(tmp_path / "c", workers=2).iter_chunks(3_000)
+        next(stream)
+        assert threading.active_count() > before  # the prefetch pool is running
+        stream.close()
+        assert threading.active_count() <= before
 
 
 def test_only_the_remaining_primitives_are_exported():
