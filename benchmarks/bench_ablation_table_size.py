@@ -19,7 +19,6 @@ from typing import Dict
 import numpy as np
 
 from repro.core.atc import MODE_LOSSY, compress_trace
-from repro.core.inspect import analyze_container
 from repro.core.lossy import LossyConfig
 
 _INTERVAL = 10_000
@@ -66,13 +65,13 @@ def _sweep_table_sizes() -> Dict[int, Dict[str, float]]:
         config = LossyConfig(interval_length=_INTERVAL, max_table_entries=table_size)
         with tempfile.TemporaryDirectory() as scratch:
             directory = Path(scratch) / "container"
-            compress_trace(trace, directory, MODE_LOSSY, config)
-            report = analyze_container(directory)
-        results[table_size] = {
-            "chunks": report.num_chunks,
-            "bpa": report.bits_per_address,
-            "imitation_fraction": report.imitation_fraction,
-        }
+            decoder = compress_trace(trace, directory, MODE_LOSSY, config)
+            imitated = sum(record.kind == "imitate" for record in decoder.records)
+            results[table_size] = {
+                "chunks": len(decoder.records) - imitated,
+                "bpa": decoder.bits_per_address(),
+                "imitation_fraction": imitated / len(decoder.records),
+            }
     return results
 
 

@@ -8,10 +8,9 @@ and reports bits per address for:
 * byte-unshuffling + bzip2 (``us``),
 * the VPC/TCgen-style predictor compressor (``tcg``),
 * small-buffer bytesort (``bs-small``),
-* large-buffer bytesort (``bs-big``),
+* large-buffer bytesort (``bs-big``)
 
-(the two bytesort columns are lossless ATC containers, measured on disk),
-* the Mache/PDATS-style delta baseline (``delta``, extra comparator).
+(the two bytesort columns are lossless ATC containers, measured on disk).
 
 Run with:  python examples/spec_like_compression.py [references-per-workload]
 """
@@ -22,7 +21,6 @@ import sys
 
 from repro.analysis.metrics import bits_per_address
 from repro.analysis.reporting import render_table
-from repro.baselines.delta import delta_bits_per_address
 from repro.baselines.generic import raw_bits_per_address
 from repro.baselines.unshuffle import unshuffled_bits_per_address
 from repro.experiments import CodecSpec, evaluate_codec
@@ -54,7 +52,6 @@ def main() -> None:
             "tcg": bits_per_address(len(vpc_payload), len(addresses)),
             "bs-small": bytesort_bits_per_address(addresses, small_buffer),
             "bs-big": bytesort_bits_per_address(addresses, len(addresses)),
-            "delta": delta_bits_per_address(addresses),
         }
         print(f"compressed {name}: {len(addresses)} filtered addresses")
     print()
@@ -62,7 +59,7 @@ def main() -> None:
         render_table(
             "Bits per address (smaller is better) — synthetic analogue of Table 1",
             rows,
-            columns=["bz2", "us", "tcg", "bs-small", "bs-big", "delta"],
+            columns=["bz2", "us", "tcg", "bs-small", "bs-big"],
         )
     )
 

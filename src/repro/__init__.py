@@ -16,7 +16,7 @@ Quick tour of the public API (see the package README for a walkthrough):
   simulator used for miss-ratio sweeps.
 * :mod:`repro.predictors` — the VPC/TCgen baseline compressor and the C/DC
   address predictor.
-* :mod:`repro.baselines` — bzip2-alone, byte-unshuffling and delta baselines.
+* :mod:`repro.baselines` — the bzip2-alone and byte-unshuffling baselines.
 * :mod:`repro.analysis` — metrics, exact-vs-lossy comparison pipelines and
   text-table reporting.
 * :mod:`repro.experiments` — declarative experiment orchestration: TOML/JSON
@@ -71,7 +71,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.

@@ -1,12 +1,5 @@
-"""Baseline compressors the paper compares against (and related work)."""
+"""Baseline compressors the paper compares against (Table 1's bz2 and us columns)."""
 
-from repro.baselines.delta import (
-    compress_delta,
-    decompress_delta,
-    delta_bits_per_address,
-    delta_decode,
-    delta_encode,
-)
 from repro.baselines.generic import compress_raw, decompress_raw, raw_bits_per_address
 from repro.baselines.unshuffle import (
     compress_unshuffled,
@@ -25,9 +18,4 @@ __all__ = [
     "unshuffle_transform",
     "unshuffle_inverse",
     "unshuffled_bits_per_address",
-    "compress_delta",
-    "decompress_delta",
-    "delta_encode",
-    "delta_decode",
-    "delta_bits_per_address",
 ]

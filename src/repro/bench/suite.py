@@ -287,11 +287,11 @@ def _bench_sweep_sched(ctx: _SuiteContext):
             ],
             "codecs": [
                 {"kind": "raw"},
-                {"kind": "delta"},
                 {"kind": "unshuffle"},
                 {"kind": "raw", "backend": "zlib"},
-                {"kind": "delta", "backend": "zlib"},
                 {"kind": "unshuffle", "backend": "zlib"},
+                {"kind": "raw", "backend": "xz"},
+                {"kind": "unshuffle", "backend": "xz"},
             ],
             "scale": {
                 "small_buffer": ctx.scale.buffer_addresses,

@@ -1,6 +1,6 @@
 """Cache substrate: set-associative caches and multi-config LRU simulation."""
 
-from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_batches, access_lanes
+from repro.cache.cache import CacheConfig, CacheStats, SetAssociativeCache, access_lanes
 from repro.cache.stackdist import LruStackSimulator, MissRatioCurve, simulate_miss_curve
 from repro.cache.sweep import DEFAULT_ASSOCIATIVITIES, MissRatioSurface, miss_ratio_sweep
 
@@ -8,7 +8,6 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "SetAssociativeCache",
-    "access_batches",
     "access_lanes",
     "LruStackSimulator",
     "MissRatioCurve",

@@ -38,7 +38,7 @@ def _as_block_array(blocks) -> np.ndarray:
 
     return as_address_array(blocks)
 
-__all__ = ["CacheConfig", "CacheStats", "LruStacks", "SetAssociativeCache", "access_batches", "access_lanes"]
+__all__ = ["CacheConfig", "CacheStats", "LruStacks", "SetAssociativeCache", "access_lanes"]
 
 #: Batches shorter than this skip the array kernel: below a few hundred
 #: references the kernel's sort/pack setup costs more than the serial
@@ -443,40 +443,3 @@ def access_lanes(caches, blocks, lanes) -> np.ndarray:
         cache._count(count, hit_count, count - hit_count - growth[lane])
     return hits
 
-
-def access_batches(caches, block_batches) -> List[np.ndarray]:
-    """Batch-access several independent caches, one block batch each.
-
-    A wrapper over :func:`access_lanes`: the batches are concatenated with
-    their cache index as lane, and the hit mask is split back.
-
-    Args:
-        caches: The :class:`SetAssociativeCache` instances to access.
-        block_batches: One block-address iterable per cache, in the same
-            order.
-
-    Returns:
-        One boolean hit mask per cache, aligned with its input order.
-
-    Example:
-        >>> config = CacheConfig(num_sets=4, associativity=2)
-        >>> pair = [SetAssociativeCache(config), SetAssociativeCache(config)]
-        >>> masks = access_batches(pair, [np.array([1, 1], dtype=np.uint64),
-        ...                               np.array([2], dtype=np.uint64)])
-        >>> [mask.tolist() for mask in masks]
-        [[False, True], [False]]
-    """
-    caches = list(caches)
-    arrays = [_as_block_array(batch) for batch in block_batches]
-    if len(caches) != len(arrays):
-        raise ConfigurationError(
-            f"got {len(caches)} caches but {len(arrays)} block batches"
-        )
-    sizes = [int(array.size) for array in arrays]
-    hits = access_lanes(
-        caches,
-        np.concatenate(arrays) if arrays else np.empty(0, dtype=np.uint64),
-        np.repeat(np.arange(len(caches)), sizes),
-    )
-    offsets = np.cumsum([0] + sizes).tolist()
-    return [hits[lo:hi] for lo, hi in zip(offsets, offsets[1:])]

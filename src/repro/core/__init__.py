@@ -19,7 +19,6 @@ from repro.core.bytesort import (
 from repro.core.container import AtcContainer
 from repro.core.fsck import repair_container, scrub_container, scrub_path
 from repro.core.integrity import chunk_digest, json_digest
-from repro.core.inspect import LossyTraceReport, analyze_container
 from repro.core.histograms import (
     IntervalSummary,
     apply_translation,
@@ -58,8 +57,6 @@ __all__ = [
     "scrub_path",
     "chunk_digest",
     "json_digest",
-    "LossyTraceReport",
-    "analyze_container",
     "CompressionBackend",
     "get_backend",
     "available_backends",

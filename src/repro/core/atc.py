@@ -86,11 +86,10 @@ class AtcEncoder:
             service passes its codec pool); ``None`` runs inline for one
             ``config.workers`` and creates a pool for more.  Containers are
             byte-identical for every pool and worker count.
-        format_version: Container format to write — ``2`` (the default)
-            records a digest per chunk plus an INFO footer digest so every
-            decode path verifies the bytes it reads; ``1`` reproduces the
-            original unchecked layout byte-for-byte (for interchange with
-            pre-v2 readers).
+
+    The container is always written in format v2: a digest per chunk plus
+    an INFO footer digest, so every decode path verifies the bytes it
+    reads.  v1 containers stay readable.
     """
 
     def __init__(
@@ -100,16 +99,10 @@ class AtcEncoder:
         config: Optional[LossyConfig] = None,
         suffix: Optional[str] = None,
         executor: Optional[ThreadPoolExecutor] = None,
-        format_version: int = FORMAT_VERSION,
     ) -> None:
         if mode not in (MODE_LOSSY, MODE_LOSSLESS):
             raise ConfigurationError(f"encoder mode must be 'k' or 'c', got {mode!r}")
-        if format_version not in (1, 2):
-            raise ConfigurationError(
-                f"container format_version must be 1 or 2, got {format_version!r}"
-            )
         self.mode = mode
-        self.format_version = int(format_version)
         self.config = config if config is not None else LossyConfig()
         self.container = AtcContainer(
             directory, backend=self.config.backend, suffix=suffix, create=True
@@ -142,8 +135,7 @@ class AtcEncoder:
         )
 
     def _write_chunk(self, chunk_id: int, payload: bytes):
-        if self.format_version >= 2:
-            self._chunk_digests[chunk_id] = chunk_digest(payload)
+        self._chunk_digests[chunk_id] = chunk_digest(payload)
         return self.container.write_chunk(chunk_id, payload)
 
     # -- context manager ------------------------------------------------------------------
@@ -258,7 +250,7 @@ class AtcEncoder:
         self._pipeline.close()
         metadata = {
             "format": "atc",
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "mode": "lossy" if self.mode == MODE_LOSSY else "lossless",
             "backend": self.container.backend.name,
             "original_length": self._total,
@@ -267,11 +259,10 @@ class AtcEncoder:
             "chunk_buffer_addresses": self.config.chunk_buffer_addresses,
             "enable_translation": bool(self.config.enable_translation),
             "num_chunks": len(self.container.chunk_ids()),
-        }
-        if self.format_version >= 2:
-            metadata["chunk_digests"] = {
+            "chunk_digests": {
                 str(chunk_id): digest for chunk_id, digest in sorted(self._chunk_digests.items())
-            }
+            },
+        }
         self.container.write_info(metadata, self._records)
         self._closed = True
 

@@ -51,11 +51,10 @@ _RECORD_FIXED = struct.Struct("<BII")
 _TRANSLATION_BYTES = 8 * 256
 _INFO_MAGIC_V1 = b"ATCINFO1"
 _INFO_MAGIC_V2 = b"ATCINFO2"
-_INFO_MAGIC = _INFO_MAGIC_V1  # historical name, kept for external readers
 
-#: Container format version written by default (v2 = per-chunk digests +
-#: INFO footer digest; v1 = the original unchecked layout, still readable
-#: and writable via ``AtcEncoder(format_version=1)``).
+#: Container format version the encoder writes (v2 = per-chunk digests +
+#: INFO footer digest).  v1, the original unchecked layout, is readable
+#: but no longer writable.
 FORMAT_VERSION = 2
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "byte_histograms",
     "sort_histograms",
     "histogram_distance",
-    "sorted_histogram_distance",
     "IntervalSummary",
     "interval_distance",
     "byte_translation",
@@ -94,11 +93,6 @@ def histogram_distance(histogram_a: np.ndarray, histogram_b: np.ndarray) -> floa
     normalised_a = histogram_a / total_a if total_a else np.zeros_like(histogram_a, dtype=float)
     normalised_b = histogram_b / total_b if total_b else np.zeros_like(histogram_b, dtype=float)
     return float(np.abs(normalised_a - normalised_b).sum())
-
-
-def sorted_histogram_distance(sorted_a: np.ndarray, sorted_b: np.ndarray) -> float:
-    """Alias of :func:`histogram_distance` for already-sorted histograms."""
-    return histogram_distance(sorted_a, sorted_b)
 
 
 @dataclass(frozen=True)

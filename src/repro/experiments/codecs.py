@@ -14,7 +14,6 @@ paper's tables:
 * ``raw`` — the 8-byte-per-address representation through the back-end
   alone (Table 1's "bz2" column);
 * ``unshuffle`` — byte-unshuffled then back-end compressed (Table 1 "us");
-* ``delta`` — zigzag delta coded then back-end compressed (related work);
 * ``vpc`` — the VPC/TCgen-style predictor compressor (Table 1 "tcg");
 * ``lossless`` — the paper's lossless ATC (Table 1 "bs" columns; the
   buffer size selects small vs big);
@@ -82,10 +81,6 @@ def _payload_bytes(codec: CodecSpec, addresses: np.ndarray, scale: EvaluationSca
         from repro.baselines.unshuffle import compress_unshuffled
 
         return len(compress_unshuffled(addresses, buffer_addresses, backend=codec.backend))
-    if codec.kind == "delta":
-        from repro.baselines.delta import compress_delta
-
-        return len(compress_delta(addresses, backend=codec.backend))
     if codec.kind == "vpc":
         from repro.predictors.vpc import VpcCodec
 

@@ -42,7 +42,7 @@ Example:
     >>> from repro.experiments.store import ResultStore
     >>> spec = loads_sweep_spec(
     ...     '{"name": "d", "workloads": [{"name": "433.milc", "references": 3000}],'
-    ...     ' "codecs": ["raw", "delta"], "scale": {"small_buffer": 1000}}',
+    ...     ' "codecs": ["raw", "unshuffle"], "scale": {"small_buffer": 1000}}',
     ...     format="json")
     >>> cache = tempfile.mkdtemp()
     >>> reports = [DistributedSweepRunner(spec, cache, shard=f"{i}/2").run_worker()
@@ -53,7 +53,7 @@ Example:
     >>> merged.is_complete
     True
     >>> [row.codec for row in merged.result.rows]
-    ['raw', 'delta']
+    ['raw', 'unshuffle']
 """
 
 from __future__ import annotations

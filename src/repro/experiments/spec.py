@@ -8,7 +8,7 @@ never *how*:
 * :class:`FilterSpec` — one L1 filter-cache geometry (the paper's 32 KB
   4-way configuration is the default);
 * :class:`CodecSpec` — one compressor cell: a codec kind (``raw``,
-  ``unshuffle``, ``delta``, ``vpc``, ``lossless``, ``lossy``) plus its
+  ``unshuffle``, ``vpc``, ``lossless``, ``lossy``) plus its
   parameters;
 * :class:`EvaluationScale` — the shared scale knobs every cell inherits
   unless its codec overrides them;
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Codec kinds a :class:`CodecSpec` may name, in Table 1/3 column order.
-CODEC_KINDS: Tuple[str, ...] = ("raw", "unshuffle", "delta", "vpc", "lossless", "lossy")
+CODEC_KINDS: Tuple[str, ...] = ("raw", "unshuffle", "vpc", "lossless", "lossy")
 
 
 @dataclass(frozen=True)

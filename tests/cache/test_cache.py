@@ -11,7 +11,7 @@ from repro.cache.cache import (
     CacheConfig,
     CacheStats,
     SetAssociativeCache,
-    access_batches,
+    access_lanes,
 )
 from repro.errors import ConfigurationError
 from repro.traces.spec_like import generate_reference_stream
@@ -211,14 +211,15 @@ class TestAccessBatchEquivalence:
             CacheConfig(num_sets=32, associativity=4),
             CacheConfig(num_sets=8, associativity=4),
         )
+        blocks = np.concatenate(batches)
+        lanes = np.repeat([0, 1], [batch.size for batch in batches])
         oneshot = [SetAssociativeCache(config) for config in configs]
-        expected = access_batches(oneshot, batches)
+        expected = access_lanes(oneshot, blocks, lanes)
         monkeypatch.setattr(cache_module, "KERNEL_SLICE_BLOCKS", slice_blocks)
         sliced = [SetAssociativeCache(config) for config in configs]
-        for cache, reference, mask, want in zip(
-            sliced, oneshot, access_batches(sliced, batches), expected
-        ):
-            assert np.array_equal(mask, want)
+        hits = access_lanes(sliced, blocks, lanes)
+        for lane, (cache, reference) in enumerate(zip(sliced, oneshot)):
+            assert np.array_equal(hits[lanes == lane], expected[lanes == lane])
             assert cache.stats == reference.stats
             assert cache._lru.lists == reference._lru.lists
 

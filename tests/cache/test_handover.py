@@ -23,7 +23,7 @@ from repro.cache.cache import (
     CacheConfig,
     LruStacks,
     SetAssociativeCache,
-    access_batches,
+    access_lanes,
 )
 from repro.traces.filter import CacheFilter, StreamingCacheFilter
 from repro.traces.spec_like import get_workload
@@ -74,11 +74,10 @@ class CacheHandover(RuleBasedStateMachine):
 
     @rule(first=_fused_batch, second=_fused_batch)
     def fused_batches(self, first, second):
-        masks = access_batches(
-            self.subject, [np.array(first, dtype=np.uint64), np.array(second, dtype=np.uint64)]
-        )
-        for mask, twin, blocks in zip(masks, self.twin, (first, second)):
-            assert mask.tolist() == _serial_hits(twin, blocks)
+        lanes = np.repeat([0, 1], [len(first), len(second)])
+        hits = access_lanes(self.subject, np.array(first + second, dtype=np.uint64), lanes)
+        for lane, (twin, blocks) in enumerate(zip(self.twin, (first, second))):
+            assert hits[lanes == lane].tolist() == _serial_hits(twin, blocks)
 
     @rule(lane=_lane)
     def flush(self, lane):

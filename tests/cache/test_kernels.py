@@ -26,7 +26,6 @@ from repro.cache.cache import (
     CacheConfig,
     CacheStats,
     SetAssociativeCache,
-    access_batches,
     access_lanes,
 )
 from repro.cache.stackdist import LruStackSimulator, MissRatioCurve
@@ -163,6 +162,14 @@ class TestKernelEquivalence:
         _assert_same_state(mixed, oracle)
 
 
+def _lane_masks(caches, batches):
+    """Run whole batches back to back through ``access_lanes``, batch ``i``
+    on lane ``i``; one hit mask per lane."""
+    lanes = np.repeat(np.arange(len(batches)), [len(batch) for batch in batches])
+    hits = access_lanes(caches, np.concatenate(batches), lanes)
+    return [hits[lanes == lane] for lane in range(len(batches))]
+
+
 class TestFusedBatches:
     # (4, 4) and (1, 1): both lanes share one row space despite different
     # set counts; (4, 2): mixed associativities run per cache
@@ -181,15 +188,16 @@ class TestFusedBatches:
         )
         fused = [SetAssociativeCache(config) for config in configs]
         oracles = [OracleLru.of(config) for config in configs]
-        masks = access_batches(fused, batches)
+        masks = _lane_masks(fused, batches)
         for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
             assert np.array_equal(mask, oracle.hits(batch))
             _assert_same_state(cache, oracle)
 
     def test_lane_count_mismatch_rejected(self):
+        """A second lane with only one cache to route it to."""
         config = CacheConfig(num_sets=4, associativity=2)
-        with pytest.raises(ConfigurationError, match="block batches"):
-            access_batches([SetAssociativeCache(config)], [])
+        with pytest.raises(ConfigurationError, match="below 1"):
+            access_lanes([SetAssociativeCache(config)], np.arange(2, dtype=np.uint64), [0, 1])
 
     def test_direct_mapped_lanes_fuse(self, monkeypatch):
         """A 1-way LRU pair takes the fused kernel, not per-cache batches."""
@@ -203,7 +211,7 @@ class TestFusedBatches:
             raise AssertionError("a 1-way lane fell back to access_batch")
 
         monkeypatch.setattr(SetAssociativeCache, "access_batch", refuse)
-        masks = access_batches(fused, batches)
+        masks = _lane_masks(fused, batches)
         for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
             assert np.array_equal(mask, oracle.hits(batch))
             _assert_same_state(cache, oracle)
@@ -227,7 +235,7 @@ class TestFusedBatches:
             return solo(cache, blocks)
 
         monkeypatch.setattr(SetAssociativeCache, "access_batch", counted)
-        masks = access_batches(fused, batches)
+        masks = _lane_masks(fused, batches)
         assert calls == fused
         for cache, oracle, mask, batch in zip(fused, oracles, masks, batches):
             assert np.array_equal(mask, oracle.hits(batch))
@@ -516,7 +524,7 @@ class TestSegmentMarch:
         oracles = [OracleLru.of(config) for config in configs]
         for start in range(0, 1_200, chunk_size):
             pieces = [stream[start : start + chunk_size] for stream in streams]
-            masks = access_batches(fused, pieces)
+            masks = _lane_masks(fused, pieces)
             for oracle, mask, piece in zip(oracles, masks, pieces):
                 assert np.array_equal(mask, oracle.hits(piece))
         for cache, oracle in zip(fused, oracles):

@@ -168,6 +168,21 @@ class TestRepairContainer:
         assert report.salvaged_addresses == report.original_addresses
         assert np.array_equal(AtcDecoder(tmp_path / "copy").read_all(), golden_addresses())
 
+    def test_repair_upgrades_a_v1_container_to_v2(self, tmp_path):
+        """v1 is read-only: repair is the path from a v1 container to a
+        checksummed v2 one, with the chunk payloads carried over as is."""
+        source = golden_v1_directory("lossy", "bz2")
+        report = repair_container(source, tmp_path / "upgraded")
+        assert report.dropped_chunks == []
+        upgraded = AtcDecoder(tmp_path / "upgraded")
+        assert upgraded.format_version == 2
+        assert set(upgraded.metadata["chunk_digests"]) == {str(i) for i in report.salvaged_chunks}
+        assert np.array_equal(upgraded.read_all(), AtcDecoder(source).read_all())
+        assert scrub_container(tmp_path / "upgraded").ok
+        for chunk_id in report.salvaged_chunks:
+            name = f"{chunk_id + 1}.bz2"
+            assert (tmp_path / "upgraded" / name).read_bytes() == (source / name).read_bytes()
+
 
 class TestScrubStoreAndCache:
     def test_store_entries_get_individual_verdicts(self, tmp_path):

@@ -91,13 +91,9 @@ def golden_v1_directory(mode_name: str, backend: str) -> Path:
     return GOLDEN_ROOT / "v1" / f"{mode_name}_{backend}"
 
 
-def write_golden_container(
-    directory: Path, mode: str, backend: str, format_version: int = 2
-) -> None:
+def write_golden_container(directory: Path, mode: str, backend: str) -> None:
     """Encode the golden input into ``directory`` (used by tests and --regen)."""
-    with AtcEncoder(
-        directory, mode=mode, config=golden_config(backend), format_version=format_version
-    ) as encoder:
+    with AtcEncoder(directory, mode=mode, config=golden_config(backend)) as encoder:
         encoder.code_many(golden_addresses())
 
 
@@ -175,28 +171,17 @@ class TestGoldenContainers:
 
 
 class TestGoldenV1Containers:
-    """The format-v1 twins: the legacy layout stays pinned byte-for-byte.
+    """The format-v1 twins: the legacy layout stays readable.
 
-    Format v2 is the default, but v1 must remain both writable (for
-    interchange with pre-v2 readers) and readable — these fixtures are the
-    exact bytes the encoder produced before the integrity layer existed.
+    The encoder writes only format v2, but v1 containers must still
+    decode.  These frozen fixtures are the exact bytes the encoder
+    produced before the integrity layer existed; ``--regen`` leaves them
+    alone.
     """
 
     def test_v1_fixtures_are_committed(self):
         for mode_name, _, backend in GOLDEN_VARIANTS:
             assert golden_v1_directory(mode_name, backend).is_dir()
-
-    def test_v1_encoder_reproduces_v1_containers_byte_for_byte(self, tmp_path):
-        for mode_name, mode, backend in GOLDEN_VARIANTS:
-            fresh = tmp_path / f"{mode_name}_{backend}"
-            write_golden_container(fresh, mode, backend, format_version=1)
-            expected = _read_files(golden_v1_directory(mode_name, backend))
-            actual = _read_files(fresh)
-            assert actual.keys() == expected.keys(), (mode_name, backend)
-            for name in expected:
-                assert actual[name] == expected[name], (
-                    f"v1/{mode_name}_{backend}/{name} drifted from the committed bytes"
-                )
 
     def test_v1_containers_decode_identically_to_v2(self):
         for mode_name, _, backend in GOLDEN_VARIANTS:
@@ -218,15 +203,13 @@ class TestGoldenV1Containers:
 
 
 def _regenerate() -> None:
+    """Rewrite the v2 fixtures; the v1 twins are frozen (v1 is read-only)."""
     for mode_name, mode, backend in GOLDEN_VARIANTS:
-        for directory, version in (
-            (golden_directory(mode_name, backend), 2),
-            (golden_v1_directory(mode_name, backend), 1),
-        ):
-            if directory.exists():
-                shutil.rmtree(directory)
-            write_golden_container(directory, mode, backend, format_version=version)
-            print(f"wrote {directory} (format v{version})")
+        directory = golden_directory(mode_name, backend)
+        if directory.exists():
+            shutil.rmtree(directory)
+        write_golden_container(directory, mode, backend)
+        print(f"wrote {directory}")
 
 
 if __name__ == "__main__":

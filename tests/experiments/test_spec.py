@@ -133,6 +133,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="unknown codec kind"):
             CodecSpec(kind="middle-out")
 
+    def test_removed_delta_kind_names_the_known_kinds(self):
+        known = "known kinds: raw, unshuffle, vpc, lossless, lossy$"
+        with pytest.raises(ConfigurationError, match="'delta'; " + known):
+            CodecSpec(kind="delta")
+
     def test_bad_backend_rejected_at_load_time(self):
         with pytest.raises(ConfigurationError, match="unknown compression backend"):
             CodecSpec(kind="raw", backend="bzip99")

@@ -164,7 +164,7 @@ class TestInspectAndSweep:
         spec = {
             "name": "service-sweep",
             "workloads": [{"name": "429.mcf", "references": 2_000, "seed": 0}],
-            "codecs": [{"kind": "raw"}, {"kind": "delta"}],
+            "codecs": [{"kind": "raw"}, {"kind": "unshuffle"}],
             "scale": {"small_buffer": 4_096, "interval_length": 1_000},
         }
         status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())
@@ -178,6 +178,11 @@ class TestInspectAndSweep:
         assert status == 400 and b"not valid JSON" in body
         status, _, body = call("POST", "/v1/sweep", json.dumps({"name": "x"}).encode())
         assert status == 400  # a sweep needs workloads and codecs
+
+    def test_sweep_rejects_the_removed_delta_codec(self, call):
+        spec = {"workloads": ["429.mcf"], "codecs": [{"kind": "delta"}]}
+        status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())
+        assert status == 400 and b"unknown codec kind 'delta'" in body
 
     def test_sweep_rejects_a_replacement_policy(self, call):
         spec = {"workloads": ["429.mcf"], "codecs": ["raw"], "filters": [{"policy": "lru"}]}

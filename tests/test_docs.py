@@ -10,7 +10,8 @@ Two layers of enforcement:
   docs and README imports, and every code span that is an UPPER_SNAKE
   name (a constant or an environment variable) still occurs in the
   code, tests or CI (the "Measured and removed" table names deleted code
-  on purpose and is exempt).
+  on purpose and is exempt); the ``kind`` row of the sweep-spec reference
+  lists exactly the codec kinds a spec accepts.
 * **Spec truth** — ``docs/atc-format.md`` is a byte-level specification;
   this module re-parses the golden containers under ``tests/data/golden/``
   with an *independent* reader that follows the documented offsets and
@@ -219,6 +220,14 @@ class TestDocsNameLiveCode:
                     words.update(re.findall(r"\w+", path.read_text(encoding="utf-8", errors="ignore")))
         stale = sorted(f"{page}: {name}" for page, name in constants if name not in words)
         assert not stale, f"docs name constants the code no longer has: {stale}"
+
+    def test_codec_kind_row_lists_exactly_the_spec_kinds(self):
+        from repro.experiments.spec import CODEC_KINDS
+
+        text = (_DOCS / "experiments.md").read_text(encoding="utf-8")
+        row = re.search(r"^\| `kind` \|[^|\n]*\|([^|\n]*)\|$", text, re.MULTILINE)
+        assert row, "docs/experiments.md has no `kind` row in its codec table"
+        assert tuple(re.findall(r"`([^`]+)`", row.group(1))) == CODEC_KINDS
 
 
 class TestAtcFormatSpecAgainstGoldenFixtures:

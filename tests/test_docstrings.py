@@ -51,7 +51,6 @@ _MUST_HAVE_EXAMPLE = (
     "repro.cache.sweep.miss_ratio_sweep",
     "repro.analysis.metrics.bits_per_address",
     "repro.analysis.reporting.render_table",
-    "repro.baselines.delta.delta_encode",
     "repro.experiments.spec.CodecSpec",
     "repro.experiments.runner",   # module example: run + cache + re-run
     "repro.experiments.store",    # module example: miss -> put -> hit

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import repro
+import repro.cache
 from repro.cache.cache import CacheConfig, SetAssociativeCache
+from repro.core.atc import AtcEncoder
 from repro.core.kernels import simulate_batch
 from repro.experiments.spec import FilterSpec
 from repro.traces.synthetic import ReferenceStream, make_reference_stream
@@ -78,6 +80,8 @@ class TestPublicApi:
             ("track_stamps", lambda: simulate_batch(_BLOCKS, _ROWS, 0, 2, track_stamps=False)),
             ("is_write", lambda: ReferenceStream(_BLOCKS, _BLOCKS > 0, is_write=_BLOCKS > 1)),
             ("write_fraction", lambda: make_reference_stream(_BLOCKS, write_fraction=0.5)),
+            ("format_version", lambda: AtcEncoder(None, format_version=1)),
+            ("access_batches", lambda: repro.cache.access_batches),
         ],
         ids=[
             "CacheConfig.policy",
@@ -87,12 +91,15 @@ class TestPublicApi:
             "simulate_batch.track_stamps",
             "ReferenceStream.is_write",
             "make_reference_stream.write_fraction",
+            "AtcEncoder.format_version",
+            "access_batches",
         ],
     )
     def test_removed_write_and_policy_settings_fail_loudly(self, removed, call):
-        """The cache model is LRU-only and read-only: an old policy, seed,
-        stamp or write setting raises, naming itself, instead of being
-        silently ignored."""
+        """The cache model is LRU-only and read-only, the encoder writes
+        only format v2, and ``access_lanes`` is the one fused cache entry:
+        an old policy, seed, stamp or write setting, or a removed name,
+        raises, naming itself, instead of being silently ignored."""
         with pytest.raises((TypeError, AttributeError), match=removed):
             call()
 
