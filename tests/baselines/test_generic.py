@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.generic import compress_raw, decompress_raw, raw_bits_per_address
+from repro.errors import CodecError
 
 
 class TestGenericBaseline:
@@ -27,3 +28,15 @@ class TestGenericBaseline:
 
     def test_empty_trace(self):
         assert raw_bits_per_address(np.empty(0, dtype=np.uint64)) == 0.0
+
+    def test_roundtrip_extremes(self):
+        values = np.array([0, (1 << 64) - 1, 0, 1 << 63], dtype=np.uint64)
+        assert np.array_equal(decompress_raw(compress_raw(values)), values)
+
+    def test_empty_roundtrip(self):
+        assert decompress_raw(compress_raw(np.empty(0, dtype=np.uint64))).size == 0
+
+    @pytest.mark.parametrize("backend", ["bz2", "zlib", "lzma"])
+    def test_corrupt_payload_rejected(self, backend):
+        with pytest.raises(CodecError):
+            decompress_raw(b"not a compressed stream", backend=backend)

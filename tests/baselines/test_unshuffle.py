@@ -43,6 +43,18 @@ class TestUnshuffleWindow:
         with pytest.raises(CodecError):
             reshuffle_window(b"\x00" * 9)
 
+    def test_roundtrip_decreasing_values(self):
+        values = np.array([1000, 500, 400, 1 << 63, 3], dtype=np.uint64)
+        assert np.array_equal(reshuffle_window(unshuffle_window(values)), values)
+
+    def test_roundtrip_extremes(self):
+        values = np.array([0, (1 << 64) - 1, 0, 1 << 63], dtype=np.uint64)
+        assert np.array_equal(reshuffle_window(unshuffle_window(values)), values)
+
+    def test_empty_window(self):
+        assert unshuffle_window(np.empty(0, dtype=np.uint64)) == b""
+        assert reshuffle_window(b"").size == 0
+
 
 class TestUnshuffleStreaming:
     def test_roundtrip_with_windows(self, random_addresses):
@@ -51,6 +63,25 @@ class TestUnshuffleStreaming:
 
     def test_empty_trace(self):
         assert unshuffle_inverse(unshuffle_transform(np.empty(0, dtype=np.uint64))).size == 0
+
+    def test_trace_filling_whole_windows(self, random_addresses):
+        trace = random_addresses[:3_000]
+        payload = unshuffle_transform(trace, buffer_addresses=1_000)
+        assert len(payload) == 8 * trace.size
+        assert np.array_equal(unshuffle_inverse(payload, buffer_addresses=1_000), trace)
+
+    def test_truncated_payload_rejected(self, random_addresses):
+        payload = unshuffle_transform(random_addresses[:100], buffer_addresses=64)
+        with pytest.raises(CodecError):
+            unshuffle_inverse(payload[:-1], buffer_addresses=64)
+
+    @pytest.mark.parametrize("backend", ["bz2", "zlib", "lzma"])
+    def test_compressed_roundtrip_on_each_backend(self, working_set_addresses, backend):
+        """``sweep_sched`` runs unshuffle over all three back-ends."""
+        payload = compress_unshuffled(working_set_addresses, 10_000, backend)
+        assert np.array_equal(
+            decompress_unshuffled(payload, 10_000, backend), working_set_addresses
+        )
 
     def test_compressed_roundtrip(self, working_set_addresses):
         payload = compress_unshuffled(working_set_addresses, buffer_addresses=10_000)
@@ -74,6 +105,9 @@ class TestUnshuffleCompressionQuality:
         """Table 1's claim: unshuffling improves on bzip2 alone."""
         addresses = filtered_trace.addresses
         assert unshuffled_bits_per_address(addresses) < raw_bits_per_address(addresses)
+
+    def test_strided_trace_compresses_extremely_well(self, sequential_addresses):
+        assert unshuffled_bits_per_address(sequential_addresses) < 1.0
 
     def test_empty_trace(self):
         assert unshuffled_bits_per_address(np.empty(0, dtype=np.uint64)) == 0.0

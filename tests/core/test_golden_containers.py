@@ -31,8 +31,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
+from repro.core.fsck import scrub_container
 from repro.core.lossy import LossyConfig
 
 GOLDEN_ROOT = Path(__file__).resolve().parent.parent / "data" / "golden"
@@ -52,6 +54,18 @@ _INTERVAL = 500
 #: SHA-256 of the decoded golden lossy trace (``<u8`` bytes); the back-end
 #: changes the chunk bytes on disk, never the decoded addresses.
 GOLDEN_LOSSY_DECODE_SHA256 = "2411262e4c5aa22b4c17bb3dd06735fe2b052e4fd89b9d78504a0aedb1df5938"
+
+#: Digest of each frozen format-v1 fixture (see :func:`_directory_digest`).
+#: The encoder no longer writes v1, so these pins are what keeps the
+#: legacy bytes the reader is tested against from drifting.
+GOLDEN_V1_SHA256 = {
+    ("lossless", "gz"): "01d517b86fec39404ffecaac3a124d50155ef1b5ecdbaa568c0df19e9d0334bd",
+    ("lossless", "bz2"): "2e3daed2cfe7764529e8958ca0f7882faa14b7d2f0efac15dac34ea2d3eb023b",
+    ("lossless", "xz"): "1a33bb9a888358e28bd8a2c57d537dc240b3a5252fceba64dbc6bd6a115ffc68",
+    ("lossy", "gz"): "8329d9d8ab8641f08643d68ea6ab2204f2d93bbda000f7e4c5aa2fd3887cba38",
+    ("lossy", "bz2"): "21d5144825cac43aff6576464327d1395be7dfe3d9f51d4308e1df7ca346d7c2",
+    ("lossy", "xz"): "4403b6dc352335183a94d06b4d55ced2de0dcf5878d6ca9fc0c3e3398c7523fa",
+}
 
 
 def golden_addresses() -> np.ndarray:
@@ -99,6 +113,15 @@ def write_golden_container(directory: Path, mode: str, backend: str) -> None:
 
 def _read_files(directory: Path) -> dict:
     return {entry.name: entry.read_bytes() for entry in sorted(directory.iterdir())}
+
+
+def _directory_digest(directory: Path) -> str:
+    """SHA-256 over every file's name and the SHA-256 of its bytes, in name order."""
+    digest = hashlib.sha256()
+    for name, data in _read_files(directory).items():
+        digest.update(name.encode() + b"\0")
+        digest.update(hashlib.sha256(data).digest())
+    return digest.hexdigest()
 
 
 class TestGoldenContainers:
@@ -183,6 +206,13 @@ class TestGoldenV1Containers:
         for mode_name, _, backend in GOLDEN_VARIANTS:
             assert golden_v1_directory(mode_name, backend).is_dir()
 
+    @pytest.mark.parametrize("mode_name, backend", sorted(GOLDEN_V1_SHA256))
+    def test_v1_fixture_bytes_are_frozen(self, mode_name, backend):
+        directory = golden_v1_directory(mode_name, backend)
+        assert _directory_digest(directory) == GOLDEN_V1_SHA256[(mode_name, backend)], (
+            f"v1/{mode_name}_{backend} drifted from the committed bytes"
+        )
+
     def test_v1_containers_decode_identically_to_v2(self):
         for mode_name, _, backend in GOLDEN_VARIANTS:
             v1 = AtcDecoder(golden_v1_directory(mode_name, backend))
@@ -200,6 +230,15 @@ class TestGoldenV1Containers:
             for name in v1:
                 if not name.startswith("INFO."):
                     assert v1[name] == v2[name], (mode_name, backend, name)
+
+    def test_every_v1_fixture_scrubs_clean(self):
+        """fsck checks digestless v1 chunks by decompression; all must pass."""
+        for mode_name, _, backend in GOLDEN_VARIANTS:
+            directory = golden_v1_directory(mode_name, backend)
+            scrub = scrub_container(directory)
+            assert scrub.ok, (mode_name, backend, scrub.to_json())
+            assert scrub.format_version == 1
+            assert len(scrub.chunks) == len(AtcDecoder(directory).container.chunk_ids())
 
 
 def _regenerate() -> None:

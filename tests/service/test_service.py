@@ -160,6 +160,23 @@ class TestInspectAndSweep:
         assert summary["bits_per_address"] > 0
         assert summary["metadata"]["mode"] == "lossless"
 
+    @pytest.mark.parametrize("fixture", ["lossy_bz2", "v1/lossy_bz2"])
+    def test_inspect_summary_matches_the_local_decoder(self, call, fixture):
+        """A lossy summary counts imitations; a v1 container stays readable."""
+        from repro.core.atc import AtcDecoder
+
+        decoder = AtcDecoder(GOLDEN / fixture)
+        status, _, body = call("POST", "/v1/inspect", pack_container(GOLDEN / fixture))
+        assert status == 200
+        summary = json.loads(body)
+        imitated = len(decoder.records) - len(decoder.container.chunk_ids())
+        assert imitated > 0
+        assert summary["intervals"] == len(decoder.records)
+        assert summary["imitated_intervals"] == imitated
+        assert summary["compressed_bytes"] == decoder.compressed_bytes()
+        assert summary["bits_per_address"] == pytest.approx(decoder.bits_per_address())
+        assert summary["metadata"]["format_version"] == decoder.format_version
+
     def test_sweep_runs_a_small_grid(self, call):
         spec = {
             "name": "service-sweep",

@@ -348,6 +348,81 @@ class TestInspect:
         assert inspect_main([str(tmp_path / "missing")]) == 2
 
 
+def _inspect_fields(directory, capsys) -> dict:
+    """Run ``atc-inspect`` on ``directory``; returns its ``key : value`` lines."""
+    assert inspect_main([str(directory)]) == 0
+    fields = {}
+    for line in capsys.readouterr().out.splitlines():
+        key, _, value = line.partition(":")
+        fields[key.strip()] = value.strip()
+    return fields
+
+
+@pytest.fixture(scope="module")
+def stationary_container(tmp_path_factory):
+    """A lossy container whose first interval is imitated by all the rest."""
+    from repro.core.atc import MODE_LOSSY, compress_trace
+    from repro.core.lossy import LossyConfig
+
+    rng = np.random.default_rng(42)
+    trace = rng.integers(0, 2_048, size=50_000, dtype=np.uint64) + np.uint64(1 << 24)
+    directory = tmp_path_factory.mktemp("inspect") / "c"
+    config = LossyConfig(interval_length=10_000)
+    decoder = compress_trace(trace, directory, mode=MODE_LOSSY, config=config)
+    return trace, directory, decoder
+
+
+class TestInspectSummary:
+    """The summary ``atc-inspect`` prints agrees with the decoder's own view."""
+
+    def test_interval_counts_match_the_decoder(self, stationary_container, capsys):
+        _, directory, decoder = stationary_container
+        fields = _inspect_fields(directory, capsys)
+        num_intervals = len(decoder.records)
+        num_chunks = decoder.metadata["num_chunks"]
+        assert num_intervals > num_chunks  # the fixture must exercise imitation
+        assert fields["intervals"] == f"{num_intervals} ({num_intervals - num_chunks} imitated)"
+        assert fields["num_chunks"] == str(num_chunks)
+
+    def test_original_length_is_the_trace_length(self, stationary_container, capsys):
+        trace, directory, _ = stationary_container
+        assert _inspect_fields(directory, capsys)["original_length"] == str(trace.size)
+
+    def test_sizes_match_the_decoder(self, stationary_container, capsys):
+        _, directory, decoder = stationary_container
+        fields = _inspect_fields(directory, capsys)
+        assert fields["on-disk bytes"] == str(decoder.compressed_bytes())
+        assert fields["bits per address"] == f"{decoder.bits_per_address():.3f}"
+
+    def test_digest_table_counts_every_stored_chunk(self, stationary_container, capsys):
+        _, directory, decoder = stationary_container
+        fields = _inspect_fields(directory, capsys)
+        stored = len(decoder.container.chunk_ids())
+        assert fields["chunk_digests"] == f"{stored} chunks digested"
+
+    def test_empty_trace_container(self, tmp_path, capsys):
+        from repro.core.atc import MODE_LOSSY, compress_trace
+        from repro.core.lossy import LossyConfig
+
+        config = LossyConfig(interval_length=1_000)
+        compress_trace(np.empty(0, dtype=np.uint64), tmp_path / "c", mode=MODE_LOSSY, config=config)
+        fields = _inspect_fields(tmp_path / "c", capsys)
+        assert fields["intervals"] == "0 (0 imitated)"
+        assert fields["bits per address"] == "0.000"
+
+    def test_lossless_container_never_imitates(self, tmp_path, capsys):
+        from repro.core.atc import MODE_LOSSLESS, compress_trace
+        from repro.core.lossy import LossyConfig
+
+        trace = np.arange(20_000, dtype=np.uint64)
+        config = LossyConfig(chunk_buffer_addresses=5_000)
+        compress_trace(trace, tmp_path / "c", mode=MODE_LOSSLESS, config=config)
+        fields = _inspect_fields(tmp_path / "c", capsys)
+        assert fields["mode"] == "lossless"
+        assert fields["num_chunks"] == "4"
+        assert fields["intervals"] == "4 (0 imitated)"
+
+
 @pytest.fixture
 def k6_trace_file(tmp_path):
     from repro.traces.formats import TraceRecords, write_k6_records

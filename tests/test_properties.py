@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.generic import compress_raw, decompress_raw
 from repro.baselines.unshuffle import unshuffle_inverse, unshuffle_transform
 from repro.core.atc import MODE_LOSSY, compress_trace
 from repro.core.bytesort import bytesort_inverse, bytesort_transform
@@ -58,6 +59,12 @@ class TestLosslessPathsAreExact:
         array = np.array(values, dtype=np.uint64)
         codec = LosslessCodec(buffer_addresses=64, backend="zlib")
         assert np.array_equal(codec.decompress(codec.compress(array)), array)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_addresses)
+    def test_raw_baseline(self, values):
+        array = np.array(values, dtype=np.uint64)
+        assert np.array_equal(decompress_raw(compress_raw(array, "zlib"), "zlib"), array)
 
 
 class TestLossyInvariants:
