@@ -1107,7 +1107,10 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="codec worker count: 1 runs inline, more a thread pool (default: 1)",
+        help=(
+            "codec pool size shared by the jobs' encoders and decoders: 1 = no pool; "
+            "jobs always run on the event loop's default executor (default: 1)"
+        ),
     )
     parser.add_argument(
         "--request-timeout",

@@ -16,7 +16,6 @@ chunk's addresses.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -25,10 +24,11 @@ import numpy as np
 from repro.core.histograms import (
     IntervalSummary,
     _check_out,
+    _normalised_rows,
     apply_translation,
-    interval_distance,
 )
 from repro.errors import CodecError, ConfigurationError
+from repro.traces.trace import ADDRESS_BYTES
 
 __all__ = ["ChunkMatch", "ChunkTable", "IntervalRecord", "chunk_lengths", "materialize_interval"]
 
@@ -78,6 +78,12 @@ class ChunkMatch:
 class ChunkTable:
     """FIFO-bounded table of chunk interval summaries.
 
+    Besides the summaries, the table keeps every resident chunk's sorted
+    histograms, normalised, as one row of an ``(N, 8, 256)`` buffer in
+    insertion order, so :meth:`best_match` is one array pass over all
+    chunks.  The buffer doubles when full and eviction advances its start
+    row, so adds cost amortised constant time.
+
     Args:
         max_entries: Maximum number of chunk summaries kept in memory; when
             the table is full the oldest chunk's entry is evicted (the chunk
@@ -89,7 +95,10 @@ class ChunkTable:
         if max_entries is not None and max_entries < 1:
             raise ConfigurationError("max_entries must be >= 1 (or None for unbounded)")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[int, IntervalSummary]" = OrderedDict()
+        self._entries: Dict[int, IntervalSummary] = {}
+        # Rows [_start, _stop) of _rows are the resident chunks in _entries order.
+        self._rows = np.empty((0, ADDRESS_BYTES, 256))
+        self._start = self._stop = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -106,9 +115,22 @@ class ChunkTable:
         """Record the summary of a newly created chunk, evicting the oldest."""
         if chunk_id in self._entries:
             raise CodecError(f"chunk {chunk_id} is already in the table")
+        if len(self._entries) == self.max_entries:
+            del self._entries[next(iter(self._entries))]
+            self._start += 1
+        if self._stop == len(self._rows):
+            self._regrow()
+        self._rows[self._stop] = _normalised_rows(summary.sorted_histograms)
+        self._stop += 1
         self._entries[chunk_id] = summary
-        if self.max_entries is not None and len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+
+    def _regrow(self) -> None:
+        """Copy the resident rows to the front of a buffer twice their number."""
+        live = self._stop - self._start
+        capacity = max(8, 2 * live)
+        rows = np.empty((capacity, ADDRESS_BYTES, 256))
+        rows[:live] = self._rows[self._start : self._stop]
+        self._rows, self._start, self._stop = rows, 0, live
 
     def get(self, chunk_id: int) -> IntervalSummary:
         """Return the stored summary of ``chunk_id``."""
@@ -122,14 +144,15 @@ class ChunkTable:
 
         Returns ``None`` when the table is empty.  When several chunks tie,
         the oldest one wins (deterministic, matches the insertion scan order
-        of the paper's single-pass algorithm).
+        of the paper's single-pass algorithm).  Each distance is
+        bit-identical to :func:`~repro.core.histograms.interval_distance`.
         """
-        best: Optional[ChunkMatch] = None
-        for chunk_id, chunk_summary in self._entries.items():
-            distance = interval_distance(chunk_summary, summary)
-            if best is None or distance < best.distance:
-                best = ChunkMatch(chunk_id=chunk_id, distance=distance)
-        return best
+        if not self._entries:
+            return None
+        probe = _normalised_rows(summary.sorted_histograms)
+        distances = np.abs(self._rows[self._start : self._stop] - probe).sum(axis=2).max(axis=1)
+        best = int(distances.argmin())  # the first minimum, i.e. the oldest tied chunk
+        return ChunkMatch(chunk_id=self.chunk_ids[best], distance=float(distances[best]))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ really is (the myopic interval problem the translations exist to fix).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -128,7 +128,6 @@ class LossyIntervalEncoder:
     def __init__(self, config: LossyConfig) -> None:
         self.config = config
         self._table = ChunkTable(max_entries=config.max_table_entries)
-        self._chunk_summaries: Dict[int, IntervalSummary] = {}
         self._next_chunk_id = 0
 
     @property
@@ -150,7 +149,7 @@ class LossyIntervalEncoder:
         summary = IntervalSummary.from_addresses(interval)
         match = self._table.best_match(summary)
         if match is not None and match.distance <= config.threshold:
-            source_summary = self._chunk_summaries[match.chunk_id]
+            source_summary = self._table.get(match.chunk_id)
             translations = byte_translation(source_summary, summary)
             active = translation_active_mask(source_summary, summary, config.threshold)
             if not config.enable_translation:
@@ -165,7 +164,6 @@ class LossyIntervalEncoder:
             return record, False
         chunk_id = self._next_chunk_id
         self._next_chunk_id += 1
-        self._chunk_summaries[chunk_id] = summary
         self._table.add(chunk_id, summary)
         record = IntervalRecord(kind="chunk", chunk_id=chunk_id, length=int(interval.size))
         return record, True

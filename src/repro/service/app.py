@@ -18,9 +18,16 @@ Endpoints (see ``docs/service.md`` for the full contract):
 
 Three invariants hold everywhere:
 
-1. **The event loop never computes.**  Encoding/decoding runs on worker
-   threads (which in turn drive the shared codec pool); the loop only
-   shuttles socket bytes and spools bodies.
+1. **Codec work runs off the event loop.**  Every encode, decode, inspect
+   and sweep job goes to the loop's default executor
+   (``run_in_executor(None, ...)``, up to ``min(32, CPUs + 4)`` threads),
+   so jobs of different connections run concurrently whatever
+   ``workers`` says; ``workers`` only sizes the codec pool those jobs fan
+   chunks out on.  The loop itself still does some blocking work between
+   socket reads: spool writes, ``tempfile.mkdtemp``, the dedup-cache
+   lookup (with its digest scrub) and commit, tar pack and unpack, and the
+   workdir ``rmtree``.  Moving that onto threads was measured and made
+   the mixed serve workload slower.
 2. **Memory per connection is bounded.**  Request bodies stream to a
    per-request spool file chunk by chunk; decoded traces stream back the
    same way.  No payload is ever held in memory whole (packed containers
@@ -86,8 +93,11 @@ class ServiceConfig:
             anything else — the service itself does no authentication).
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
-        workers: Size of the codec thread pool every job shares; with one
-            there is no pool and jobs run inline.
+        workers: Size of the codec thread pool every job's encoder or
+            decoder fans chunks out on; with one there is no codec pool and
+            each job codes its chunks inline, on the default-executor
+            thread that runs the job (jobs of different connections still
+            run concurrently there).
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.

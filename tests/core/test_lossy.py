@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import types
+
 import numpy as np
 import pytest
 
-from repro.core.atc import MODE_LOSSLESS
+from repro.core.atc import MODE_LOSSLESS, AtcEncoder
+from repro.core.histograms import IntervalSummary
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 from repro.errors import ConfigurationError
 from repro.traces import synthetic
+from repro.traces.filter import StreamingCacheFilter
+from repro.traces.spec_like import get_workload
 
 
 class TestLossyConfig:
@@ -186,3 +193,59 @@ class TestLossyIntervalEncoder:
         planner, planned = _plan(LossyConfig(interval_length=10_000), working_set_addresses)
         payloads = sum(needs_payload for _, needs_payload in planned)
         assert payloads == planner.num_chunks == 1
+
+    def test_bounded_table_bounds_the_summaries_held(self, rng):
+        """Evicted chunks' summaries are released: every interval below is a
+        new chunk, and the planner never holds more than the table's four."""
+        config = LossyConfig(interval_length=500, threshold=0.0, max_table_entries=4)
+        planner = LossyIntervalEncoder(config)
+        for _ in range(40):
+            interval = rng.integers(0, 1 << 58, size=500, dtype=np.uint64)
+            assert planner.plan_interval(interval)[1]
+            assert _summaries_held(planner) <= 4
+        assert planner.num_chunks == 40
+
+
+def _summaries_held(root) -> int:
+    """Count the :class:`IntervalSummary` objects reachable from ``root``."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        count += isinstance(obj, IntervalSummary)
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+#: SHA-256 over each lossy container's file names and bytes, in name order,
+#: for ``reference_stream(refs, seed=1)`` of the ``online_lossy`` benchmark
+#: sources, cache-filtered in 65 536-reference handoffs into
+#: ``AtcEncoder(mode="k")`` with its defaults.  Recorded before the planner
+#: became array code; any change in a record or chunk shows here.
+LOSSY_CONTAINER_SHA256 = {
+    ("433.milc", 30_000): "f5139b4efb89b503d9c65a82c8f8ac879b05d853c2222346975e69ffed788bc9",
+    ("433.milc", 1_100_000): "0be740434f13a2057e4e9a6bf959ca416eab30a9228ae29a33285031f9e8885e",
+    ("410.bwaves", 1_100_000): "62e7f4d0e527dbd04c7dd8392ebbb917675b99e6ac218e131de9308e5dc6a101",
+}
+
+
+@pytest.mark.parametrize(
+    "name, refs",
+    [
+        pytest.param(name, refs, marks=[pytest.mark.slow] if refs > 30_000 else [])
+        for name, refs in LOSSY_CONTAINER_SHA256
+    ],
+)
+def test_lossy_containers_at_benchmark_scale(tmp_path, name, refs):
+    directory = tmp_path / "container"
+    streaming = StreamingCacheFilter()
+    with AtcEncoder(directory, mode="k") as encoder:
+        for chunk in get_workload(name).reference_stream(refs, seed=1).iter_chunks(65_536):
+            encoder.code_many(streaming.filter_chunk(chunk))
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == LOSSY_CONTAINER_SHA256[name, refs]

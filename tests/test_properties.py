@@ -10,7 +10,9 @@ the paper's design relies on:
 * byte translations are permutations, so imitation can never merge two
   distinct addresses of a chunk;
 * the on-disk container decodes to exactly the interval trace the planner
-  recorded, replayed against the original chunk intervals.
+  recorded, replayed against the original chunk intervals;
+* the planner's array code (histograms, chunk-table search, translations)
+  agrees bit for bit with the scalar definitions of Section 5.1.
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ from repro.baselines.unshuffle import unshuffle_inverse, unshuffle_transform
 from repro.core.atc import MODE_LOSSY, compress_trace
 from repro.core.bytesort import bytesort_inverse, bytesort_transform
 from repro.core.container import deserialize_interval_trace, serialize_interval_trace
-from repro.core.histograms import IntervalSummary, apply_translation, byte_translation
-from repro.core.intervals import materialize_interval
+from repro.core.histograms import (
+    IntervalSummary,
+    apply_translation,
+    byte_histograms,
+    byte_translation,
+    histogram_distance,
+    interval_distance,
+    translation_active_mask,
+)
+from repro.core.intervals import ChunkTable, materialize_interval
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
 
@@ -33,6 +43,34 @@ _addresses = st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_siz
 _small_addresses = st.lists(
     st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=1, max_size=400
 )
+
+# Intervals for the planner oracles: empty (all-zero histogram rows), one
+# address, one address repeated, addresses drawn from a small pool (so byte
+# planes repeat and tie), and seeded random intervals of up to 3000 addresses
+# below 2**bits, whose many unequal histogram bins make the order of the
+# distance sums matter.
+_pool = st.integers(min_value=0, max_value=(1 << 64) - 1)
+_intervals = st.one_of(
+    st.just([]),
+    st.lists(_pool, min_size=1, max_size=1),
+    st.builds(lambda value, count: [value] * count, _pool, st.integers(min_value=2, max_value=64)),
+    st.lists(_pool, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=64)
+    ),
+    st.lists(_pool, min_size=2, max_size=64),
+    st.builds(
+        lambda seed, size, bits: np.random.default_rng(seed)
+        .integers(0, 1 << bits, size, dtype=np.uint64, endpoint=False)
+        .tolist(),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=1, max_value=64),
+    ),
+)
+
+
+def _summary(values) -> IntervalSummary:
+    return IntervalSummary.from_addresses(np.array(values, dtype=np.uint64))
 
 
 def _lossy_container(tmp_path_factory, array, config):
@@ -154,3 +192,58 @@ class TestContainerSerialisation:
             pieces.append(materialize_interval(record, chunks[record.chunk_id]))
         decoder = _lossy_container(tmp_path_factory, array, config)
         assert np.array_equal(decoder.read_all(), np.concatenate(pieces))
+
+
+class TestPlannerMatchesScalarOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_intervals, min_size=1, max_size=4),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+        _intervals,
+        st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    def test_best_match_is_the_interval_distance_scan(self, pool, picks, probe, max_entries):
+        """Chunks drawn with repeats from a small pool (so histograms tie);
+        after every add the table's answer is the first minimum of
+        ``interval_distance`` over the resident chunks, oldest first."""
+        summaries = [_summary(pool[pick % len(pool)]) for pick in picks]
+        probe_summary = _summary(probe)
+        table = ChunkTable(max_entries=max_entries)
+        for chunk_id, summary in enumerate(summaries):
+            table.add(chunk_id, summary)
+            first = 0 if max_entries is None else max(0, chunk_id + 1 - max_entries)
+            resident = list(range(first, chunk_id + 1))
+            assert table.chunk_ids == tuple(resident)
+            best_id, best_distance = None, None
+            for candidate in resident:
+                distance = interval_distance(summaries[candidate], probe_summary)
+                if best_distance is None or distance < best_distance:
+                    best_id, best_distance = candidate, distance
+            match = table.best_match(probe_summary)
+            assert (match.chunk_id, match.distance) == (best_id, best_distance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_intervals)
+    def test_byte_histograms_count_each_byte_plane(self, values):
+        array = np.array(values, dtype=np.uint64)
+        expected = np.stack(
+            [
+                np.bincount(((array >> np.uint64(8 * j)) & np.uint64(0xFF)).astype(np.intp), minlength=256)
+                for j in range(8)
+            ]
+        )
+        assert np.array_equal(byte_histograms(array), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_intervals, _intervals, st.floats(min_value=0.0, max_value=2.0))
+    def test_translations_follow_their_row_definitions(self, values_a, values_b, threshold):
+        source, target = _summary(values_a), _summary(values_b)
+        expected = np.empty((8, 256), dtype=np.uint8)
+        for j in range(8):
+            expected[j, source.permutations[j]] = target.permutations[j]
+        assert np.array_equal(byte_translation(source, target), expected)
+        active = [
+            histogram_distance(source.histograms[j], target.histograms[j]) > threshold
+            for j in range(8)
+        ]
+        assert translation_active_mask(source, target, threshold).tolist() == active
