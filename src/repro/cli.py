@@ -1108,8 +1108,9 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "codec pool size shared by the jobs' encoders and decoders: 1 = no pool; "
-            "jobs always run on the event loop's default executor (default: 1)"
+            "chunks each compress/decompress job keeps in flight on the process-wide "
+            "thread pool: 1 = inline, 0 = one per usable CPU; jobs always run on the "
+            "event loop's default executor (default: 1)"
         ),
     )
     parser.add_argument(

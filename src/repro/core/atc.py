@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import tempfile
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -44,7 +44,7 @@ from repro.core.intervals import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
-from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
+from repro.core.parallel import OrderedChunkWriter, _Call, _process_pool, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError, IntegrityError
 from repro.traces.trace import (
     DEFAULT_CHUNK_ADDRESSES,
@@ -80,12 +80,10 @@ class AtcEncoder:
         mode: ``"k"`` for lossy compression, ``"c"`` for lossless.
         config: Lossy configuration (interval length, threshold, back-end).
             In lossless mode only ``chunk_buffer_addresses`` and ``backend``
-            are used (each bytesort buffer becomes a chunk).
-        suffix: Chunk file suffix; defaults to the back-end name.
-        executor: A live thread pool to share across encoders (the
-            service passes its codec pool); ``None`` runs inline for one
-            ``config.workers`` and creates a pool for more.  Containers are
-            byte-identical for every pool and worker count.
+            are used (each bytesort buffer becomes a chunk).  Its
+            ``workers`` field sets the chunks compressed at once on the
+            process-wide thread pool (``1`` runs inline); containers are
+            byte-identical for every worker count.
 
     The container is always written in format v2: a digest per chunk plus
     an INFO footer digest, so every decode path verifies the bytes it
@@ -97,16 +95,12 @@ class AtcEncoder:
         directory,
         mode: str = MODE_LOSSY,
         config: Optional[LossyConfig] = None,
-        suffix: Optional[str] = None,
-        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         if mode not in (MODE_LOSSY, MODE_LOSSLESS):
             raise ConfigurationError(f"encoder mode must be 'k' or 'c', got {mode!r}")
         self.mode = mode
         self.config = config if config is not None else LossyConfig()
-        self.container = AtcContainer(
-            directory, backend=self.config.backend, suffix=suffix, create=True
-        )
+        self.container = AtcContainer(directory, backend=self.config.backend, create=True)
         self._records: List[IntervalRecord] = []
         self._total = 0
         self._closed = False
@@ -125,14 +119,12 @@ class AtcEncoder:
         self._buffer = np.empty(self._flush_threshold, dtype=np.uint64)
         self._buffered = 0
         # Ordered parallel chunk pipeline: chunk payloads are compressed on
-        # a thread pool and written back to the container in submission
+        # the process pool and written back to the container in submission
         # order; on the serial default it runs inline.  The write callback
         # runs on the caller's thread either way, so digest collection here
         # is race-free.
         self._chunk_digests: Dict[int, str] = {}
-        self._pipeline = OrderedChunkWriter(
-            self._write_chunk, workers=self.config.workers, executor=executor
-        )
+        self._pipeline = OrderedChunkWriter(self._write_chunk, workers=self.config.workers)
 
     def _write_chunk(self, chunk_id: int, payload: bytes):
         self._chunk_digests[chunk_id] = chunk_digest(payload)
@@ -277,21 +269,17 @@ class AtcDecoder:
     """Decoder for ATC container directories (lossy or lossless).
 
     Args:
-        directory: Container directory to read.
-        backend: Byte-level back-end override (detected from the container
-            when omitted).
-        suffix: Chunk-file suffix override (detected when omitted).
-        workers: Number of chunks prefetched (read + decompressed)
-            concurrently while iterating; ``1`` is fully serial, ``0``/
-            ``None`` means one worker per CPU.  The decoded output never
-            depends on the worker count.
+        directory: Container directory to read; its back-end is detected
+            from the chunk-file suffix and the INFO metadata.
+        workers: Chunk parallelism of the decode: with more than one,
+            chunks are read and decompressed on the process-wide thread
+            pool (up to ``2 * workers`` ahead while iterating); ``1`` is
+            fully serial, ``0``/``None`` means one worker per CPU.  The
+            decoded output never depends on the worker count.
         cache_chunks: Capacity of the decoded-chunk LRU cache.  Lossy
             containers reference the same chunk from many imitation
             records, so a small bounded cache replaces re-decoding without
             the unbounded memory growth a plain dict would have.
-        executor: A live thread pool to share for the prefetch/bulk-decode
-            fan-out; ``None`` creates one from ``workers`` when that is
-            more than one.  The decoded output never depends on either.
     """
 
     #: Default capacity of the decoded-chunk LRU cache.
@@ -300,21 +288,16 @@ class AtcDecoder:
     def __init__(
         self,
         directory,
-        backend: Optional[str] = None,
-        suffix: Optional[str] = None,
         workers: int = 1,
         cache_chunks: int = DEFAULT_CACHE_CHUNKS,
-        executor: Optional[ThreadPoolExecutor] = None,
     ) -> None:
         # The chunk-file suffix names the back-end on disk (INFO.bz2,
-        # INFO.zlib, ...), so an unspecified back-end is detected from it.
-        detected_suffix = AtcContainer.detect_suffix(directory) if suffix is None else suffix
-        probe = AtcContainer(
-            directory, backend=backend or detected_suffix or "bz2", suffix=detected_suffix
-        )
+        # INFO.zlib, ...), so the back-end is detected from it.
+        detected_suffix = AtcContainer.detect_suffix(directory)
+        probe = AtcContainer(directory, backend=detected_suffix or "bz2", suffix=detected_suffix)
         metadata, records = probe.read_info()
         stored_backend = metadata.get("backend", "bz2")
-        if backend is None and stored_backend != probe.backend.name:
+        if stored_backend != probe.backend.name:
             probe = AtcContainer(directory, backend=stored_backend, suffix=detected_suffix)
             metadata, records = probe.read_info()
         self.container = probe
@@ -327,7 +310,6 @@ class AtcDecoder:
         self._chunk_digests = parse_chunk_digests(metadata)
         self._chunk_lengths = chunk_lengths(records)
         self._workers = resolve_workers(workers)
-        self._executor = executor
         if cache_chunks < 1:
             raise ConfigurationError("cache_chunks must be >= 1")
         # The prefetch lookahead must fit in the cache, or a prefetched
@@ -384,33 +366,32 @@ class AtcDecoder:
     def _iter_sources(self) -> Iterator[Tuple[IntervalRecord, np.ndarray]]:
         """Yield every record with its decoded source chunk, in order.
 
-        Chunks come through the bounded LRU cache.  With ``workers > 1`` (or
-        a shared thread pool) the chunks of upcoming records are
-        prefetched — read and decompressed — on the thread pool while
-        earlier records are being replayed; the pairs are the same either
-        way.
+        Chunks come through the bounded LRU cache.  With ``workers > 1``
+        the chunks of the next ``2 * workers`` records are prefetched — read
+        and decompressed — on the process pool while earlier records are
+        being replayed; the pairs are the same either way.  A stream closed
+        early cancels its unstarted loads and waits for the started ones.
         """
-        if len(self.records) <= 1 or (self._executor is None and self._workers <= 1):
+        pool = _process_pool() if self._workers > 1 and len(self.records) > 1 else None
+        if pool is None:
             for record in self.records:
                 yield record, self._chunk_addresses(record.chunk_id)
             return
-        shared = self._executor
-        scope = ThreadPoolExecutor(self._workers) if shared is None else contextlib.nullcontext(shared)
-        with scope as pool:
-            handles = {}
-            try:
-                for index, record in enumerate(self.records):
-                    for upcoming in self.records[index : index + self._lookahead]:
-                        chunk_id = upcoming.chunk_id
-                        if chunk_id not in handles and chunk_id not in self._chunk_cache:
-                            handles[chunk_id] = pool.submit(self._load_chunk, chunk_id)
-                    handle = handles.pop(record.chunk_id, None)
-                    if handle is not None:
-                        self._store_chunk(record.chunk_id, handle.result())
-                    yield record, self._chunk_addresses(record.chunk_id)
-            finally:
-                for handle in handles.values():
-                    handle.cancel()
+        loads: Dict[int, _Call] = {}
+        try:
+            for index, record in enumerate(self.records):
+                for upcoming in self.records[index : index + self._lookahead]:
+                    chunk_id = upcoming.chunk_id
+                    if chunk_id not in loads and chunk_id not in self._chunk_cache:
+                        loads[chunk_id] = _Call(pool, self._load_chunk, chunk_id)
+                load = loads.pop(record.chunk_id, None)
+                if load is not None:
+                    self._store_chunk(record.chunk_id, load.result())
+                yield record, self._chunk_addresses(record.chunk_id)
+        finally:
+            for load in loads.values():
+                load.cancel()
+            wait([load.future for load in loads.values()])
 
     def _fill(self, sources, chunk_addresses: int) -> Iterator[np.ndarray]:
         """Write every record of ``sources`` into owned output arrays.
@@ -458,10 +439,10 @@ class AtcDecoder:
     def iter_intervals(self) -> Iterator[np.ndarray]:
         """Yield the decoded address array of every interval, in order.
 
-        With ``workers > 1`` (or a shared thread pool) the chunks of
-        upcoming intervals are prefetched on the thread pool; the yielded
-        sequence is identical to the serial one.  A chunk interval is a
-        read-only view of the decoder's cached chunk.
+        With ``workers > 1`` the chunks of upcoming intervals are
+        prefetched on the process pool; the yielded sequence is identical to
+        the serial one.  A chunk interval is a read-only view of the
+        decoder's cached chunk.
         """
         for record, source in self._iter_sources():
             yield materialize_interval(record, source)
@@ -503,10 +484,7 @@ class AtcDecoder:
             if chunk_id in self._chunk_cache
         }
         missing = [chunk_id for chunk_id in needed if chunk_id not in decoded]
-        if self._executor is not None:
-            decoded.update(zip(missing, self._executor.map(self._load_chunk, missing)))
-        else:
-            decoded.update(zip(missing, map_ordered(self._load_chunk, missing, self._workers)))
+        decoded.update(zip(missing, map_ordered(self._load_chunk, missing, self._workers)))
         sources = [(record, decoded[record.chunk_id]) for record in self.records]
         for record, source in sources:
             _check_source(record, source)
@@ -545,7 +523,6 @@ def atc_open(
     directory,
     mode: str,
     config: Optional[LossyConfig] = None,
-    suffix: Optional[str] = None,
     workers: int = 1,
 ) -> Union[AtcEncoder, AtcDecoder]:
     """Open an ATC container, mirroring the paper's ``atc_open`` entry point.
@@ -556,13 +533,12 @@ def atc_open(
             ``"d"`` (decompression).
         config: Codec configuration for the compression modes (its
             ``workers`` field controls encoder parallelism).
-        suffix: Chunk file suffix override.
         workers: Chunk-prefetch parallelism for decode mode.
     """
     if mode == MODE_DECODE:
-        return AtcDecoder(directory, suffix=suffix, workers=workers)
+        return AtcDecoder(directory, workers=workers)
     if mode in (MODE_LOSSY, MODE_LOSSLESS):
-        return AtcEncoder(directory, mode=mode, config=config, suffix=suffix)
+        return AtcEncoder(directory, mode=mode, config=config)
     raise ConfigurationError(f"atc_open mode must be 'k', 'c' or 'd', got {mode!r}")
 
 

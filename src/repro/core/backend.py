@@ -10,11 +10,15 @@ before entropy coding).
 The ``bz2`` back-end is block-parallel, like pbzip2: bzip2's 900k blocks are
 independent, so an input longer than one block is cut exactly where
 libbzip2 at level 9 closes each block, and the pieces are compressed as
-independent streams on every core and concatenated.  Each stream holds the
-same block bytes serial bzip2 writes, plus 14-15 bytes of stream header and
-trailer.  The cut points depend only on the data, so the output is the same
-for every CPU count, and any multi-stream bzip2 reader decodes it.  Inputs
-of one block or less compress exactly as before.
+independent streams and concatenated.  Each stream holds the same block
+bytes serial bzip2 writes, plus 14-15 bytes of stream header and trailer.
+The cut points depend only on the data, so the output is the same for
+every CPU count, and any multi-stream bzip2 reader decodes it.  Inputs of
+one block or less compress exactly as before.  The calling thread and one
+helper per further usable CPU share the pieces through
+:func:`~repro.core.parallel.map_ordered`, on the process-wide pool that
+also runs chunk tasks; its waiting rule lets a chunk task fan out its own
+pieces without deadlock.
 
 A back-end is a tiny object with two methods::
 
@@ -38,18 +42,16 @@ from __future__ import annotations
 
 import bz2
 import lzma
-import os
 import sys
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.parallel import usable_cpus
+from repro.core.parallel import map_ordered
 from repro.errors import CodecError, ConfigurationError
 
 __all__ = [
@@ -335,61 +337,6 @@ _BZ2_STREAM_START = b"BZh91AY&SY"
 #: Input bytes scanned per step by :func:`bz2_block_starts`.
 _SPLIT_WINDOW = 1 << 18
 
-_pool: Optional[ThreadPoolExecutor] = None
-_helpers: Optional[int] = None  # threads in _pool; None until first use
-_pool_lock = threading.Lock()
-
-
-def _block_pool() -> Tuple[Optional[ThreadPoolExecutor], int]:
-    """Helper threads for the bz2 pieces, one per usable CPU but the caller's.
-
-    Returns the pool and its size.  Created on first use.  It is not the
-    chunk pipeline's pool: a chunk task waiting on its own pool for its
-    pieces could deadlock.  With one usable CPU there is no pool and the
-    pieces run inline.
-    """
-    global _pool, _helpers
-    with _pool_lock:
-        if _helpers is None:
-            _helpers = usable_cpus() - 1
-            _pool = ThreadPoolExecutor(_helpers) if _helpers else None
-        return _pool, _helpers
-
-
-def _map_on_every_core(fn: Callable, items: list) -> list:
-    """``[fn(item) for item in items]``, with the caller and the helpers sharing the items.
-
-    The calling thread works too, rather than waiting on the pool: that
-    needs one thread (and one malloc arena of retained bzip2 buffers) fewer.
-    """
-    pool, helpers = _block_pool()
-    results = [None] * len(items)
-    indexes = iter(range(len(items)))
-
-    def drain() -> None:
-        for index in indexes:
-            results[index] = fn(items[index])
-
-    running = [pool.submit(drain) for _ in range(min(helpers, len(items) - 1))]
-    try:
-        drain()
-    finally:
-        for helper in running:
-            helper.result()
-    return results
-
-
-def _forget_block_pool() -> None:
-    """Drop the parent's pool in a forked child: its threads did not fork."""
-    global _pool, _helpers, _pool_lock
-    _pool = _helpers = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_block_pool)
-
-
 def _run_bound(values: np.ndarray, start: int, stop: int) -> int:
     """Where the run of equal bytes at ``start`` ends, scanning towards ``stop``.
 
@@ -504,7 +451,7 @@ def _bz2_compress(data) -> bytes:
     view = memoryview(data).cast("B")
     bounds = [0, *starts, len(view)]
     pieces = [view[low:high] for low, high in zip(bounds, bounds[1:])]
-    return b"".join(_map_on_every_core(_compress_piece, pieces))
+    return b"".join(map_ordered(_compress_piece, pieces, workers=0))
 
 
 def _compress_piece(piece) -> bytes:
@@ -546,7 +493,8 @@ def _bz2_decompress(data, max_length: Optional[int] = None) -> bytes:
         segments = [view[low:high] for low, high in zip(bounds, bounds[1:])]
         budget = _Budget("bz2", max_length)
         try:
-            return b"".join(_map_on_every_core(partial(_decompress_stream, budget=budget), segments))
+            pieces = map_ordered(partial(_decompress_stream, budget=budget), segments, workers=0)
+            return b"".join(pieces)
         except (OSError, EOFError, ValueError):
             pass
     return _decode_streams(bz2.BZ2Decompressor, payload, _Budget("bz2", max_length))

@@ -22,8 +22,8 @@ Three invariants hold everywhere:
    and sweep job goes to the loop's default executor
    (``run_in_executor(None, ...)``, up to ``min(32, CPUs + 4)`` threads),
    so jobs of different connections run concurrently whatever
-   ``workers`` says; ``workers`` only sizes the codec pool those jobs fan
-   chunks out on.  The loop itself still does some blocking work between
+   ``workers`` says; ``workers`` is each job's chunk parallelism on the
+   process-wide pool.  The loop itself still does some blocking work between
    socket reads: spool writes, ``tempfile.mkdtemp``, the dedup-cache
    lookup (with its digest scrub) and commit, tar pack and unpack, and the
    workdir ``rmtree``.  Moving that onto threads was measured and made
@@ -50,7 +50,6 @@ import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AsyncIterator, Callable, Dict, Optional, Tuple
@@ -93,11 +92,9 @@ class ServiceConfig:
             anything else — the service itself does no authentication).
         port: TCP port; ``0`` picks an ephemeral port (tests, benchmarks).
         max_connections: Connection-gate capacity; excess gets 429.
-        workers: Size of the codec thread pool every job's encoder or
-            decoder fans chunks out on; with one there is no codec pool and
-            each job codes its chunks inline, on the default-executor
-            thread that runs the job (jobs of different connections still
-            run concurrently there).
+        workers: The chunks each job's encoder or decoder keeps in flight
+            on the process-wide thread pool; ``1`` codes them inline on the
+            job's default-executor thread, ``0`` is one per usable CPU.
         request_timeout: Per-request processing budget in seconds; ``None``
             disables the timeout.
         max_body_bytes: Cap on any request body; overruns answer 413.
@@ -126,6 +123,7 @@ class ServiceConfig:
             raise ConfigurationError(f"max_body_bytes must be >= {ADDRESS_BYTES}")
         if self.drain_timeout <= 0:
             raise ConfigurationError("drain_timeout must be positive")
+        resolve_workers(self.workers)
         # The gate constructor validates max_connections / retry_after.
         ConnectionGate(self.max_connections, self.retry_after)
 
@@ -141,10 +139,9 @@ class AtcService:
     """The service itself: routing, request lifecycle, shutdown.
 
     One instance owns one listener, one connection gate, one metrics
-    registry, one dedup cache and, with ``workers > 1``, one shared codec
-    thread pool.  Run it with :meth:`run` (blocking, installs signal
-    handlers when possible) or host it in a test/benchmark with
-    :class:`BackgroundServer`.
+    registry and one dedup cache.  Run it with :meth:`run` (blocking,
+    installs signal handlers when possible) or host it in a test/benchmark
+    with :class:`BackgroundServer`.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -155,7 +152,6 @@ class AtcService:
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._owned_cache_dir: Optional[str] = None
         if self.config.cache_dir is None:
             self._owned_cache_dir = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -188,9 +184,6 @@ class AtcService:
         for signum in (signal.SIGTERM, signal.SIGINT):
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 self._loop.add_signal_handler(signum, self.shutdown)
-        workers = resolve_workers(self.config.workers)
-        if workers > 1:
-            self._executor = ThreadPoolExecutor(workers, "repro-serve-codec")
         server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
         )
@@ -206,9 +199,6 @@ class AtcService:
             return 0 if idle else 1
         finally:
             server.close()
-            if self._executor is not None:
-                self._executor.shutdown()
-                self._executor = None
             if self._owned_cache_dir is not None:
                 shutil.rmtree(self._owned_cache_dir, ignore_errors=True)
 
@@ -389,7 +379,7 @@ class AtcService:
 
             def encode():
                 try:
-                    with AtcEncoder(workspace, mode=mode, config=config, executor=self._executor) as enc:
+                    with AtcEncoder(workspace, mode=mode, config=config) as enc:
                         enc.encode_stream(token.guard(iter_raw_chunks(spool)))
                         return enc.addresses_coded
                 except BaseException:
@@ -422,7 +412,7 @@ class AtcService:
         decoded = workdir / "trace.bin"
 
         def decode():
-            decoder = AtcDecoder(container, executor=self._executor)
+            decoder = AtcDecoder(container, workers=self.config.workers)
             count = 0
             with decoded.open("wb") as sink:
                 for chunk in token.guard(decoder.iter_chunks(chunk_addresses)):
@@ -449,7 +439,7 @@ class AtcService:
         unpack_container(spool, container)
 
         def summarize():
-            decoder = AtcDecoder(container, executor=self._executor)
+            decoder = AtcDecoder(container)
             records = decoder.records
             return {
                 "metadata": dict(decoder.metadata),

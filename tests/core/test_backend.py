@@ -482,7 +482,7 @@ from pathlib import Path
 import numpy as np
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from repro.core import backend
+from repro.core import parallel
 from repro.core.atc import MODE_LOSSLESS, AtcEncoder
 from repro.core.lossy import LossyConfig
 addresses = np.random.default_rng(11).integers(0, 1 << 40, 250_000, dtype=np.uint64)
@@ -491,7 +491,7 @@ with AtcEncoder(directory, mode=MODE_LOSSLESS, config=LossyConfig()) as encoder:
     encoder.code_many(addresses)
 for path in sorted(directory.iterdir()):
     print(path.name, hashlib.sha256(path.read_bytes()).hexdigest())
-print("pool", "serial" if backend._block_pool()[0] is None else "thread")
+print("pool", "serial" if parallel._process_pool() is None else "thread")
 """
 
 

@@ -11,14 +11,13 @@ module pins that invariant three ways:
 * the thread encoder reproducing the *committed golden fixtures* byte for
   byte (the strongest anchor: not just self-consistency, but the on-disk
   format as committed);
-* a hypothesis property run under a shared thread pool, the way the
-  service shares one across requests.
+* a hypothesis property run on the process-wide thread pool, the way the
+  service's jobs share it across requests.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import parallel
 from repro.core.atc import MODE_LOSSLESS, MODE_LOSSY, AtcDecoder, AtcEncoder
 from repro.core.lossy import LossyConfig
 
@@ -111,19 +111,18 @@ class TestThreadExecutorMatchesGoldenFixtures:
             assert np.array_equal(decoded, AtcDecoder(committed, workers=1).read_all())
 
 
-@pytest.fixture(scope="module")
-def property_executor():
-    with ThreadPoolExecutor(2) as pool:
-        yield pool
-
-
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 @given(
     addresses=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=120),
     interval_length=st.integers(min_value=1, max_value=31),
 )
-def test_thread_roundtrip_property(tmp_path_factory, property_executor, addresses, interval_length):
-    """Lossless encode/decode on a shared thread pool is exact for arbitrary traces."""
+def test_thread_roundtrip_property(tmp_path_factory, monkeypatch, addresses, interval_length):
+    """Lossless encode/decode on the process pool is exact for arbitrary traces."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)  # a pool on any host
     config = LossyConfig(
         interval_length=interval_length,
         chunk_buffer_addresses=interval_length,
@@ -131,7 +130,8 @@ def test_thread_roundtrip_property(tmp_path_factory, property_executor, addresse
         workers=2,
     )
     directory = tmp_path_factory.mktemp("prop") / "container"
-    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config, executor=property_executor) as enc:
+    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config) as enc:
+        assert enc._pipeline.pool is parallel._process_pool()
         enc.code_many(np.array(addresses, dtype=np.uint64))
-    decoded = AtcDecoder(directory, workers=2, executor=property_executor).read_all()
+    decoded = AtcDecoder(directory, workers=2).read_all()
     assert decoded.tolist() == addresses

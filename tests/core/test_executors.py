@@ -1,13 +1,17 @@
-"""Tests of the fan-out primitives: ordering, errors, cancellation, shutdown.
+"""Tests of the fan-out primitives: ordering, errors, cancellation, the process pool.
 
-The worker count alone picks how work runs — inline for one worker, a
-stdlib thread pool beyond — and a live pool can be shared through
-``OrderedChunkWriter`` and the codec facades without being closed by them.
+The worker count alone picks how work runs — inline for one worker, the
+process-wide thread pool beyond — and one waiting rule (a pool thread
+never blocks on a task no thread has started) keeps fan-outs nested on
+that bounded pool deadlock-free.  Tests that need the pool report two (or
+four) usable CPUs through ``usable_cpus``, so they also run under a
+one-CPU affinity mask, where the library itself makes no pool.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers, usable_cpus
 from repro.errors import ConfigurationError
 
@@ -34,22 +39,58 @@ def _slow_identity(value):
     return value
 
 
-def _container(directory, executor=None, chunks=10):
+def _container(directory, workers=1, chunks=10):
     """Write a lossless zlib container of ``chunks`` chunks; return its addresses."""
     from repro.core.atc import MODE_LOSSLESS, AtcEncoder
     from repro.core.lossy import LossyConfig
 
     addresses = np.arange(chunks * 2_000, dtype=np.uint64) * np.uint64(8)
-    config = LossyConfig(interval_length=2_000, chunk_buffer_addresses=2_000, backend="zlib")
-    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config, executor=executor) as encoder:
+    config = LossyConfig(
+        interval_length=2_000, chunk_buffer_addresses=2_000, backend="zlib", workers=workers
+    )
+    with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config) as encoder:
         encoder.code_many(addresses)
     return addresses
 
 
-def _writer(workers=2, **kwargs):
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def _writer(workers=2):
     written = []
-    writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=workers, **kwargs)
+    writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=workers)
     return writer, written
+
+
+def _outside_pool():
+    """Live threads that are not threads of the process pool."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if not thread.name.startswith(parallel.POOL_THREAD_PREFIX)
+    }
+
+
+def _is_pool_thread():
+    return threading.current_thread().name.startswith(parallel.POOL_THREAD_PREFIX)
+
+
+@pytest.fixture
+def pool_cpus(monkeypatch):
+    """Report two usable CPUs, so the process pool exists on any host."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def one_thread_pool(monkeypatch):
+    """Make the process pool one thread while four CPUs are reported usable."""
+    pool = ThreadPoolExecutor(1, thread_name_prefix=parallel.POOL_THREAD_PREFIX)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "_pool", pool)
+    yield pool
+    # no wait: a deadlocked test must fail, not hang the session here
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class TestUsableCpus:
@@ -86,7 +127,23 @@ class TestUsableCpus:
         assert writer.workers == 1 and writer.pool is None  # one CPU: inline
         writer.close()
 
+    def test_one_usable_cpu_has_no_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        assert parallel._process_pool() is None
+        writer, _ = _writer(workers=4)
+        assert writer.pool is None
+        writer.close()
+        calls = []
+        assert map_ordered(lambda value: calls.append(_is_pool_thread()) or value, [1, 2], 4) == [1, 2]
+        assert calls == [False, False]
 
+    def test_every_fan_out_shares_one_pool(self, pool_cpus):
+        writer, _ = _writer(workers=2)
+        assert writer.pool is parallel._process_pool() is parallel._process_pool()
+        writer.close()
+
+
+@pytest.mark.usefixtures("pool_cpus")
 class TestOrderingAndErrors:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_map_ordered_preserves_input_order(self, workers):
@@ -119,10 +176,18 @@ class TestOrderingAndErrors:
         assert ran == ["now"] and written == [0]  # before close() was ever called
         writer.close()
 
-    def test_map_ordered_helper_uses_threads_beyond_one_worker(self):
-        caller = threading.get_ident()
-        idents = map_ordered(lambda _: threading.get_ident(), range(8), workers=2)
-        assert caller not in idents
+    def test_map_ordered_runs_items_on_the_caller_and_pool_threads(self):
+        """With two workers the caller works too, next to a pool helper."""
+        caller = threading.current_thread()
+
+        def where(_):
+            time.sleep(0.02)
+            return threading.current_thread()
+
+        threads = set(map_ordered(where, range(8), workers=2))
+        assert caller in threads
+        helpers = threads - {caller}
+        assert helpers and all(t.name.startswith(parallel.POOL_THREAD_PREFIX) for t in helpers)
 
     def test_map_ordered_helper_stays_inline_for_one_worker(self):
         calls = []
@@ -134,13 +199,14 @@ class TestOrderingAndErrors:
         assert map_ordered(local_closure, [1, 2], workers=1) == [1, 2]
         assert calls == [threading.get_ident()] * 2
 
-    def test_map_ordered_joins_its_pool_even_on_failure(self):
-        before = threading.active_count()
+    def test_map_ordered_starts_no_thread_outside_the_pool(self):
+        """Neither a run nor a failure leaves a thread behind but the pool's."""
+        before = _outside_pool()
         assert map_ordered(_slow_identity, range(6), workers=3) == list(range(6))
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
         with pytest.raises(ValueError):
             map_ordered(_boom, range(6), workers=3)
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
 
     def test_map_ordered_failure_cancels_unstarted_items(self):
         started = []
@@ -157,98 +223,229 @@ class TestOrderingAndErrors:
         # 200 items x 20 ms on 2 threads is 2 s; the queued tail is dropped.
         assert len(started) < 50
 
+    def test_map_ordered_runs_every_item_exactly_once_under_contention(self, monkeypatch):
+        """The shared index hands each item to exactly one thread, with more
+        helpers than cores and a thread switch after almost every bytecode."""
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+        calls = [0] * 2_000
 
-class TestSharedPool:
-    def test_shared_pool_is_borrowed_not_closed(self):
-        with ThreadPoolExecutor(2) as pool:
-            writer, written = _writer(executor=pool)
-            assert writer.pool is pool
-            writer.submit(0, _double, 1)
-            writer.close()
-            assert written == [0]
-            # Borrowed: the writer must not have shut it down.
-            assert pool.submit(_double, 21).result() == 42
+        def count(index):
+            calls[index] += 1  # lost or repeated hand-outs show as 0 or 2
+            return index
 
-    def test_owned_pool_is_shut_down_on_close(self):
-        writer, _ = _writer(workers=2)
-        pool = writer.pool
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert map_ordered(count, range(len(calls)), workers=8) == list(range(len(calls)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [5] * len(calls)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_map_ordered_failure_returns_after_every_started_item(self, workers):
+        """A failed item stops new items from starting, and the call returns
+        only once every started item has finished, whichever thread failed."""
+        started, finished = set(), set()
+
+        def task(value):
+            started.add(value)
+            if value == 1:
+                time.sleep(0.02)
+                raise ValueError("task failure")
+            time.sleep(0.1 if value == 0 else 0.02)
+            finished.add(value)
+            return value
+
+        with pytest.raises(ValueError, match="task failure"):
+            map_ordered(task, range(100), workers=workers)
+        assert started - {1} == finished
+        assert len(started) < 10
+
+
+class TestProcessPool:
+    def test_closing_never_shuts_the_process_pool_down(self, pool_cpus, tmp_path):
+        """Closing or cancelling a writer, an encoder or a decoder leaves the
+        process pool open for the next fan-out."""
+        from repro.core.atc import AtcDecoder
+
+        pool = parallel._process_pool()
+        writer, written = _writer(workers=2)
         writer.submit(0, _double, 1)
         writer.close()
-        with pytest.raises(RuntimeError):
-            pool.submit(_double, 1)
+        assert written == [0]
+        writer, _ = _writer(workers=2)
+        writer.submit(0, _double, 1)
+        writer.cancel()
+        addresses = _container(tmp_path / "c", workers=2)
+        np.testing.assert_array_equal(AtcDecoder(tmp_path / "c", workers=2).read_all(), addresses)
+        assert parallel._process_pool() is pool
+        assert pool.submit(_double, 21).result() == 42
 
-    def test_cancel_reclaims_finished_results_on_a_borrowed_pool(self):
-        """Cancelling a writer on a shared pool drops its finished results
-        at once and leaves the pool open for the owner to reuse."""
-        with ThreadPoolExecutor(1) as pool:
-            writer, written = _writer(executor=pool, max_pending=8)
-            for chunk_id in range(3):
-                writer.submit(chunk_id, _double, chunk_id)
-            pool.submit(_double, 1).result()  # barrier: every chunk finished
-            writer.cancel()
-            assert written == []
-            assert not writer._pending
-            assert pool.submit(_double, 21).result() == 42  # pool still usable
+    def test_cancel_reclaims_finished_results(self, one_thread_pool):
+        """Cancelling a writer drops its finished results at once and leaves
+        the pool open."""
+        writer, written = _writer(workers=4)  # up to 8 chunks in flight
+        for chunk_id in range(3):
+            writer.submit(chunk_id, _double, chunk_id)
+        one_thread_pool.submit(_double, 1).result()  # barrier: every chunk finished
+        writer.cancel()
+        assert written == []
+        assert not writer._pending
+        assert one_thread_pool.submit(_double, 21).result() == 42  # pool still usable
 
-    def test_cancel_drops_only_unstarted_work(self):
-        gate = threading.Event()
+    def test_cancel_drops_only_unstarted_work(self, one_thread_pool):
+        gate, first_started = threading.Event(), threading.Event()
         ran = []
 
         def blocked(value):
+            first_started.set()
             gate.wait(5)
             ran.append(value)
             return value
 
-        with ThreadPoolExecutor(1) as pool:
-            writer, written = _writer(executor=pool, max_pending=8)
-            writer.submit(0, blocked, "first")
-            writer.submit(1, blocked, "second")
-            running, queued = (future for _, future in writer._pending)
-            writer.cancel()
-            gate.set()
-            assert running.result() == "first"
-            assert queued.cancelled()
-            assert pool.submit(_double, 5).result() == 10
+        writer, written = _writer(workers=4)
+        writer.submit(0, blocked, "first")
+        assert first_started.wait(5)  # the pool's one thread holds "first"
+        writer.submit(1, blocked, "second")
+        running, queued = (call.future for _, call in writer._pending)
+        writer.cancel()
+        gate.set()
+        assert running.result() == "first"
+        assert queued.cancelled()
+        assert one_thread_pool.submit(_double, 5).result() == 10
         assert ran == ["first"] and written == []
 
-
-    def test_encoder_borrows_a_shared_pool_without_closing_it(self, tmp_path):
+    def test_encoder_on_the_pool_matches_inline(self, pool_cpus, tmp_path):
         from repro.core.atc import AtcDecoder
 
-        with ThreadPoolExecutor(2) as pool:
-            addresses = _container(tmp_path / "shared", executor=pool)
-            assert pool.submit(_double, 21).result() == 42  # still open after close()
+        addresses = _container(tmp_path / "pooled", workers=2)
         _container(tmp_path / "inline")
-        for name in ("shared", "inline"):
+        for name in ("pooled", "inline"):
             np.testing.assert_array_equal(AtcDecoder(tmp_path / name).read_all(), addresses)
-        assert sorted(p.read_bytes() for p in (tmp_path / "shared").iterdir()) == sorted(
-            p.read_bytes() for p in (tmp_path / "inline").iterdir()
-        )
+        assert _files(tmp_path / "pooled") == _files(tmp_path / "inline")
 
-    def test_decoder_loads_chunks_on_a_shared_pool_and_leaves_it_open(self, tmp_path):
+    def test_decoder_loads_chunks_on_pool_threads(self, pool_cpus, tmp_path):
+        """With ``workers=2`` at least one chunk load of ``read_all`` and of a
+        prefetching stream runs on a pool thread, and the pool stays open."""
         from repro.core.atc import AtcDecoder
 
         addresses = _container(tmp_path / "c")
-        caller = threading.get_ident()
-        with ThreadPoolExecutor(2) as pool:
-            for read in (
-                lambda decoder: decoder.read_all(),
-                lambda decoder: np.concatenate(list(decoder.iter_intervals())),
-            ):
-                decoder = AtcDecoder(tmp_path / "c", executor=pool)
-                loader, idents = decoder._load_chunk, []
-                decoder._load_chunk = lambda cid: idents.append(threading.get_ident()) or loader(cid)
-                np.testing.assert_array_equal(read(decoder), addresses)
-                assert idents and caller not in idents
-                assert pool.submit(_double, 21).result() == 42
+        for read in (
+            lambda decoder: decoder.read_all(),
+            lambda decoder: np.concatenate(list(decoder.iter_intervals())),
+        ):
+            decoder = AtcDecoder(tmp_path / "c", workers=2)
+            loader, on_pool = decoder._load_chunk, []
+
+            def load(chunk_id, loader=loader, on_pool=on_pool):
+                on_pool.append(_is_pool_thread())
+                time.sleep(0.01)  # long enough for a helper to take a share
+                return loader(chunk_id)
+
+            decoder._load_chunk = load
+            np.testing.assert_array_equal(read(decoder), addresses)
+            assert len(on_pool) == 10 and any(on_pool)
+            assert parallel._process_pool().submit(_double, 21).result() == 42
 
 
+class TestWaitingRule:
+    """Fan-outs nested on a one-thread pool finish: a pool thread never
+    blocks on a task that no thread has started, it runs the task itself."""
+
+    @staticmethod
+    def _traces():
+        rng = np.random.default_rng(5)
+        # 240k random addresses in 120k-address chunks: ~960 kB of
+        # incompressible bytes per chunk, so every bz2 payload is two blocks.
+        return [rng.integers(0, 1 << 63, 240_000, dtype=np.uint64) for _ in range(4)]
+
+    @staticmethod
+    def _encode(trace, directory, workers):
+        from repro.core.atc import MODE_LOSSLESS, AtcDecoder, AtcEncoder
+        from repro.core.lossy import LossyConfig
+
+        config = LossyConfig(chunk_buffer_addresses=120_000, backend="bz2", workers=workers)
+        with AtcEncoder(directory, mode=MODE_LOSSLESS, config=config) as encoder:
+            encoder.code_many(trace)
+        decoded = AtcDecoder(directory, workers=workers).read_all()
+        np.testing.assert_array_equal(decoded, trace)
+        return _files(directory)
+
+    def test_pool_threads_run_unstarted_calls_and_other_threads_wait(self, one_thread_pool):
+        def where():
+            return threading.current_thread().name
+
+        def nested():  # the pool's only thread waits on a call queued behind it
+            return parallel._Call(one_thread_pool, where).result()
+
+        outer = parallel._Call(one_thread_pool, nested)
+        assert outer.future.result(timeout=30).startswith(parallel.POOL_THREAD_PREFIX)
+        gate = threading.Event()
+        one_thread_pool.submit(gate.wait, 5)  # holds the pool's only thread
+        queued = parallel._Call(one_thread_pool, where)
+        threading.Timer(0.1, gate.set).start()
+        # the caller waits for the pool instead of running the call itself
+        assert queued.result().startswith(parallel.POOL_THREAD_PREFIX)
+
+    def test_nested_fan_outs_on_a_one_thread_pool_finish(self, one_thread_pool, tmp_path):
+        traces = self._traces()
+        outcome = {}
+
+        def run():
+            try:
+                outcome["files"] = map_ordered(
+                    lambda item: self._encode(item[1], tmp_path / f"pooled-{item[0]}", 2),
+                    list(enumerate(traces)),
+                    workers=4,
+                )
+            except BaseException as exc:  # reported by the assertion below
+                outcome["error"] = exc
+
+        watchdog = threading.Thread(target=run, daemon=True)
+        watchdog.start()
+        watchdog.join(120)
+        assert not watchdog.is_alive(), "nested fan-outs deadlocked on a one-thread pool"
+        assert "error" not in outcome, outcome.get("error")
+        for index, trace in enumerate(traces):
+            assert outcome["files"][index] == self._encode(trace, tmp_path / f"inline-{index}", 1)
+        chunk = (tmp_path / "inline-0" / "1.bz2").read_bytes()
+        assert chunk.count(b"BZh91AY&SY") >= 2  # the chunks really were multi-block
+
+    def test_abandoned_prefetch_stream_cancels_its_window(self, one_thread_pool, tmp_path):
+        """A decoder stream the consumer walks away from cancels its queued
+        prefetches and waits for the one the pool thread had started."""
+        from repro.core.atc import AtcDecoder
+
+        _container(tmp_path / "c")
+        gate = threading.Event()
+        started, finished = [], []
+        decoder = AtcDecoder(tmp_path / "c", workers=4)
+        loader = decoder._load_chunk
+
+        def gated(chunk_id):
+            started.append(chunk_id)
+            if chunk_id:
+                gate.wait(5)  # holds the single thread on chunk 1
+            finished.append(chunk_id)
+            return loader(chunk_id)
+
+        decoder._load_chunk = gated
+        stream = decoder.iter_intervals()
+        next(stream)  # chunks 0..7 were queued as the prefetch window
+        threading.Timer(0.2, gate.set).start()
+        stream.close()
+        assert sorted(started) in ([0], [0, 1])  # chunks 2..7 never start
+        assert sorted(finished) == sorted(started)  # close() waited for the started load
+
+
+@pytest.mark.usefixtures("pool_cpus")
 class TestCleanShutdown:
-    def test_aborted_encoder_context_closes_its_thread_pool(self, tmp_path):
+    def test_aborted_encoder_starts_no_thread_outside_the_pool(self, tmp_path):
         from repro.core.atc import MODE_LOSSLESS, AtcEncoder
         from repro.core.lossy import LossyConfig
 
-        before = threading.active_count()
+        before = _outside_pool()
         config = LossyConfig(
             interval_length=5_000, chunk_buffer_addresses=5_000, backend="zlib", workers=2
         )
@@ -257,7 +454,7 @@ class TestCleanShutdown:
             with encoder:
                 encoder.code_many(np.arange(20_000, dtype=np.uint64))
                 raise RuntimeError("abort")
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
 
     def test_close_is_idempotent_and_rejects_new_work(self):
         writer, written = _writer(workers=2)
@@ -269,7 +466,7 @@ class TestCleanShutdown:
             writer.submit(1, _double, 1)
 
     def test_slow_queue_cancel_returns_promptly(self):
-        writer, written = _writer(workers=2, max_pending=100)
+        writer, written = _writer(workers=50)  # up to 100 chunks in flight
         started = time.perf_counter()
         for value in range(80):
             writer.submit(value, _slow_identity, value)
@@ -280,7 +477,7 @@ class TestCleanShutdown:
         assert written == []
 
     def test_crash_inside_pipeline_surfaces_and_cleans_up(self):
-        before = threading.active_count()
+        before = _outside_pool()
         writer, written = _writer(workers=2)
         writer.submit(0, _double, 1)
         writer.submit(1, _boom, 2)
@@ -288,10 +485,10 @@ class TestCleanShutdown:
         with pytest.raises(ValueError, match="task failure"):
             writer.close()
         assert written == [0]  # nothing after the failed chunk is written
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
 
-    def test_writer_callback_failure_propagates_and_closes_owned_pool(self):
-        before = threading.active_count()
+    def test_writer_callback_failure_propagates_and_closes_the_writer(self):
+        before = _outside_pool()
 
         def failing_write(chunk_id, payload):
             raise OSError(f"disk full at chunk {chunk_id}")
@@ -300,63 +497,52 @@ class TestCleanShutdown:
         writer.submit(0, _double, 1)
         with pytest.raises(OSError, match="chunk 0"):
             writer.close()
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
         with pytest.raises(ConfigurationError):
             writer.submit(1, _double, 2)
 
     def test_cancelled_pipeline_discards_results_without_leaks(self):
-        before = threading.active_count()
-        writer, written = _writer(workers=2, max_pending=8)
+        before = _outside_pool()
+        writer, written = _writer(workers=4)  # up to 8 chunks in flight
         for chunk_id in range(6):
             writer.submit(chunk_id, _slow_identity, chunk_id)
         writer.cancel()
         assert written == []
-        assert threading.active_count() <= before
+        assert _outside_pool() <= before
         with pytest.raises(ConfigurationError):
             writer.submit(6, _double, 6)
 
-
-    def test_abandoned_prefetch_stream_cancels_its_window(self, tmp_path):
-        """A decoder stream the consumer walks away from cancels its queued
-        prefetches: at most the chunk already running is still loaded."""
+    def test_abandoned_decoder_stream_waits_for_its_started_loads(self, tmp_path):
+        """Closing a prefetching stream early returns only once no chunk
+        load is running, and starts no thread outside the pool."""
         from repro.core.atc import AtcDecoder
 
         _container(tmp_path / "c")
-        gate = threading.Event()
-        started = []
-        with ThreadPoolExecutor(1) as pool:
-            decoder = AtcDecoder(tmp_path / "c", workers=4, executor=pool)
-            loader = decoder._load_chunk
+        before = _outside_pool()
+        decoder = AtcDecoder(tmp_path / "c", workers=2)
+        loader, lock, running, pooled = decoder._load_chunk, threading.Lock(), [0], []
 
-            def gated(chunk_id):
-                started.append(chunk_id)
-                if chunk_id:
-                    gate.wait(5)  # holds the single thread on chunk 1
-                return loader(chunk_id)
+        def slow_load(chunk_id):
+            with lock:
+                running[0] += 1
+            pooled.append(_is_pool_thread())
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return loader(chunk_id)
 
-            decoder._load_chunk = gated
-            stream = decoder.iter_intervals()
-            next(stream)  # chunks 0..7 were queued as the prefetch window
-            stream.close()
-            gate.set()
-        assert started in ([0], [0, 1])  # chunks 2..7 never start
-
-    def test_abandoned_decoder_stream_joins_its_own_pool(self, tmp_path):
-        from repro.core.atc import AtcDecoder
-
-        _container(tmp_path / "c")
-        before = threading.active_count()
-        stream = AtcDecoder(tmp_path / "c", workers=2).iter_chunks(3_000)
+        decoder._load_chunk = slow_load
+        stream = decoder.iter_chunks(3_000)
         next(stream)
-        assert threading.active_count() > before  # the prefetch pool is running
+        assert any(pooled)  # the prefetch ran on the pool
         stream.close()
-        assert threading.active_count() <= before
+        assert running[0] == 0
+        assert _outside_pool() <= before
 
 
 def test_only_the_remaining_primitives_are_exported():
     import repro
     import repro.core as core
-    import repro.core.parallel as parallel
 
     assert set(parallel.__all__) == {
         "usable_cpus",

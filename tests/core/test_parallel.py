@@ -20,6 +20,7 @@ from repro.core.atc import (
 )
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig
+from repro.core import parallel
 from repro.core.parallel import OrderedChunkWriter, map_ordered, resolve_workers
 from repro.errors import CodecError, ConfigurationError
 
@@ -85,12 +86,14 @@ class TestOrderedChunkWriter:
                 writer.submit(chunk_id, lambda chunk_id=chunk_id: bytes([chunk_id]))
         assert written == [(chunk_id, bytes([chunk_id])) for chunk_id in range(20)]
 
-    def test_bounded_pending(self):
+    def test_bounded_pending(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)  # a pool on any host
         written = []
-        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2, max_pending=3)
+        writer = OrderedChunkWriter(lambda cid, payload: written.append(cid), workers=2)
+        assert writer.pool is not None
         for chunk_id in range(10):
             writer.submit(chunk_id, lambda chunk_id=chunk_id: bytes([chunk_id]))
-            assert len(writer._pending) <= 3
+            assert len(writer._pending) <= 4  # 2 * workers
         writer.close()
         assert written == list(range(10))
 
@@ -100,7 +103,9 @@ class TestOrderedChunkWriter:
         with pytest.raises(ConfigurationError):
             writer.submit(0, lambda: b"")
 
-    def test_task_error_surfaces_on_close(self):
+    def test_task_error_surfaces_on_close(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)  # a pool on any host
+
         def boom():
             raise RuntimeError("compression failed")
 
@@ -268,9 +273,9 @@ class TestBulkCodecWindow:
     def test_thread_writer_keeps_a_bounded_window(self):
         workers = 2
         state = {"pulled": 0, "written": 0}
-        # The writer holds at most max_pending (2 * workers) chunks in
-        # flight, so the producer can never run further ahead than that
-        # plus the one chunk being submitted.
+        # The writer holds at most 2 * workers chunks in flight, so the
+        # producer can never run further ahead than that plus the one chunk
+        # being submitted.
         window_slack = 2 * workers + 1
 
         def items():

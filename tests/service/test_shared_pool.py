@@ -1,9 +1,10 @@
-"""The service's shared codec pool under concurrent requests.
+"""The service's jobs on the process-wide thread pool under concurrent requests.
 
-With ``workers > 1`` every compress/decompress job of the service runs its
-chunk fan-out on one shared thread pool.  Concurrent lossless and lossy
-requests must come back byte-identical to a ``workers=1`` server, and the
-pool's threads must be gone once the server has shut down.
+With ``workers > 1`` every compress/decompress job of the service fans its
+chunks out on the one thread pool of :mod:`repro.core.parallel`.
+Concurrent lossless and lossy requests must come back byte-identical to a
+``workers=1`` server, chunk loads must run on pool threads only when
+``workers > 1``, and the server must leave no thread of its own behind.
 """
 
 from __future__ import annotations
@@ -13,17 +14,30 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
+from repro.core import parallel
+from repro.core.atc import AtcDecoder
 from repro.service import BackgroundServer, ServiceConfig
 
 #: Small chunk and interval sizes so every request spans several chunks.
 PARAMS = "backend=zlib&interval_length=4000&chunk_buffer_addresses=4000"
-#: Thread-name prefix of the service's codec pool.
-POOL_PREFIX = "repro-serve-codec"
 
 
-def _thread_names():
-    return [thread.name for thread in threading.enumerate()]
+@pytest.fixture
+def chunk_loads(monkeypatch):
+    """Report two usable CPUs, and record for every chunk load whether it
+    ran on a process-pool thread."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    on_pool = []
+    load = AtcDecoder._load_chunk
+
+    def recording_load(decoder, chunk_id):
+        on_pool.append(threading.current_thread().name.startswith(parallel.POOL_THREAD_PREFIX))
+        return load(decoder, chunk_id)
+
+    monkeypatch.setattr(AtcDecoder, "_load_chunk", recording_load)
+    return on_pool
 
 
 def _traces():
@@ -56,7 +70,6 @@ def _serve_all(workers, cache_dir, traces):
     )
     jobs = [(mode, raw) for raw in traces for mode in ("c", "k")]
     with BackgroundServer(config) as running:
-        assert (running.service._executor is None) == (workers == 1)
         with ThreadPoolExecutor(len(jobs)) as clients:
             compressed = list(
                 clients.map(
@@ -65,7 +78,6 @@ def _serve_all(workers, cache_dir, traces):
                 )
             )
             assert all(status == 200 for status, _ in compressed)
-            assert any(name.startswith(POOL_PREFIX) for name in _thread_names()) == (workers > 1)
             containers = [body for _, body in compressed]
             decompressed = list(
                 clients.map(lambda body: _post(running.port, "/v1/decompress", body), containers)
@@ -75,10 +87,14 @@ def _serve_all(workers, cache_dir, traces):
     return jobs, containers, [body for _, body in decompressed]
 
 
-def test_concurrent_requests_on_the_shared_pool_match_one_worker(tmp_path):
+def test_concurrent_requests_on_the_shared_pool_match_one_worker(tmp_path, chunk_loads):
     traces = _traces()
+    before = set(threading.enumerate())
     jobs, inline_containers, inline_decoded = _serve_all(1, tmp_path / "one", traces)
+    assert chunk_loads and not any(chunk_loads)  # one worker: every load inline
+    chunk_loads.clear()
     _, pooled_containers, pooled_decoded = _serve_all(2, tmp_path / "two", traces)
+    assert any(chunk_loads)  # two workers: loads run on the process pool
     assert pooled_containers == inline_containers
     assert pooled_decoded == inline_decoded
     for (mode, raw), decoded in zip(jobs, pooled_decoded):
@@ -86,4 +102,5 @@ def test_concurrent_requests_on_the_shared_pool_match_one_worker(tmp_path):
             assert decoded == raw
         else:
             assert len(decoded) == len(raw)
-    assert not [name for name in _thread_names() if name.startswith(POOL_PREFIX)]
+    left = set(threading.enumerate()) - before
+    assert all(thread.name.startswith(parallel.POOL_THREAD_PREFIX) for thread in left)

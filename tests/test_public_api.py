@@ -13,8 +13,9 @@ import pytest
 import repro
 import repro.cache
 from repro.cache.cache import CacheConfig, SetAssociativeCache
-from repro.core.atc import AtcEncoder
+from repro.core.atc import AtcDecoder, AtcEncoder, atc_open
 from repro.core.kernels import simulate_batch
+from repro.core.parallel import OrderedChunkWriter
 from repro.experiments.spec import FilterSpec
 from repro.traces.synthetic import ReferenceStream, make_reference_stream
 
@@ -82,6 +83,14 @@ class TestPublicApi:
             ("write_fraction", lambda: make_reference_stream(_BLOCKS, write_fraction=0.5)),
             ("format_version", lambda: AtcEncoder(None, format_version=1)),
             ("access_batches", lambda: repro.cache.access_batches),
+            ("suffix", lambda: AtcEncoder(None, suffix="gz")),
+            ("suffix", lambda: atc_open(None, "c", suffix="gz")),
+            ("backend", lambda: AtcDecoder(None, backend="bz2")),
+            ("suffix", lambda: AtcDecoder(None, suffix="bz2")),
+            ("executor", lambda: AtcEncoder(None, executor=None)),
+            ("executor", lambda: AtcDecoder(None, executor=None)),
+            ("executor", lambda: OrderedChunkWriter(print, executor=None)),
+            ("max_pending", lambda: OrderedChunkWriter(print, max_pending=3)),
         ],
         ids=[
             "CacheConfig.policy",
@@ -93,13 +102,23 @@ class TestPublicApi:
             "make_reference_stream.write_fraction",
             "AtcEncoder.format_version",
             "access_batches",
+            "AtcEncoder.suffix",
+            "atc_open.suffix",
+            "AtcDecoder.backend",
+            "AtcDecoder.suffix",
+            "AtcEncoder.executor",
+            "AtcDecoder.executor",
+            "OrderedChunkWriter.executor",
+            "OrderedChunkWriter.max_pending",
         ],
     )
     def test_removed_write_and_policy_settings_fail_loudly(self, removed, call):
         """The cache model is LRU-only and read-only, the encoder writes
-        only format v2, and ``access_lanes`` is the one fused cache entry:
-        an old policy, seed, stamp or write setting, or a removed name,
-        raises, naming itself, instead of being silently ignored."""
+        only format v2, ``access_lanes`` is the one fused cache entry, a
+        container's suffix is always its canonical back-end name, and every
+        fan-out runs on the one process pool: an old policy, seed, stamp,
+        write, suffix, back-end or pool setting, or a removed name, raises,
+        naming itself, instead of being silently ignored."""
         with pytest.raises((TypeError, AttributeError), match=removed):
             call()
 
