@@ -269,8 +269,8 @@ class AtcDecoder:
     """Decoder for ATC container directories (lossy or lossless).
 
     Args:
-        directory: Container directory to read; its back-end is detected
-            from the chunk-file suffix and the INFO metadata.
+        directory: Container directory to read; its back-end is the one
+            its ``INFO.<name>`` file suffix names.
         workers: Chunk parallelism of the decode: with more than one,
             chunks are read and decompressed on the process-wide thread
             pool (up to ``2 * workers`` ahead while iterating); ``1`` is
@@ -291,16 +291,8 @@ class AtcDecoder:
         workers: int = 1,
         cache_chunks: int = DEFAULT_CACHE_CHUNKS,
     ) -> None:
-        # The chunk-file suffix names the back-end on disk (INFO.bz2,
-        # INFO.zlib, ...), so the back-end is detected from it.
-        detected_suffix = AtcContainer.detect_suffix(directory)
-        probe = AtcContainer(directory, backend=detected_suffix or "bz2", suffix=detected_suffix)
-        metadata, records = probe.read_info()
-        stored_backend = metadata.get("backend", "bz2")
-        if stored_backend != probe.backend.name:
-            probe = AtcContainer(directory, backend=stored_backend, suffix=detected_suffix)
-            metadata, records = probe.read_info()
-        self.container = probe
+        self.container = AtcContainer.open(directory)
+        metadata, records = self.container.read_info()
         self.metadata = metadata
         self.records = records
         self._chunk_codec = LosslessCodec(
@@ -338,7 +330,7 @@ class AtcDecoder:
         try:
             decoded = self._chunk_codec.decompress(payload, self._chunk_lengths.get(chunk_id))
         except CodecError as exc:
-            target = container.path / f"{chunk_id + 1}.{container.suffix}"
+            target = container.chunk_path(chunk_id)
             raise IntegrityError(
                 f"{target}: chunk {chunk_id + 1} is corrupt: {exc}",
                 path=target,

@@ -57,7 +57,6 @@ from repro.errors import CodecError, ConfigurationError
 __all__ = [
     "CompressionBackend",
     "get_backend",
-    "canonical_backend_name",
     "available_backends",
     "backend_aliases",
     "register_backend",
@@ -253,23 +252,6 @@ def available_backends() -> tuple:
 def backend_aliases() -> Dict[str, str]:
     """Return the ``{alias: canonical_name}`` mapping, sorted by alias."""
     return dict(sorted(_ALIASES.items()))
-
-
-def canonical_backend_name(name: str) -> str:
-    """Resolve a back-end name or alias to its canonical (on-disk) name.
-
-    The chunk-file suffix of a container *is* a canonical back-end name
-    (``INFO.bz2``, ``INFO.zlib``, ...), so tools that open existing
-    containers (``repro fsck``, the decoder probe) use this to turn a
-    detected suffix back into a back-end.
-
-    Example:
-        >>> canonical_backend_name("gz")
-        'zlib'
-        >>> canonical_backend_name("bz2")
-        'bz2'
-    """
-    return get_backend(name).name
 
 
 def get_backend(name_or_backend) -> CompressionBackend:

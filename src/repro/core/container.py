@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.backend import CompressionBackend, get_backend
 from repro.core.integrity import FOOTER_BYTES, footer_digest, parse_chunk_digests, verify_chunk_payload
 from repro.core.intervals import IntervalRecord, chunk_lengths
-from repro.errors import CodecError, ContainerError, IntegrityError
+from repro.errors import CodecError, ConfigurationError, ContainerError, IntegrityError
 
 __all__ = [
     "FORMAT_VERSION",
@@ -162,22 +162,23 @@ def _check_metadata(metadata: Dict, version: int, target: Path) -> None:
 class AtcContainer:
     """Reader/writer for the on-disk chunk-directory format.
 
+    Every file suffix is the back-end's canonical name, like the paper's
+    ``1.bz2``; :meth:`open` resolves an existing container's back-end from
+    its ``INFO.<name>`` stream.
+
     Args:
         path: Directory that holds (or will hold) the compressed trace.
         backend: Byte-level back-end used for the INFO stream; chunk payloads
             are written verbatim (they are already compressed by the chunk
             codec), the back-end name only determines the file suffix.
-        suffix: File suffix for chunk files (defaults to the back-end name,
-            like the paper's ``1.bz2``).
         create: Create the directory (must not already contain a container).
     """
 
     INFO_BASENAME = "INFO"
 
-    def __init__(self, path, backend="bz2", suffix: Optional[str] = None, create: bool = False) -> None:
+    def __init__(self, path, backend="bz2", create: bool = False) -> None:
         self.path = Path(path)
         self.backend: CompressionBackend = get_backend(backend)
-        self.suffix = suffix if suffix is not None else self.backend.name
         if create:
             self.path.mkdir(parents=True, exist_ok=True)
             if self._info_path().exists():
@@ -188,8 +189,29 @@ class AtcContainer:
             )
 
     @classmethod
+    def open(cls, path) -> "AtcContainer":
+        """Open an existing container on the back-end its ``INFO.<name>`` names.
+
+        Raises:
+            ContainerError: ``path`` holds no INFO stream, or its suffix is
+                not a back-end's canonical name.
+        """
+        name = cls.detect_suffix(path)
+        if name is None:
+            raise ContainerError(f"{path} is not an ATC container (no INFO.<backend> stream)")
+        try:
+            canonical = get_backend(name).name
+        except ConfigurationError:
+            canonical = None
+        if canonical != name:
+            raise ContainerError(
+                f"{path} is not an ATC container (INFO.{name} names no back-end)"
+            )
+        return cls(path, backend=name)
+
+    @classmethod
     def detect_suffix(cls, path) -> Optional[str]:
-        """Return the chunk-file suffix of an existing container, if any.
+        """Return the file suffix of an existing container's INFO stream, if any.
 
         Looks for the ``INFO.<suffix>`` stream; returns ``None`` when the
         directory does not contain one (not a container, or not written yet).
@@ -203,11 +225,16 @@ class AtcContainer:
         return None
 
     # -- paths --------------------------------------------------------------------------
+    @property
+    def suffix(self) -> str:
+        """The suffix of every file in the container: the back-end's canonical name."""
+        return self.backend.name
+
     def _info_path(self) -> Path:
         return self.path / f"{self.INFO_BASENAME}.{self.suffix}"
 
-    def _chunk_path(self, chunk_id: int) -> Path:
-        # Chunk files are 1-indexed on disk, like the paper's foobar/1.bz2.
+    def chunk_path(self, chunk_id: int) -> Path:
+        """The file of chunk ``chunk_id``: 1-indexed, like the paper's ``foobar/1.bz2``."""
         return self.path / f"{chunk_id + 1}.{self.suffix}"
 
     # -- chunks --------------------------------------------------------------------------
@@ -215,7 +242,7 @@ class AtcContainer:
         """Write one chunk payload; returns the file path."""
         if chunk_id < 0:
             raise ContainerError("chunk ids must be non-negative")
-        target = self._chunk_path(chunk_id)
+        target = self.chunk_path(chunk_id)
         target.write_bytes(payload)
         return target
 
@@ -227,7 +254,7 @@ class AtcContainer:
         so corruption raises :class:`~repro.errors.IntegrityError` instead
         of surfacing as a codec failure — or worse, decoding silently.
         """
-        target = self._chunk_path(chunk_id)
+        target = self.chunk_path(chunk_id)
         if not target.exists():
             raise ContainerError(f"missing chunk file {target}")
         try:

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List
 
-from repro.core.backend import canonical_backend_name
 from repro.core.container import AtcContainer
 from repro.core.integrity import ENTRY_DIGEST_KEY, chunk_digest, parse_chunk_digests
 from repro.core.intervals import chunk_lengths
 from repro.core.lossless import LosslessCodec
-from repro.errors import CodecError, ContainerError, IntegrityError, ReproError
+from repro.errors import CodecError, ContainerError, IntegrityError
 
 __all__ = [
     "ChunkStatus",
@@ -198,22 +197,6 @@ class RepairReport:
         }
 
 
-def _open_container(path: Path) -> AtcContainer:
-    """Open an existing container, detecting its suffix/back-end.
-
-    Raises :class:`ContainerError` (exit code 2 territory) when the path
-    is not a container directory at all.
-    """
-    suffix = AtcContainer.detect_suffix(path)
-    if suffix is None:
-        raise ContainerError(f"{path} is not an ATC container (no INFO.<backend> stream)")
-    try:
-        backend = canonical_backend_name(suffix)
-    except ReproError:
-        backend = "bz2"
-    return AtcContainer(path, backend=backend, suffix=suffix)
-
-
 def scrub_container(path) -> ContainerScrub:
     """Verify one container end to end without decoding it.
 
@@ -225,7 +208,7 @@ def scrub_container(path) -> ContainerScrub:
     path that is not a container at all raises :class:`ContainerError`.
     """
     path = Path(path)
-    container = _open_container(path)
+    container = AtcContainer.open(path)
     scrub = ContainerScrub(path=str(path))
     try:
         metadata, records = container.read_info()
@@ -250,8 +233,8 @@ def scrub_container(path) -> ContainerScrub:
         | set(digests)
     )
     for chunk_id in referenced:
-        file_name = f"{chunk_id + 1}.{container.suffix}"
-        target = path / file_name
+        target = container.chunk_path(chunk_id)
+        file_name = target.name
         if not target.exists():
             scrub.chunks.append(ChunkStatus(chunk_id, file_name, "missing"))
             continue
@@ -312,7 +295,7 @@ def repair_container(source, destination) -> RepairReport:
             f"{source}: INFO stream is damaged ({scrub.info_detail}); nothing can be salvaged",
             path=source,
         )
-    container = _open_container(source)
+    container = AtcContainer.open(source)
     metadata, records = container.read_info()
     good = {chunk.chunk_id for chunk in scrub.chunks if chunk.ok}
     bad = sorted({chunk.chunk_id for chunk in scrub.chunks if not chunk.ok})
@@ -324,9 +307,7 @@ def repair_container(source, destination) -> RepairReport:
         kept.append(record)
     salvaged_addresses = sum(record.length for record in kept)
 
-    out = AtcContainer(
-        destination, backend=container.backend.name, suffix=container.suffix, create=True
-    )
+    out = AtcContainer(destination, backend=container.backend, create=True)
     digests: Dict[int, str] = {}
     for chunk_id in sorted(good):
         payload = container.read_chunk(chunk_id)
@@ -393,6 +374,18 @@ def scrub_store(path) -> StoreScrub:
     return scrub
 
 
+def _scrub_member(path: Path) -> ContainerScrub:
+    """Scrub one container of a store or cache root.
+
+    A member whose ``INFO.<name>`` names no back-end cannot be opened; it
+    is reported as a damaged container instead of aborting the whole scrub.
+    """
+    try:
+        return scrub_container(path)
+    except ContainerError as exc:
+        return ContainerScrub(path=str(path), info_status="malformed", info_detail=str(exc))
+
+
 def scrub_cache_root(path) -> ScrubReport:
     """Scrub a service ``ContainerCache`` root (``index/`` + ``containers/``)."""
     path = Path(path)
@@ -404,7 +397,7 @@ def scrub_cache_root(path) -> ScrubReport:
     if containers.is_dir():
         for entry in sorted(containers.iterdir()):
             if entry.is_dir() and AtcContainer.detect_suffix(entry) is not None:
-                report.containers.append(scrub_container(entry))
+                report.containers.append(_scrub_member(entry))
     return report
 
 
@@ -437,7 +430,7 @@ def scrub_path(path) -> ScrubReport:
         if json_entries:
             report.stores.append(scrub_store(path))
         for entry in sub_containers:
-            report.containers.append(scrub_container(entry))
+            report.containers.append(_scrub_member(entry))
         return report
     raise ContainerError(
         f"{path} is not an ATC container, result store or cache directory"

@@ -252,7 +252,8 @@ class CodecSpec:
         label: Column label in reports; defaults to the kind (or
             ``kind@backend`` for non-default back-ends).
         backend: Byte-level back-end name (``bz2``, ``zlib``/``gz``,
-            ``lzma``/``xz``, ``store``).
+            ``lzma``/``xz``, ``store``); ``vpc`` takes ``bz2`` only, the
+            paper's TCgen second stage.
         buffer_addresses: Bytesort buffer for ``unshuffle``/``lossless``/
             ``lossy`` chunks; ``None`` inherits ``scale.small_buffer``.
         interval_length: Lossy interval length; ``None`` inherits the scale.
@@ -279,7 +280,12 @@ class CodecSpec:
             raise ConfigurationError(
                 f"unknown codec kind {self.kind!r}; known kinds: {', '.join(CODEC_KINDS)}"
             )
-        get_backend(self.backend)  # fail at spec-load time on bad names
+        backend = get_backend(self.backend)  # fail at spec-load time on bad names
+        if self.kind == "vpc" and backend.name != "bz2":
+            raise ConfigurationError(
+                f"codec kind 'vpc' compresses with bz2 only (the paper's TCgen "
+                f"second stage), not {self.backend!r}"
+            )
         if self.buffer_addresses is not None and self.buffer_addresses <= 0:
             raise ConfigurationError("codec buffer_addresses must be positive")
         if self.interval_length is not None and self.interval_length <= 0:
@@ -334,7 +340,7 @@ class CodecSpec:
         are excluded.
         """
         params: Dict = {"kind": self.kind}
-        if self.kind != "vpc":  # the VPC codec has no byte-level back-end
+        if self.kind != "vpc":  # a vpc cell is always bz2 (see __post_init__)
             # Canonical name, so alias spellings ("gz" vs "zlib", "xz" vs
             # "lzma") of the same back-end share cache entries.
             params["backend"] = get_backend(self.backend).name

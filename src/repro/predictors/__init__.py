@@ -1,36 +1,14 @@
-"""Predictor substrate: VPC/TCgen-style baseline and the C/DC predictor."""
+"""Predictor substrate: the VPC/TCgen-style baseline and the C/DC predictor."""
 
 from repro.predictors.cdc import CdcConfig, CdcPredictor, PredictionBreakdown, simulate_cdc
-from repro.predictors.value import (
-    DifferentialFiniteContextPredictor,
-    FiniteContextPredictor,
-    LastValuePredictor,
-    Predictor,
-    StridePredictor,
-    default_tcgen_predictors,
-    make_predictor,
-)
-from repro.predictors.vpc import (
-    DEFAULT_PREDICTOR_SPECS,
-    VpcCodec,
-    VpcStats,
-    vpc_compress,
-    vpc_decompress,
-)
+from repro.predictors.value import DifferentialFiniteContextPredictor, FiniteContextPredictor
+from repro.predictors.vpc import VpcCodec, VpcStats
 
 __all__ = [
-    "Predictor",
-    "LastValuePredictor",
-    "StridePredictor",
     "FiniteContextPredictor",
     "DifferentialFiniteContextPredictor",
-    "make_predictor",
-    "default_tcgen_predictors",
     "VpcCodec",
     "VpcStats",
-    "vpc_compress",
-    "vpc_decompress",
-    "DEFAULT_PREDICTOR_SPECS",
     "CdcConfig",
     "CdcPredictor",
     "PredictionBreakdown",

@@ -1,4 +1,4 @@
-"""Value predictors used by the VPC/TCgen-style baseline compressor.
+"""Value predictors of the VPC/TCgen-style baseline compressor.
 
 The TCgen specification used in the paper's Table 1 is::
 
@@ -6,117 +6,48 @@ The TCgen specification used in the paper's Table 1 is::
 
 i.e. a differential finite-context-method predictor of order 3 and
 finite-context-method predictors of orders 3, 2 and 1, each with a small
-number of candidate values per context.  This module implements those
-predictor families plus the simpler last-value and stride predictors so the
-baseline compressor (:mod:`repro.predictors.vpc`) can be configured like the
-paper's TCgen compressor, and so that the ablation benches can explore other
-mixes.
+number of candidate values per context.  One context table serves all four:
+:class:`FiniteContextPredictor` is the FCM, and
+:class:`DifferentialFiniteContextPredictor` runs one over the stream of
+deltas between consecutive values.
 
-Every predictor has the same tiny interface:
+Both predictors have the same tiny interface:
 
 * ``predictions() -> tuple`` — the candidate values for the next input, most
   confident first (may be empty before warm-up);
 * ``update(value)`` — observe the actual value.
 
-Predictors must be *deterministic* and must evolve identically during
-compression and decompression — that is the Shannon-1951 construction the
-VPC family is built on (see Section 3 of the paper).
+Predictors are *deterministic* and evolve identically during compression
+and decompression — that is the Shannon-1951 construction the VPC family is
+built on (see Section 3 of the paper).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = [
-    "Predictor",
-    "LastValuePredictor",
-    "StridePredictor",
-    "FiniteContextPredictor",
-    "DifferentialFiniteContextPredictor",
-    "make_predictor",
-    "default_tcgen_predictors",
-]
+__all__ = ["FiniteContextPredictor", "DifferentialFiniteContextPredictor"]
 
 _MASK64 = (1 << 64) - 1
 
 
-class Predictor:
-    """Interface shared by all value predictors."""
-
-    #: Short identifier used in compressor configuration strings.
-    name = "base"
-
-    def predictions(self) -> Tuple[int, ...]:
-        """Candidate next values, most confident first (may be empty)."""
-        raise NotImplementedError
-
-    def update(self, value: int) -> None:
-        """Observe the actual next value."""
-        raise NotImplementedError
-
-
-class LastValuePredictor(Predictor):
-    """Predicts that the next value equals the last ``depth`` values seen.
-
-    Example:
-        >>> predictor = LastValuePredictor(depth=1)
-        >>> predictor.update(42)
-        >>> predictor.predictions()
-        (42,)
-    """
-
-    name = "LV"
-
-    def __init__(self, depth: int = 1) -> None:
-        if depth < 1:
-            raise ConfigurationError("depth must be >= 1")
-        self.depth = depth
-        self._history: List[int] = []
-
-    def predictions(self) -> Tuple[int, ...]:
-        return tuple(self._history)
-
-    def update(self, value: int) -> None:
-        value &= _MASK64
-        if value in self._history:
-            self._history.remove(value)
-        self._history.insert(0, value)
-        del self._history[self.depth :]
-
-
-class StridePredictor(Predictor):
-    """Predicts ``last + stride`` where stride is the last observed delta."""
-
-    name = "ST"
-
-    def __init__(self) -> None:
-        self._last = None
-        self._stride = 0
-
-    def predictions(self) -> Tuple[int, ...]:
-        if self._last is None:
-            return ()
-        return ((self._last + self._stride) & _MASK64,)
-
-    def update(self, value: int) -> None:
-        value &= _MASK64
-        if self._last is not None:
-            self._stride = (value - self._last) & _MASK64
-        self._last = value
-
-
-class FiniteContextPredictor(Predictor):
+class FiniteContextPredictor:
     """FCM(order): hash the last ``order`` values, remember recent successors.
 
     Each context keeps the ``depth`` most recently seen successor values
     (most recent first), the classic FCM[depth] arrangement of VPC/TCgen.
     ``table_bits`` bounds the context table like the hardware-style hash
     tables TCgen generates.
-    """
 
-    name = "FCM"
+    Example:
+        >>> predictor = FiniteContextPredictor(order=1, depth=2)
+        >>> for value in (5, 10, 5, 20, 5):
+        ...     predictor.update(value)
+        >>> predictor.predictions()
+        (20, 10)
+    """
 
     def __init__(self, order: int, depth: int = 3, table_bits: int = 16) -> None:
         if order < 1:
@@ -128,121 +59,53 @@ class FiniteContextPredictor(Predictor):
         self._table_size = 1 << table_bits
         self._table: Dict[int, List[int]] = {}
         self._history: List[int] = []
-
-    @property
-    def name_with_order(self) -> str:
-        return f"{self.name}{self.order}[{self.depth}]"
-
-    def _context(self) -> int:
-        key = 0
-        for value in self._history:
-            key = (key * 0x9E3779B97F4A7C15 + value) & _MASK64
-        return key % self._table_size
+        # Table row of the last ``order`` values; None before warm-up.
+        self._row: Optional[int] = None
 
     def predictions(self) -> Tuple[int, ...]:
-        if len(self._history) < self.order:
+        if self._row is None:
             return ()
-        return tuple(self._table.get(self._context(), ()))
+        return tuple(self._table.get(self._row, ()))
 
     def update(self, value: int) -> None:
         value &= _MASK64
-        if len(self._history) >= self.order:
-            context = self._context()
-            successors = self._table.setdefault(context, [])
+        if self._row is not None:
+            successors = self._table.setdefault(self._row, [])
             if value in successors:
                 successors.remove(value)
             successors.insert(0, value)
             del successors[self.depth :]
-        self._history.append(value)
-        del self._history[: -self.order]
+        history = self._history
+        history.append(value)
+        del history[: -self.order]
+        if len(history) == self.order:
+            key = 0
+            for past in history:
+                key = (key * 0x9E3779B97F4A7C15 + past) & _MASK64
+            self._row = key % self._table_size
 
 
-class DifferentialFiniteContextPredictor(Predictor):
-    """DFCM(order): FCM over value *deltas*, prediction is ``last + delta``."""
+class DifferentialFiniteContextPredictor:
+    """DFCM(order): an FCM over value *deltas*, prediction is ``last + delta``.
 
-    name = "DFCM"
+    Example:
+        >>> predictor = DifferentialFiniteContextPredictor(order=2, depth=1)
+        >>> for value in (0, 8, 16, 24):
+        ...     predictor.update(value)
+        >>> predictor.predictions()
+        (32,)
+    """
 
     def __init__(self, order: int, depth: int = 2, table_bits: int = 16) -> None:
-        if order < 1:
-            raise ConfigurationError("order must be >= 1")
-        if depth < 1:
-            raise ConfigurationError("depth must be >= 1")
-        self.order = order
-        self.depth = depth
-        self._table_size = 1 << table_bits
-        self._table: Dict[int, List[int]] = {}
-        self._delta_history: List[int] = []
-        self._last = None
-
-    @property
-    def name_with_order(self) -> str:
-        return f"{self.name}{self.order}[{self.depth}]"
-
-    def _context(self) -> int:
-        key = 0
-        for delta in self._delta_history:
-            key = (key * 0x9E3779B97F4A7C15 + delta) & _MASK64
-        return key % self._table_size
+        self._deltas = FiniteContextPredictor(order, depth, table_bits)
+        self._last: Optional[int] = None
 
     def predictions(self) -> Tuple[int, ...]:
-        if self._last is None or len(self._delta_history) < self.order:
-            return ()
-        deltas = self._table.get(self._context(), ())
-        return tuple((self._last + delta) & _MASK64 for delta in deltas)
+        last = self._last
+        return tuple((last + delta) & _MASK64 for delta in self._deltas.predictions())
 
     def update(self, value: int) -> None:
         value &= _MASK64
         if self._last is not None:
-            delta = (value - self._last) & _MASK64
-            if len(self._delta_history) >= self.order:
-                context = self._context()
-                successors = self._table.setdefault(context, [])
-                if delta in successors:
-                    successors.remove(delta)
-                successors.insert(0, delta)
-                del successors[self.depth :]
-            self._delta_history.append(delta)
-            del self._delta_history[: -self.order]
+            self._deltas.update(value - self._last)
         self._last = value
-
-
-def make_predictor(spec: str) -> Predictor:
-    """Build a predictor from a TCgen-style specification string.
-
-    Supported forms (case-insensitive): ``"LV"``, ``"LV2"``, ``"ST"``,
-    ``"FCM3[3]"``, ``"DFCM3[2]"``.  The number right after FCM/DFCM is the
-    context order, the bracketed number is the per-context depth.
-    """
-    text = spec.strip().upper()
-    if text.startswith("DFCM"):
-        order, depth = _parse_order_depth(text[len("DFCM") :], default_depth=2)
-        return DifferentialFiniteContextPredictor(order=order, depth=depth)
-    if text.startswith("FCM"):
-        order, depth = _parse_order_depth(text[len("FCM") :], default_depth=3)
-        return FiniteContextPredictor(order=order, depth=depth)
-    if text.startswith("LV"):
-        remainder = text[len("LV") :]
-        depth = int(remainder) if remainder else 1
-        return LastValuePredictor(depth=depth)
-    if text == "ST":
-        return StridePredictor()
-    raise ConfigurationError(f"unknown predictor specification {spec!r}")
-
-
-def _parse_order_depth(text: str, default_depth: int) -> Tuple[int, int]:
-    if "[" in text:
-        order_text, depth_text = text.split("[", 1)
-        depth = int(depth_text.rstrip("]"))
-    else:
-        order_text, depth = text, default_depth
-    if not order_text:
-        raise ConfigurationError("FCM/DFCM specifications need an order, e.g. FCM3[3]")
-    return int(order_text), depth
-
-
-def default_tcgen_predictors() -> List[Predictor]:
-    """The predictor bank of the paper's TCgen specification.
-
-    ``DFCM3[2], FCM3[3], FCM2[3], FCM1[3]`` — see Section 4.2.
-    """
-    return [make_predictor(spec) for spec in ("DFCM3[2]", "FCM3[3]", "FCM2[3]", "FCM1[3]")]

@@ -3,43 +3,57 @@
 The paper compares bytesort against "a VPC-like compressor/decompressor
 generated with TCgen" configured as ``DFCM3[2], FCM3[3], FCM2[3], FCM1[3]``
 with bzip2 as the second-stage compressor (Section 4.2).  This module
-implements that comparator from scratch:
+implements exactly that comparator from scratch:
 
-* A bank of value predictors (see :mod:`repro.predictors.value`) runs in
+* The four value predictors (see :mod:`repro.predictors.value`) run in
   lock step in the compressor and the decompressor (Shannon's 1951 paired
   predictor construction, which the VPC papers build on).
 * For each 64-bit address, the compressor checks the flattened list of
   predictor candidates: if one matches, it emits a single *code byte* (the
   index of the matching candidate); otherwise it emits an escape code byte
   and appends the 8 literal bytes of the address to a second stream.
-* Both streams are compressed with a byte-level back-end (bzip2 by
-  default), mirroring TCgen's two-stage design.
+* Both streams are compressed with bzip2, mirroring TCgen's two-stage
+  design.
 
-The file format is self-describing (magic, predictor specification, record
-count, stream lengths), so :func:`vpc_decompress` needs no side channel.
+The stream header holds the magic, the predictor bank in TCgen notation,
+the record count and the two stream lengths.  The decoder refuses a stream
+that names any other bank.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Union
 
 import numpy as np
 
 from repro.core.backend import get_backend
 from repro.errors import CodecError
-from repro.predictors.value import Predictor, make_predictor
+from repro.predictors.value import DifferentialFiniteContextPredictor, FiniteContextPredictor
 from repro.traces.trace import as_address_array
 
-__all__ = ["VpcCodec", "VpcStats", "vpc_compress", "vpc_decompress", "DEFAULT_PREDICTOR_SPECS"]
+__all__ = ["VpcCodec", "VpcStats"]
 
 _MAGIC = b"VPCR"
 _ESCAPE = 0xFF
-_HEADER = struct.Struct("<4sB B Q I I")  # magic, version, n_specs, count, len(codes), len(literals)
+_HEADER = struct.Struct("<4sB B Q I I")  # magic, version, len(specs), count, len(codes), len(literals)
 
-#: The paper's TCgen predictor configuration.
-DEFAULT_PREDICTOR_SPECS: Tuple[str, ...] = ("DFCM3[2]", "FCM3[3]", "FCM2[3]", "FCM1[3]")
+_Predictor = Union[DifferentialFiniteContextPredictor, FiniteContextPredictor]
+
+
+def _tcgen_bank() -> List[_Predictor]:
+    """The paper's TCgen bank: ``DFCM3[2], FCM3[3], FCM2[3], FCM1[3]``."""
+    return [
+        DifferentialFiniteContextPredictor(order=3, depth=2),
+        FiniteContextPredictor(order=3, depth=3),
+        FiniteContextPredictor(order=2, depth=3),
+        FiniteContextPredictor(order=1, depth=3),
+    ]
+
+
+#: The bank of :func:`_tcgen_bank` as the stream header names it.
+_SPEC_BLOB = b"DFCM3[2];FCM3[3];FCM2[3];FCM1[3]"
 
 
 @dataclass
@@ -56,80 +70,67 @@ class VpcStats:
         return self.predicted / self.total if self.total else 0.0
 
 
-class VpcCodec:
-    """Predictor-based lossless codec for 64-bit address traces.
+def _candidates(bank: List[_Predictor]) -> List[int]:
+    flattened: List[int] = []
+    for predictor in bank:
+        flattened.extend(predictor.predictions())
+    return flattened
 
-    Args:
-        predictor_specs: TCgen-style predictor specification strings; the
-            default is the paper's configuration.
-        backend: Byte-level compressor name or instance for the second stage.
+
+class VpcCodec:
+    """The TCgen-style comparator of Table 1, for 64-bit address traces.
+
+    Example:
+        >>> codec = VpcCodec()
+        >>> payload = codec.compress([8, 16, 24, 32, 40, 48])
+        >>> codec.decompress(payload).tolist()
+        [8, 16, 24, 32, 40, 48]
     """
 
-    def __init__(
-        self,
-        predictor_specs: Sequence[str] = DEFAULT_PREDICTOR_SPECS,
-        backend="bz2",
-    ) -> None:
-        self.predictor_specs = tuple(predictor_specs)
-        if not self.predictor_specs:
-            raise CodecError("the VPC codec needs at least one predictor")
-        self.backend = get_backend(backend)
+    def __init__(self) -> None:
         self.stats = VpcStats()
-        # Validate the specification eagerly so errors surface at build time.
-        self._build_predictors()
-        max_candidates = sum(
-            getattr(p, "depth", 1) if not hasattr(p, "order") else p.depth
-            for p in self._build_predictors()
-        )
-        if max_candidates >= _ESCAPE:
-            raise CodecError("too many predictor candidates for single-byte codes")
-
-    # -- construction helpers --------------------------------------------------------
-    def _build_predictors(self) -> List[Predictor]:
-        return [make_predictor(spec) for spec in self.predictor_specs]
-
-    @staticmethod
-    def _candidates(predictors: List[Predictor]) -> List[int]:
-        flattened: List[int] = []
-        for predictor in predictors:
-            flattened.extend(predictor.predictions())
-        return flattened
 
     # -- compression -------------------------------------------------------------------
     def compress(self, addresses) -> bytes:
         """Compress an address sequence into a self-describing byte string."""
         values = as_address_array(addresses)
-        predictors = self._build_predictors()
+        bank = _tcgen_bank()
         codes = bytearray()
         literals = bytearray()
         self.stats = VpcStats()
         for value in values.tolist():
-            candidates = self._candidates(predictors)
+            candidates = _candidates(bank)
             try:
                 code = candidates.index(value)
             except ValueError:
                 code = -1
             self.stats.total += 1
-            if 0 <= code < _ESCAPE:
+            if code >= 0:
                 codes.append(code)
                 self.stats.predicted += 1
             else:
                 codes.append(_ESCAPE)
                 literals.extend(struct.pack("<Q", value))
                 self.stats.escaped += 1
-            for predictor in predictors:
+            for predictor in bank:
                 predictor.update(value)
-        packed_codes = self.backend.compress(bytes(codes))
-        packed_literals = self.backend.compress(bytes(literals))
-        spec_blob = ";".join(self.predictor_specs).encode("ascii")
+        backend = get_backend("bz2")
+        packed_codes = backend.compress(bytes(codes))
+        packed_literals = backend.compress(bytes(literals))
         header = _HEADER.pack(
-            _MAGIC, 1, len(spec_blob), int(values.size), len(packed_codes), len(packed_literals)
+            _MAGIC, 1, len(_SPEC_BLOB), int(values.size), len(packed_codes), len(packed_literals)
         )
-        return header + spec_blob + packed_codes + packed_literals
+        return header + _SPEC_BLOB + packed_codes + packed_literals
 
     # -- decompression -------------------------------------------------------------------
     def decompress(self, payload: bytes) -> np.ndarray:
-        """Decompress a byte string produced by :meth:`compress`."""
+        """Decompress a byte string produced by :meth:`compress`.
+
+        Decoding is bounded by the header's record count: the codes stream
+        may inflate to at most ``count`` bytes, and the literals to exactly
+        8 bytes per escape code.  The count itself is the stream's word, so
+        it bounds the work only as far as the header can be trusted.
+        """
         if len(payload) < _HEADER.size:
             raise CodecError("truncated VPC stream: missing header")
         magic, version, spec_length, count, codes_length, literals_length = _HEADER.unpack(
@@ -141,44 +142,35 @@ class VpcCodec:
             raise CodecError(f"unsupported VPC stream version {version}")
         offset = _HEADER.size
         spec_blob = payload[offset : offset + spec_length]
+        if spec_blob != _SPEC_BLOB:
+            raise CodecError(
+                f"VPC stream names predictor bank {spec_blob[:64]!r}; only "
+                f"{_SPEC_BLOB.decode()} is supported"
+            )
         offset += spec_length
-        specs = tuple(spec_blob.decode("ascii").split(";")) if spec_blob else ()
-        if specs != self.predictor_specs:
-            # The stream carries its own predictor configuration; honour it.
-            predictors = [make_predictor(spec) for spec in specs]
-        else:
-            predictors = self._build_predictors()
-        packed_codes = payload[offset : offset + codes_length]
-        offset += codes_length
-        packed_literals = payload[offset : offset + literals_length]
-        codes = self.backend.decompress(packed_codes)
-        literals = self.backend.decompress(packed_literals)
+        if len(payload) != offset + codes_length + literals_length:
+            raise CodecError("VPC stream is corrupt: its length disagrees with its header")
+        backend = get_backend("bz2")
+        codes = backend.decompress_at_most(payload[offset : offset + codes_length], count)
         if len(codes) != count:
             raise CodecError("VPC stream is corrupt: code count mismatch")
+        literal_bytes = 8 * codes.count(_ESCAPE)
+        literals = backend.decompress_at_most(payload[offset + codes_length :], literal_bytes)
+        if len(literals) != literal_bytes:
+            raise CodecError("VPC stream is corrupt: literal bytes disagree with the escape codes")
+        bank = _tcgen_bank()
         values = np.empty(count, dtype=np.uint64)
         literal_offset = 0
         for index, code in enumerate(codes):
             if code == _ESCAPE:
-                if literal_offset + 8 > len(literals):
-                    raise CodecError("VPC stream is corrupt: missing literal bytes")
                 (value,) = struct.unpack_from("<Q", literals, literal_offset)
                 literal_offset += 8
             else:
-                candidates = self._candidates(predictors)
+                candidates = _candidates(bank)
                 if code >= len(candidates):
                     raise CodecError("VPC stream is corrupt: predictor code out of range")
                 value = candidates[code]
             values[index] = value
-            for predictor in predictors:
-                predictor.update(int(value))
+            for predictor in bank:
+                predictor.update(value)
         return values
-
-
-def vpc_compress(addresses, predictor_specs=DEFAULT_PREDICTOR_SPECS, backend="bz2") -> bytes:
-    """One-shot VPC compression (convenience wrapper around :class:`VpcCodec`)."""
-    return VpcCodec(predictor_specs, backend).compress(addresses)
-
-
-def vpc_decompress(payload: bytes, backend="bz2") -> np.ndarray:
-    """One-shot VPC decompression."""
-    return VpcCodec(backend=backend).decompress(payload)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from repro.errors import TraceFormatError
+from repro.errors import ContainerError, TraceFormatError
 from repro.traces.formats.base import TraceRecords, detect_format, get_format
 from repro.traces.formats.sidecar import (
     SidecarReader,
@@ -42,7 +42,11 @@ def is_atc_container(path) -> bool:
     """True when ``path`` is an existing ATC container directory."""
     from repro.core.container import AtcContainer
 
-    return os.path.isdir(os.fspath(path)) and AtcContainer.detect_suffix(path) is not None
+    try:
+        AtcContainer.open(path)
+    except ContainerError:
+        return False
+    return True
 
 
 def resolve_format(path, name: Optional[str] = None):

@@ -146,3 +146,33 @@ class TestAtcContainer:
         reopened = AtcContainer(tmp_path / "trace", backend="zlib")
         metadata, _ = reopened.read_info()
         assert metadata["mode"] == "lossless"
+
+    @pytest.mark.parametrize("backend", ["gz", "xz", "bz2", "store"])
+    def test_open_resolves_the_backend_from_the_info_suffix(self, tmp_path, backend):
+        from repro.traces.formats import is_atc_container
+
+        written = AtcContainer(tmp_path / "trace", backend=backend, create=True)
+        written.write_chunk(0, b"payload")
+        written.write_info({"mode": "lossless"}, [])
+        opened = AtcContainer.open(tmp_path / "trace")
+        assert opened.backend is written.backend
+        assert opened.chunk_path(0).name == f"1.{written.backend.name}"
+        assert opened.read_info()[0]["mode"] == "lossless"
+        assert is_atc_container(tmp_path / "trace")
+
+    @pytest.mark.parametrize("suffix", ["gz", "xz", "foo", "bz2.bak"])
+    def test_open_refuses_a_suffix_that_is_no_canonical_backend(self, tmp_path, suffix):
+        from repro.traces.formats import is_atc_container
+
+        container = AtcContainer(tmp_path / "trace", backend="bz2", create=True)
+        container.write_info({"mode": "lossless"}, [])
+        (tmp_path / "trace" / "INFO.bz2").rename(tmp_path / "trace" / f"INFO.{suffix}")
+        with pytest.raises(ContainerError, match=rf"not an ATC container \(INFO\.{suffix}"):
+            AtcContainer.open(tmp_path / "trace")
+        assert not is_atc_container(tmp_path / "trace")
+
+    def test_open_refuses_a_directory_without_info(self, tmp_path):
+        with pytest.raises(ContainerError, match="no INFO"):
+            AtcContainer.open(tmp_path)
+        with pytest.raises(ContainerError, match="no INFO"):
+            AtcContainer.open(tmp_path / "missing")

@@ -236,6 +236,26 @@ class TestScrubPathDispatch:
         assert report.kind == "store"
         assert len(report.stores) == 1 and len(report.containers) == 1
 
+    @pytest.mark.parametrize("layout", ["store", "cache"])
+    def test_a_member_naming_no_backend_is_damaged_not_fatal(self, tmp_path, container, layout):
+        # One good container and one whose files were renamed to ``.foo``:
+        # the scrub reports both, and only the renamed one as damaged.
+        root = tmp_path / layout
+        members = root / "containers" if layout == "cache" else root
+        if layout == "cache":
+            (root / "index").mkdir(parents=True)
+        shutil.copytree(container, members / "good")
+        (members / "renamed").mkdir()
+        for path in container.iterdir():
+            shutil.copyfile(path, members / "renamed" / f"{path.stem}.foo")
+        report = scrub_path(root)
+        assert report.kind == layout
+        verdicts = {Path(scrub.path).name: scrub for scrub in report.containers}
+        assert verdicts["good"].ok
+        assert verdicts["renamed"].info_status == "malformed"
+        assert "INFO.foo" in verdicts["renamed"].info_detail
+        assert not report.ok
+
     def test_cache_root_dispatches_to_cache(self, tmp_path):
         (tmp_path / "index").mkdir()
         (tmp_path / "containers").mkdir()

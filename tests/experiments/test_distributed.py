@@ -338,15 +338,27 @@ class TestDistributedRunner:
         assert merged.is_complete
         assert merged.result.normalized().to_json() == baseline
 
-    def test_stealer_finishes_an_abandoned_shard(self, tmp_path):
+    @pytest.mark.parametrize(
+        "code_version", [None, "repro-1.21.0", "repro-1.22.0", "repro-1.23.0", "test-a", "test-b"]
+    )
+    def test_stealer_finishes_an_abandoned_shard(self, tmp_path, code_version):
+        # Unit hashes mix in the code version, so which shard of two owns
+        # the units moves with it; abandon one that owns at least one unit.
+        version = code_version if code_version is not None else default_code_version()
+        plan = expand_sweep(_SPEC)
+        abandoned = 1 if plan.shard_units(1, 2, version) else 2
         cache = tmp_path / "cache"
-        first = _StubDistributedRunner(_SPEC, cache, shard="1/2").run_worker()
-        assert first.remaining > 0  # shard 2 never ran
-        stealer = _StubDistributedRunner(_SPEC, cache, steal=True).run_worker()
+        first = _StubDistributedRunner(
+            _SPEC, cache, shard=(3 - abandoned, 2), code_version=code_version
+        ).run_worker()
+        assert first.remaining == len(plan.shard_units(abandoned, 2, version)) > 0
+        stealer = _StubDistributedRunner(
+            _SPEC, cache, steal=True, code_version=code_version
+        ).run_worker()
         assert stealer.shard_units == 0  # a pure stealer owns nothing
         assert stealer.evaluated == stealer.stolen == first.remaining
         assert stealer.remaining == 0
-        assert merge_sweep(_SPEC, ResultStore(cache)).is_complete
+        assert merge_sweep(_SPEC, ResultStore(cache), code_version=code_version).is_complete
 
     def test_active_foreign_lease_is_skipped_not_duplicated(self, tmp_path):
         cache = tmp_path / "cache"

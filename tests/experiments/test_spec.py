@@ -142,6 +142,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="unknown compression backend"):
             CodecSpec(kind="raw", backend="bzip99")
 
+    @pytest.mark.parametrize("backend", ["zlib", "gz", "lzma", "store"])
+    def test_vpc_takes_bz2_only(self, backend):
+        # The TCgen comparator's second stage is bzip2: a cell naming
+        # another back-end would report the bz2 size under its label.
+        with pytest.raises(ConfigurationError, match="vpc.*bz2 only"):
+            CodecSpec(kind="vpc", backend=backend)
+        with pytest.raises(ConfigurationError, match="bz2 only"):
+            CodecSpec.from_dict({"kind": "vpc", "backend": backend})
+        assert CodecSpec(kind="vpc", backend="bz2").name == "vpc"
+
     def test_bad_filter_geometry_rejected_at_load_time(self):
         with pytest.raises(ConfigurationError):
             FilterSpec(capacity_bytes=1000, associativity=3)  # not a power-of-two set count

@@ -3,59 +3,58 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.predictors.value import (
-    DifferentialFiniteContextPredictor,
-    FiniteContextPredictor,
-    LastValuePredictor,
-    StridePredictor,
-    default_tcgen_predictors,
-    make_predictor,
-)
+from repro.predictors.value import DifferentialFiniteContextPredictor, FiniteContextPredictor
+
+_MASK64 = (1 << 64) - 1
 
 
-class TestLastValuePredictor:
-    def test_predicts_recent_values(self):
-        predictor = LastValuePredictor(depth=2)
-        assert predictor.predictions() == ()
-        predictor.update(10)
-        predictor.update(20)
-        assert predictor.predictions() == (20, 10)
+class _OracleFcm:
+    """FCM written out directly: hash the history on every call."""
 
-    def test_depth_limits_history(self):
-        predictor = LastValuePredictor(depth=2)
-        for value in (1, 2, 3):
-            predictor.update(value)
-        assert predictor.predictions() == (3, 2)
+    def __init__(self, order, depth, table_bits):
+        self.order, self.depth, self.size = order, depth, 1 << table_bits
+        self.table, self.history = {}, []
 
-    def test_duplicate_moves_to_front(self):
-        predictor = LastValuePredictor(depth=3)
-        for value in (1, 2, 3, 1):
-            predictor.update(value)
-        assert predictor.predictions() == (1, 3, 2)
+    def _row(self):
+        key = 0
+        for value in self.history:
+            key = (key * 0x9E3779B97F4A7C15 + value) & _MASK64
+        return key % self.size
 
-    def test_invalid_depth(self):
-        with pytest.raises(ConfigurationError):
-            LastValuePredictor(depth=0)
+    def predictions(self):
+        if len(self.history) < self.order:
+            return ()
+        return tuple(self.table.get(self._row(), ()))
+
+    def update(self, value):
+        if len(self.history) >= self.order:
+            successors = self.table.setdefault(self._row(), [])
+            if value in successors:
+                successors.remove(value)
+            successors.insert(0, value)
+            del successors[self.depth :]
+        self.history = (self.history + [value])[-self.order :]
 
 
-class TestStridePredictor:
-    def test_detects_constant_stride(self):
-        predictor = StridePredictor()
-        predictor.update(100)
-        predictor.update(108)
-        assert predictor.predictions() == (116,)
+class _OracleDfcm:
+    """DFCM written out directly over its own delta table."""
 
-    def test_no_prediction_before_first_value(self):
-        assert StridePredictor().predictions() == ()
+    def __init__(self, order, depth, table_bits):
+        self.deltas, self.last = _OracleFcm(order, depth, table_bits), None
 
-    def test_stride_wraps_modulo_2_64(self):
-        predictor = StridePredictor()
-        predictor.update(10)
-        predictor.update(2)   # stride -8 (mod 2**64)
-        (prediction,) = predictor.predictions()
-        assert prediction == (2 - 8) % (1 << 64)
+    def predictions(self):
+        if self.last is None:
+            return ()
+        return tuple((self.last + delta) & _MASK64 for delta in self.deltas.predictions())
+
+    def update(self, value):
+        if self.last is not None:
+            self.deltas.update((value - self.last) & _MASK64)
+        self.last = value
 
 
 class TestFiniteContextPredictor:
@@ -109,41 +108,40 @@ class TestDifferentialFiniteContextPredictor:
         predictor.update(1)
         assert predictor.predictions() == ()
 
+    def test_deltas_wrap_modulo_2_64(self):
+        predictor = DifferentialFiniteContextPredictor(order=1, depth=1)
+        for value in (10, 2, 10, 2):  # deltas -8, +8, -8 (mod 2**64)
+            predictor.update(value)
+        assert predictor.predictions() == (10,)
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             DifferentialFiniteContextPredictor(order=0)
 
 
-class TestMakePredictor:
-    @pytest.mark.parametrize(
-        "spec,expected_type",
-        [
-            ("LV", LastValuePredictor),
-            ("LV3", LastValuePredictor),
-            ("ST", StridePredictor),
-            ("FCM3[3]", FiniteContextPredictor),
-            ("fcm2[1]", FiniteContextPredictor),
-            ("DFCM3[2]", DifferentialFiniteContextPredictor),
-        ],
+@settings(max_examples=60, deadline=None)
+@given(
+    differential=st.booleans(),
+    order=st.integers(1, 4),
+    depth=st.integers(1, 4),
+    table_bits=st.integers(1, 16),
+    values=st.lists(
+        st.one_of(st.integers(0, 5), st.integers(0, _MASK64)), min_size=1, max_size=300
+    ),
+)
+def test_predictions_match_the_direct_oracle(differential, order, depth, table_bits, values):
+    """Small alphabets and tiny tables force hash collisions and hits at
+    every depth; the cached table row and the DFCM-over-FCM composition
+    must predict exactly what the direct formulation does."""
+    kind, oracle_kind = (
+        (DifferentialFiniteContextPredictor, _OracleDfcm)
+        if differential
+        else (FiniteContextPredictor, _OracleFcm)
     )
-    def test_spec_parsing(self, spec, expected_type):
-        assert isinstance(make_predictor(spec), expected_type)
-
-    def test_spec_orders_and_depths(self):
-        predictor = make_predictor("FCM3[2]")
-        assert predictor.order == 3
-        assert predictor.depth == 2
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_predictor("GHB4")
-        with pytest.raises(ConfigurationError):
-            make_predictor("FCM[2]")
-
-    def test_default_tcgen_bank_matches_paper(self):
-        bank = default_tcgen_predictors()
-        assert len(bank) == 4
-        assert isinstance(bank[0], DifferentialFiniteContextPredictor)
-        assert bank[0].order == 3 and bank[0].depth == 2
-        assert [p.order for p in bank[1:]] == [3, 2, 1]
-        assert all(p.depth == 3 for p in bank[1:])
+    predictor = kind(order, depth, table_bits)
+    oracle = oracle_kind(order, depth, table_bits)
+    for value in values:
+        assert predictor.predictions() == oracle.predictions()
+        predictor.update(value)
+        oracle.update(value)
+    assert predictor.predictions() == oracle.predictions()

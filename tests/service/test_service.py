@@ -201,6 +201,11 @@ class TestInspectAndSweep:
         status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())
         assert status == 400 and b"unknown codec kind 'delta'" in body
 
+    def test_sweep_rejects_vpc_with_another_back_end(self, call):
+        spec = {"workloads": ["429.mcf"], "codecs": [{"kind": "vpc", "backend": "zlib"}]}
+        status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())
+        assert status == 400 and b"bz2 only" in body
+
     def test_sweep_rejects_a_replacement_policy(self, call):
         spec = {"workloads": ["429.mcf"], "codecs": ["raw"], "filters": [{"policy": "lru"}]}
         status, _, body = call("POST", "/v1/sweep", json.dumps(spec).encode())

@@ -578,6 +578,27 @@ class TestContainerOpenFailures:
         assert inspect_main([str(target)]) == 2
         assert "not an ATC container" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", ["foo", "gz"])
+    def test_a_suffix_that_is_no_canonical_back_end_is_exit_2(self, tmp_path, capsys, suffix):
+        # The lossy bz2 golden with every file renamed to ``.<suffix>``: no
+        # tool guesses a back-end for it, and fsck does not call it clean.
+        import shutil
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "data" / "golden" / "lossy_bz2"
+        container = tmp_path / "c"
+        container.mkdir()
+        for path in golden.iterdir():
+            shutil.copyfile(path, container / f"{path.stem}.{suffix}")
+        for tool in (
+            lambda: main(["fsck", str(container)]),
+            lambda: atc2bin_main([str(container), "--output", str(tmp_path / "out.bin")]),
+            lambda: inspect_main([str(container)]),
+        ):
+            assert tool() == 2
+            err = capsys.readouterr().err
+            assert "not an ATC container" in err and f"INFO.{suffix}" in err
+
     def test_integrity_damage_mid_decode_is_exit_1(self, small_container, capsys):
         from repro.testing.faults import flip_bit
 
@@ -679,3 +700,22 @@ class TestFsckSubcommand:
         assert main(["fsck", str(store_dir)]) == 1
         captured = capsys.readouterr()
         assert "digest-mismatch" in captured.out + captured.err
+
+    def test_fsck_reports_a_store_member_naming_no_back_end(self, tmp_path, capsys):
+        # One good and one ``.foo`` container in a store: exit 1 (damage
+        # found), with the good container still scrubbed and reported.
+        import json as json_module
+        import shutil
+        from pathlib import Path
+
+        golden = Path(__file__).parent / "data" / "golden" / "lossy_bz2"
+        store_dir = tmp_path / "cache"
+        shutil.copytree(golden, store_dir / "good")
+        (store_dir / "renamed").mkdir()
+        for path in golden.iterdir():
+            shutil.copyfile(path, store_dir / "renamed" / f"{path.stem}.foo")
+        assert main(["fsck", str(store_dir), "-f", "json"]) == 1
+        document = json_module.loads(capsys.readouterr().out)
+        verdicts = {Path(c["path"]).name: c for c in document["containers"]}
+        assert verdicts["good"]["ok"] is True
+        assert verdicts["renamed"]["info"]["status"] == "malformed"

@@ -12,11 +12,17 @@ import pytest
 
 import repro
 import repro.cache
+import repro.core.backend
+import repro.predictors
+import repro.predictors.value
+import repro.predictors.vpc
 from repro.cache.cache import CacheConfig, SetAssociativeCache
 from repro.core.atc import AtcDecoder, AtcEncoder, atc_open
+from repro.core.container import AtcContainer
 from repro.core.kernels import simulate_batch
 from repro.core.parallel import OrderedChunkWriter
 from repro.experiments.spec import FilterSpec
+from repro.predictors.vpc import VpcCodec
 from repro.traces.synthetic import ReferenceStream, make_reference_stream
 
 # Every module of the package, found by walking it, so a new or deleted
@@ -91,6 +97,19 @@ class TestPublicApi:
             ("executor", lambda: AtcDecoder(None, executor=None)),
             ("executor", lambda: OrderedChunkWriter(print, executor=None)),
             ("max_pending", lambda: OrderedChunkWriter(print, max_pending=3)),
+            ("suffix", lambda: AtcContainer(None, suffix="bz2")),
+            ("canonical_backend_name", lambda: repro.core.backend.canonical_backend_name),
+            ("predictor_specs", lambda: VpcCodec(predictor_specs=("LV", "ST"))),
+            ("backend", lambda: VpcCodec(backend="zlib")),
+            ("LastValuePredictor", lambda: repro.predictors.LastValuePredictor),
+            ("StridePredictor", lambda: repro.predictors.StridePredictor),
+            ("Predictor", lambda: repro.predictors.Predictor),
+            ("make_predictor", lambda: repro.predictors.make_predictor),
+            ("default_tcgen_predictors", lambda: repro.predictors.default_tcgen_predictors),
+            ("_parse_order_depth", lambda: repro.predictors.value._parse_order_depth),
+            ("vpc_compress", lambda: repro.predictors.vpc.vpc_compress),
+            ("vpc_decompress", lambda: repro.predictors.vpc.vpc_decompress),
+            ("DEFAULT_PREDICTOR_SPECS", lambda: repro.predictors.DEFAULT_PREDICTOR_SPECS),
         ],
         ids=[
             "CacheConfig.policy",
@@ -110,15 +129,29 @@ class TestPublicApi:
             "AtcDecoder.executor",
             "OrderedChunkWriter.executor",
             "OrderedChunkWriter.max_pending",
+            "AtcContainer.suffix",
+            "canonical_backend_name",
+            "VpcCodec.predictor_specs",
+            "VpcCodec.backend",
+            "LastValuePredictor",
+            "StridePredictor",
+            "Predictor",
+            "make_predictor",
+            "default_tcgen_predictors",
+            "_parse_order_depth",
+            "vpc_compress",
+            "vpc_decompress",
+            "DEFAULT_PREDICTOR_SPECS",
         ],
     )
     def test_removed_write_and_policy_settings_fail_loudly(self, removed, call):
         """The cache model is LRU-only and read-only, the encoder writes
         only format v2, ``access_lanes`` is the one fused cache entry, a
-        container's suffix is always its canonical back-end name, and every
-        fan-out runs on the one process pool: an old policy, seed, stamp,
-        write, suffix, back-end or pool setting, or a removed name, raises,
-        naming itself, instead of being silently ignored."""
+        container's suffix is always its canonical back-end name, every
+        fan-out runs on the one process pool, and the VPC codec is the
+        paper's fixed TCgen bank over bzip2: an old policy, seed, stamp,
+        write, suffix, back-end, pool or predictor setting, or a removed
+        name, raises, naming itself, instead of being silently ignored."""
         with pytest.raises((TypeError, AttributeError), match=removed):
             call()
 
