@@ -71,7 +71,7 @@ from repro.traces.filter import (
 from repro.traces.spec_like import SPEC_LIKE_NAMES, spec_like_suite
 from repro.traces.trace import AddressTrace, iter_raw_chunks, read_raw_trace, write_raw_trace
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 # The experiments subsystem imports the trace/codec layers above, so its
 # re-exports come last to keep the import order acyclic.

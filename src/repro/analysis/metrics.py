@@ -25,7 +25,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.traces.trace import ADDRESS_BYTES, as_address_array
+from repro.traces.trace import ADDRESS_BYTES, as_address_array, distinct_count
 
 __all__ = [
     "bits_per_address",
@@ -81,8 +81,8 @@ def distinct_address_ratio(approximate, exact) -> float:
     addresses; much below 1.0 is the signature of the myopic interval
     problem the byte translations are designed to avoid.
     """
-    exact_distinct = int(np.unique(as_address_array(exact)).size)
-    approx_distinct = int(np.unique(as_address_array(approximate)).size)
+    exact_distinct = distinct_count(exact)
+    approx_distinct = distinct_count(approximate)
     if exact_distinct == 0:
         return 1.0 if approx_distinct == 0 else float("inf")
     return approx_distinct / exact_distinct

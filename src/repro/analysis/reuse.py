@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.traces.trace import as_address_array
+from repro.traces.trace import as_address_array, distinct_count
 
 __all__ = [
     "ReuseDistanceHistogram",
@@ -193,8 +193,4 @@ def working_set_sizes(blocks, window: int) -> List[int]:
     if window <= 0:
         raise ConfigurationError("window must be positive")
     values = as_address_array(blocks)
-    sizes = []
-    for start in range(0, int(values.size), window):
-        segment = values[start : start + window]
-        sizes.append(int(np.unique(segment).size))
-    return sizes
+    return [distinct_count(values[start : start + window]) for start in range(0, int(values.size), window)]

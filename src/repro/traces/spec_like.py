@@ -85,7 +85,7 @@ def _phases(length: int, builders: List[Callable[[int, int], np.ndarray]], seed:
     produced = 0
     for index, builder in enumerate(builders):
         remaining = length - produced
-        want = per_phase if index < len(builders) - 1 else remaining
+        want = min(per_phase, remaining) if index < len(builders) - 1 else remaining
         if want <= 0:
             break
         segments.append(builder(want, seed + index))

@@ -12,15 +12,19 @@ the paper's design relies on:
 * the on-disk container decodes to exactly the interval trace the planner
   recorded, replayed against the original chunk intervals;
 * the planner's array code (histograms, chunk-table search, translations)
-  agrees bit for bit with the scalar definitions of Section 5.1.
+  agrees bit for bit with the scalar definitions of Section 5.1;
+* every distinct-address count (trace footprint, lossy fidelity ratio,
+  working-set windows) is the size of the set of values.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.metrics import distinct_address_ratio
+from repro.analysis.reuse import working_set_sizes
 from repro.baselines.generic import compress_raw, decompress_raw
 from repro.baselines.unshuffle import unshuffle_inverse, unshuffle_transform
 from repro.core.atc import MODE_LOSSY, compress_trace
@@ -38,6 +42,7 @@ from repro.core.histograms import (
 from repro.core.intervals import ChunkTable, materialize_interval
 from repro.core.lossless import LosslessCodec
 from repro.core.lossy import LossyConfig, LossyIntervalEncoder
+from repro.traces.trace import AddressTrace, distinct_count
 
 _addresses = st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=0, max_size=400)
 _small_addresses = st.lists(
@@ -247,3 +252,30 @@ class TestPlannerMatchesScalarOracle:
             for j in range(8)
         ]
         assert translation_active_mask(source, target, threshold).tolist() == active
+
+
+class TestDistinctCountMatchesSetOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_intervals, _intervals)
+    @example([], [])
+    @example([7], [])
+    @example([(1 << 64) - 1] * 9, [0])
+    @example([0, (1 << 64) - 1, 1 << 63, (1 << 64) - 1], [1 << 63])
+    def test_counts_are_set_sizes(self, values, others):
+        """Empty, single, all-equal, pooled and full-range ``uint64`` input."""
+        array = np.array(values, dtype=np.uint64)
+        assert distinct_count(array) == len(set(values))
+        assert AddressTrace(array).distinct_addresses() == len(set(values))
+        exact = np.array(others, dtype=np.uint64)
+        if others:
+            assert distinct_address_ratio(array, exact) == len(set(values)) / len(set(others))
+        else:
+            assert distinct_address_ratio(array, exact) == (1.0 if not values else float("inf"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_intervals, st.integers(min_value=1, max_value=70))
+    @example(list(range(10)) * 3, 7)
+    def test_working_set_windows_are_set_sizes(self, values, window):
+        """Including a last window shorter than ``window``."""
+        expected = [len(set(values[start : start + window])) for start in range(0, len(values), window)]
+        assert working_set_sizes(np.array(values, dtype=np.uint64), window) == expected
